@@ -25,6 +25,11 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 
+#: ``deduce table`` prints one line per row; wider tables are refused up
+#: front (exit 2) rather than built.  The library ``truth_table`` keeps
+#: ``logic.MAX_ATOMS``.
+TABLE_MAX_ATOMS = 16
+
 _CLASS_SPANISH = {
     Classification.TAUTOLOGY: "tautología",
     Classification.CONTRADICTION: "contradicción",
@@ -82,6 +87,12 @@ def _grouped_actions(actions: Sequence[jugs.Action]) -> str:
 
 def _cmd_table(args: argparse.Namespace) -> Outcome:
     formula = parse(args.formula)
+    count = len(logic.atoms(formula))
+    if count > TABLE_MAX_ATOMS:
+        raise ValueError(
+            f"table of {count} atoms has {1 << count} rows; the limit is "
+            f"{TABLE_MAX_ATOMS} atoms ({1 << TABLE_MAX_ATOMS} rows)"
+        )
     table = logic.truth_table(formula)
     names = [atom.name for atom in table.atoms]
     headers = names + [format_formula(formula, Style.SPANISH)]

@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library code paths they are checking:
+propositional answers come from one ``evaluate`` call per canonical row,
 entailment is scanned premise-by-premise without building the implication
 formula, syllogism validity is decided by naive enumeration of every model
 up to a universe size, and jug reachability is a plain breadth-first
@@ -30,7 +31,18 @@ from deduce.categorical import (
     Syllogism,
     eval_categorical,
 )
-from deduce.logic import And, Formula, Iff, Implies, Not, Or, atoms, evaluate, prop
+from deduce.logic import (
+    And,
+    Atomic,
+    Classification,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    evaluate,
+    prop,
+)
 
 # --- Random propositional formulas ------------------------------------------
 
@@ -63,17 +75,58 @@ def formula_strategy(names=("P", "Q", "R", "S", "T"), max_leaves=12):
     )
 
 
+# --- Propositional reference: one evaluate call per canonical row -----------
+
+
+def atom_names(formula: Formula) -> list[str]:
+    """The formula's atom names, alphabetical, by a plain recursive walk."""
+    if isinstance(formula, Atomic):
+        return [formula.atom.name]
+    if isinstance(formula, Not):
+        return atom_names(formula.inner)
+    return sorted(set(atom_names(formula.left)) | set(atom_names(formula.right)))
+
+
+def canonical_valuations(names):
+    """Every valuation of ``names``: first name varying slowest, V before F."""
+    for bits in itertools.product((True, False), repeat=len(names)):
+        yield dict(zip(names, bits))
+
+
+def reference_table(formula: Formula, names) -> list[tuple[dict[str, bool], bool]]:
+    return [(v, evaluate(formula, v)) for v in canonical_valuations(names)]
+
+
+def reference_classify(formula: Formula) -> Classification:
+    values = {value for _, value in reference_table(formula, atom_names(formula))}
+    if values == {True}:
+        return Classification.TAUTOLOGY
+    if values == {False}:
+        return Classification.CONTRADICTION
+    return Classification.CONTINGENT
+
+
+def reference_falsifying(formula: Formula) -> dict[str, bool] | None:
+    for valuation in canonical_valuations(atom_names(formula)):
+        if not evaluate(formula, valuation):
+            return valuation
+    return None
+
+
+def reference_equivalent(f: Formula, g: Formula) -> bool:
+    names = sorted(set(atom_names(f)) | set(atom_names(g)))
+    return all(evaluate(f, v) == evaluate(g, v) for v in canonical_valuations(names))
+
+
 # --- Entailment oracle: direct scan, no implication formula ------------------
 
 
 def scan_entails(premises, conclusion) -> tuple[bool, dict[str, bool] | None]:
     """Check every valuation of the joint atoms directly."""
-    joint: set[str] = {atom.name for atom in atoms(conclusion)}
+    joint = set(atom_names(conclusion))
     for premise in premises:
-        joint.update(atom.name for atom in atoms(premise))
-    names = sorted(joint)
-    for bits in itertools.product((True, False), repeat=len(names)):
-        valuation = dict(zip(names, bits))
+        joint.update(atom_names(premise))
+    for valuation in canonical_valuations(sorted(joint)):
         if all(evaluate(premise, valuation) for premise in premises) and not evaluate(
             conclusion, valuation
         ):

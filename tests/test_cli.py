@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from deduce.cli import main
+from deduce import logic
+from deduce.cli import TABLE_MAX_ATOMS, main
 
 EXPECTED_TABLE = """\
 P  Q  P y Q
@@ -73,6 +74,18 @@ class TestTable:
         assert rows[0] == {"valuation": {"P": True, "Q": True}, "value": True}
         assert len(rows) == 4
         assert envelope["result"]["formula"] == "P & Q"
+
+    def test_refuses_an_oversized_table_before_building_rows(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("truth_table called")
+
+        monkeypatch.setattr(logic, "truth_table", unreachable)
+        wide = " ó ".join(f"A{i}" for i in range(TABLE_MAX_ATOMS + 1))
+        code, out, err = run(capsys, "table", wide)
+        assert code == 2
+        assert out == ""
+        assert f"table of {TABLE_MAX_ATOMS + 1} atoms" in err
+        assert f"limit is {TABLE_MAX_ATOMS} atoms" in err
 
 
 class TestEquiv:

@@ -1,0 +1,150 @@
+"""The blocked truth-vector engine against one ``evaluate`` call per row.
+
+Every check runs at the engine's own block size and at blocks of two and
+four rows, so that formulas of a few atoms already span many blocks and
+the constant (high) columns are exercised as well as the periodic ones.
+"""
+
+from functools import reduce
+from unittest import mock
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from deduce import logic
+from deduce.logic import (
+    And,
+    Atom,
+    Classification,
+    MissingAtom,
+    Not,
+    Or,
+    classify,
+    equivalent,
+    falsifying_valuation,
+    prop,
+    truth_table,
+)
+from deduce.rules import entail
+from helpers import (
+    atom_names,
+    formula_strategy,
+    reference_classify,
+    reference_equivalent,
+    reference_falsifying,
+    reference_table,
+    scan_entails,
+)
+
+BLOCK_BITS = pytest.mark.parametrize("bits", [logic._BLOCK_BITS, 2, 1])
+
+
+def blocks_of(bits: int):
+    return mock.patch.object(logic, "_BLOCK_BITS", bits)
+
+
+class TestAgainstRowByRow:
+    @BLOCK_BITS
+    @given(formula_strategy())
+    @settings(max_examples=100)
+    def test_classify(self, bits, formula):
+        with blocks_of(bits):
+            assert classify(formula) is reference_classify(formula)
+
+    @BLOCK_BITS
+    @given(formula_strategy())
+    @settings(max_examples=100)
+    def test_falsifying_valuation_is_the_first_false_row(self, bits, formula):
+        with blocks_of(bits):
+            got = falsifying_valuation(formula)
+        want = reference_falsifying(formula)
+        assert got == want
+        if want is not None:
+            assert list(got) == list(want)
+
+    @BLOCK_BITS
+    @given(formula_strategy(max_leaves=8), formula_strategy(max_leaves=8))
+    @settings(max_examples=100)
+    def test_equivalent(self, bits, f, g):
+        with blocks_of(bits):
+            assert equivalent(f, g) == reference_equivalent(f, g)
+
+    @BLOCK_BITS
+    @given(
+        st.lists(formula_strategy(max_leaves=6), max_size=3),
+        formula_strategy(max_leaves=6),
+    )
+    @settings(max_examples=100)
+    def test_entail(self, bits, premises, conclusion):
+        with blocks_of(bits):
+            verdict = entail(premises, conclusion)
+        assert (verdict.valid, verdict.countervaluation) == scan_entails(
+            premises, conclusion
+        )
+
+    @BLOCK_BITS
+    @given(
+        formula_strategy(),
+        st.lists(st.sampled_from(("A", "U", "Z9")), unique=True),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100)
+    def test_table_over_extra_atoms_in_any_order(self, bits, formula, extra, rng):
+        names = atom_names(formula) + extra
+        rng.shuffle(names)
+        with blocks_of(bits):
+            table = truth_table(formula, over=[Atom(name) for name in names])
+        assert table.atoms == tuple(Atom(name) for name in names)
+        rows = [(row.valuation, row.value) for row in table.rows]
+        assert rows == reference_table(formula, names)
+        assert all(list(row.valuation) == names for row in table.rows)
+
+
+def clause_false_at(row: int, names: list[str]):
+    """A disjunction of literals false exactly at canonical ``row``."""
+    last = len(names) - 1
+    return reduce(
+        Or,
+        [
+            prop(name) if row >> (last - i) & 1 else Not(prop(name))
+            for i, name in enumerate(names)
+        ],
+    )
+
+
+# Blocks of 2^(n-1) rows put the second half of the table, where the first
+# false row lies, in the second block; 12 is the engine's own block size.
+@pytest.mark.parametrize("n,bits", [(11, 10), (11, 12), (12, 11), (12, 12), (13, 12)])
+def test_first_false_row_in_the_second_block(n, bits):
+    names = [f"A{i:02}" for i in range(n)]
+    first, later = (1 << (n - 1)) + 5, (1 << n) - 3
+    formula = And(clause_false_at(first, names), clause_false_at(later, names))
+    swapped = And(clause_false_at(later, names), clause_false_at(first, names))
+    with blocks_of(bits):
+        assert classify(formula) is Classification.CONTINGENT
+        assert classify(Not(formula)) is Classification.CONTINGENT
+        assert classify(Or(formula, Not(formula))) is Classification.TAUTOLOGY
+        assert falsifying_valuation(formula) == reference_falsifying(formula)
+        assert equivalent(formula, swapped)
+        assert not equivalent(formula, clause_false_at(first, names))
+        verdict = entail([clause_false_at(first, names)], clause_false_at(later, names))
+        table = truth_table(formula)
+    assert (verdict.valid, verdict.countervaluation) == scan_entails(
+        [clause_false_at(first, names)], clause_false_at(later, names)
+    )
+    values = [row.value for row in table.rows]
+    assert values == [value for _, value in reference_table(formula, names)]
+    assert [i for i, value in enumerate(values) if not value] == [first, later]
+
+
+class TestIncompleteOver:
+    def test_missing_atom_is_named(self):
+        with pytest.raises(MissingAtom) as excinfo:
+            truth_table(And(prop("P"), prop("Q")), over=(Atom("P"),))
+        assert excinfo.value.name == "Q"
+
+    def test_missing_atom_raises_whatever_the_rows_would_read(self):
+        # P ∨ (P ∧ Q) never needs Q's value, but Q is still not a column.
+        with pytest.raises(MissingAtom):
+            truth_table(Or(prop("P"), And(prop("P"), prop("Q"))), over=(Atom("P"),))

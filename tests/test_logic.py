@@ -1,4 +1,5 @@
 import itertools
+from functools import reduce
 from random import Random
 
 import pytest
@@ -186,6 +187,20 @@ class TestClassify:
     def test_falsifying_valuation_first_row(self):
         assert falsifying_valuation(Implies(P, Q)) == {"P": True, "Q": False}
         assert falsifying_valuation(Or(P, Not(P))) is None
+
+
+class TestAtTheAtomLimit:
+    NAMES = [f"A{i}" for i in range(1, MAX_ATOMS + 1)]
+
+    def test_chain_tautology(self):
+        links = [Implies(prop(a), prop(b)) for a, b in zip(self.NAMES, self.NAMES[1:])]
+        chain = Implies(reduce(And, links), Implies(prop("A1"), prop(self.NAMES[-1])))
+        assert len(atoms(chain)) == MAX_ATOMS
+        assert classify(chain) is Classification.TAUTOLOGY
+
+    def test_disjunction_false_only_at_the_last_row(self):
+        wide = reduce(Or, [prop(name) for name in self.NAMES])
+        assert falsifying_valuation(wide) == dict.fromkeys(self.NAMES, False)
 
 
 class TestEquivalent:
