@@ -231,10 +231,10 @@ def _check_syllogism(
     command: str, label: str, syllogism: categorical.Syllogism, existential_import: bool
 ) -> Outcome:
     verdict = categorical.valid_syllogism(syllogism, existential_import)
-    with_import = (
-        verdict.valid
-        if existential_import
-        else categorical.valid_syllogism(syllogism, True).valid
+    # The import models are a subset of all models, so a plain valid
+    # verdict already settles the question with import.
+    with_import = verdict.valid or (
+        not existential_import and categorical.valid_syllogism(syllogism, True).valid
     )
     result = {
         "name": label,
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=[strategy.value for strategy in jugs.Strategy],
         default=jugs.Strategy.CERTIFICATE.value,
-        help="certificate: scaled Bézout identity; shortest: minimal-length search",
+        help="certificate: scaled Bézout identity; shortest: minimal-length plan",
     )
     jugs_plan.set_defaults(handler=_cmd_jugs_plan)
 

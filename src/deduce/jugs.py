@@ -6,7 +6,9 @@ measures a full vessel out and discards it (RemoveJug).  The running total
 therefore moves by whole vessel amounts, may never go negative, and a
 vessel can only be measured out when the container holds at least that
 much.  Exactly the positive multiples of gcd(n, m) are producible, and a
-Bézout identity turns that fact into a concrete plan.
+Bézout identity turns that fact into a concrete plan: every plan is a
+solution x·n + y·m = target, read as |x| pours of one vessel and |y| of the
+other, so both planning strategies are a choice of one point on that line.
 
 Amounts are exact integers in abstract units; scaling all quantities by a
 common factor changes nothing.
@@ -14,13 +16,12 @@ common factor changes nothing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 MAX_CAPACITY = 10**6
 MAX_TARGET = 10**9
-MAX_STATES = 10**7
+MAX_PLAN_LENGTH = 10**7
 MAX_LIMIT = 10**6
 
 
@@ -52,15 +53,15 @@ class NotAchievable(ValueError):
         self.gcd = g
 
 
-class StateSpaceTooLarge(ValueError):
-    """The shortest-plan search would need too many states."""
+class PlanTooLong(ValueError):
+    """The plan would exceed ``MAX_PLAN_LENGTH`` actions; refused before any
+    action is built."""
 
-    def __init__(self, states: int):
+    def __init__(self, length: int):
         super().__init__(
-            f"shortest-plan search needs {states} states (limit {MAX_STATES}); "
-            "use the certificate strategy instead"
+            f"the plan needs {length} actions; the limit is {MAX_PLAN_LENGTH}"
         )
-        self.states = states
+        self.length = length
 
 
 def _check_capacity(value: int, name: str, minimum: int = 1) -> None:
@@ -172,83 +173,55 @@ def achievable_amounts(n: int, m: int, limit: int) -> list[int]:
     return list(range(g, limit + 1, g))
 
 
-def _certificate_plan(problem: JugProblem) -> PourPlan:
-    n, m, target = problem.n, problem.m, problem.target
-    cert = bezout(n, m)
-    k = target // cert.g
-    period = m // cert.g
-    adds_n = (k * cert.a) % period
-    count_m = (target - adds_n * n) // m
-    # All additions happen first, so the total peaks at adds_n·n (or at the
-    # target itself when count_m ≥ 0) and every removal still has at least a
-    # full vessel available: before each one the total is target plus a
-    # whole number of m's.
-    actions: list[Action] = [AddJug(n)] * adds_n
-    if count_m >= 0:
-        actions.extend([AddJug(m)] * count_m)
-    else:
-        actions.extend([RemoveJug(m)] * -count_m)
-    return PourPlan(tuple(actions))
-
-
-def _search_ceiling(problem: JugProblem) -> int:
-    # The certificate plan peaks at max(target, adds_n·n).  Additionally,
-    # any achievable action multiset can be reordered to keep the running
-    # total below max(target, 2·max(n, m)): play removals whenever the total
-    # reaches max(n, m), additions otherwise; once removals are exhausted
-    # the total only climbs to the target.  The ceiling below therefore
-    # contains a true shortest plan, not merely some plan.
-    n, m, target = problem.n, problem.m, problem.target
-    cert = bezout(n, m)
-    k = target // cert.g
-    adds_n = (k * cert.a) % (m // cert.g)
-    return max(target, adds_n * n, 2 * max(n, m))
-
-
-def _shortest_plan(problem: JugProblem) -> PourPlan:
-    n, m, target = problem.n, problem.m, problem.target
-    ceiling = _search_ceiling(problem)
-    if ceiling + 1 > MAX_STATES:
-        raise StateSpaceTooLarge(ceiling + 1)
-    moves: list[Action] = [AddJug(n), AddJug(m), RemoveJug(n), RemoveJug(m)]
-    parents: dict[int, tuple[int, Action]] = {}
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        total = queue.popleft()
-        if total == target:
-            actions: list[Action] = []
-            while total != 0:
-                total, action = parents[total]
-                actions.append(action)
-            actions.reverse()
-            return PourPlan(tuple(actions))
-        for action in moves:
-            if isinstance(action, AddJug):
-                neighbor = total + action.capacity
-            else:
-                neighbor = total - action.capacity
-            if 0 <= neighbor <= ceiling and neighbor not in seen:
-                seen.add(neighbor)
-                parents[neighbor] = (total, action)
-                queue.append(neighbor)
-    raise AssertionError("unreachable: an achievable target fits in the ceiling")
+def _emit(n: int, m: int, x: int, y: int) -> PourPlan:
+    # All additions come first, so the total peaks at their sum and never
+    # goes negative: before each removal it is the target plus that removal
+    # and the ones still to come.  At most one of x, y is negative (the
+    # target is positive), so the plan has at most two runs.
+    length = abs(x) + abs(y)
+    if length > MAX_PLAN_LENGTH:
+        raise PlanTooLong(length)
+    return PourPlan(
+        (AddJug(n),) * max(x, 0)
+        + (AddJug(m),) * max(y, 0)
+        + (RemoveJug(n),) * max(-x, 0)
+        + (RemoveJug(m),) * max(-y, 0)
+    )
 
 
 def plan(problem: JugProblem, strategy: Strategy = Strategy.CERTIFICATE) -> PourPlan:
     """Synthesize a valid pour plan for an achievable target.
 
-    ``CERTIFICATE`` scales the Bézout identity: all additions, then all
-    removals.  ``SHORTEST`` breadth-first-searches the running totals and
-    returns a minimal-length plan.  Raises ``NotAchievable`` when gcd(n, m)
-    does not divide the target.
+    With k = target/g and the certificate a·n + b·m = g, the solutions of
+    x·n + y·m = target are x = k·a + t·(m/g), y = k·b − t·(n/g).
+    ``CERTIFICATE`` takes the least x ≥ 0, k·a mod (m/g).  ``SHORTEST``
+    minimises the plan length |x| + |y|, which is convex in t, so the
+    minimum lies at the floor or ceiling of one of the two roots; ties go
+    to fewer removals, then to the smaller x.  Either plan is emitted as
+    its additions (of n, then of m) followed by its removals.
+
+    Raises ``NotAchievable`` when gcd(n, m) does not divide the target and
+    ``PlanTooLong`` when the plan would have more than ``MAX_PLAN_LENGTH``
+    actions.
     """
-    g = gcd(problem.n, problem.m)
-    if problem.target % g:
-        raise NotAchievable(problem.n, problem.m, problem.target, g)
+    n, m, target = problem.n, problem.m, problem.target
+    cert = bezout(n, m)
+    if target % cert.g:
+        raise NotAchievable(n, m, target, cert.g)
+    k = target // cert.g
+    x0, y0 = k * cert.a, k * cert.b
+    step_x, step_y = m // cert.g, n // cert.g
     if strategy is Strategy.SHORTEST:
-        return _shortest_plan(problem)
-    return _certificate_plan(problem)
+        roots = (-x0 // step_x, -(x0 // step_x), y0 // step_y, -(-y0 // step_y))
+        # Order by length, then by the number of removals, then by x.
+        x, y = min(
+            ((x0 + t * step_x, y0 - t * step_y) for t in roots),
+            key=lambda xy: (abs(xy[0]) + abs(xy[1]), -min(*xy, 0), xy[0]),
+        )
+    else:
+        x = x0 % step_x
+        y = (target - x * n) // m
+    return _emit(n, m, x, y)
 
 
 def simulate(pour_plan: PourPlan, n: int, m: int) -> int:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from deduce import logic
+from deduce import categorical, jugs, logic
 from deduce.cli import TABLE_MAX_ATOMS, main
 
 EXPECTED_TABLE = """\
@@ -206,6 +206,18 @@ class TestSyllogism:
         assert counter["extensions"]["M"] == []
         assert envelope["result"]["valid_with_existential_import"] is True
 
+    @pytest.mark.parametrize("existential_import", [False, True])
+    @pytest.mark.parametrize(
+        "name", [name for name, _ in categorical.registry_syllogisms()]
+    )
+    def test_valid_with_existential_import_matches_the_import_search(
+        self, capsys, name, existential_import
+    ):
+        flags = ["--existential-import"] if existential_import else []
+        _, envelope, _ = run_json(capsys, "syllogism", "check", name, *flags)
+        expected = categorical.valid_syllogism(categorical.get_syllogism(name), True)
+        assert envelope["result"]["valid_with_existential_import"] is expected.valid
+
     def test_custom_mood(self, capsys):
         code, out, _ = run(
             capsys, "syllogism", "custom", "all:M:B", "all:A:M", "all:A:B"
@@ -305,6 +317,30 @@ class TestJugs:
         assert actions[:1] == [{"action": "add", "capacity": 3}]
         assert actions[-1] == {"action": "remove", "capacity": 11}
         assert envelope["result"]["length"] == 5
+
+    @pytest.mark.parametrize("strategy", ["certificate", "shortest"])
+    @pytest.mark.parametrize("output_format", ["text", "json"])
+    def test_plan_over_the_length_limit_is_refused(self, capsys, strategy, output_format):
+        code, out, err = run(
+            capsys,
+            "jugs",
+            "plan",
+            "--n",
+            "1",
+            "--m",
+            "1",
+            "--target",
+            "1000000000",
+            "--strategy",
+            strategy,
+            "--format",
+            output_format,
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "1000000000" in err
+        assert str(jugs.MAX_PLAN_LENGTH) in err
 
     def test_rejects_nonpositive_capacity(self, capsys):
         code, _, err = run(capsys, "jugs", "gcd", "--n", "0", "--m", "6")

@@ -1,14 +1,19 @@
+import itertools
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from deduce.jugs import (
+    MAX_PLAN_LENGTH,
     AddJug,
     BezoutCertificate,
     JugProblem,
     NotAchievable,
+    PlanTooLong,
     PlanViolation,
     PourPlan,
     RemoveJug,
-    StateSpaceTooLarge,
     Strategy,
     ViolationKind,
     achievable_amounts,
@@ -179,9 +184,49 @@ class TestPlan:
                             JugProblem(n * factor, m * factor, target * factor)
                         )
 
-    def test_shortest_refuses_oversized_state_space(self):
-        with pytest.raises(StateSpaceTooLarge):
-            plan(JugProblem(1, 1, 50_000_000), Strategy.SHORTEST)
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_refuses_plans_over_the_length_limit(self, strategy):
+        with pytest.raises(PlanTooLong) as excinfo:
+            plan(JugProblem(1, 1, 50_000_000), strategy)
+        assert excinfo.value.length == 50_000_000
+        assert "50000000" in str(excinfo.value)
+        assert str(MAX_PLAN_LENGTH) in str(excinfo.value)
+
+    def test_shortest_uses_one_vessel_far_beyond_a_search_ceiling(self):
+        # The target is ~2·10^7 units, yet the plan is twenty pours.
+        problem = JugProblem(999_983, 999_979, 20 * 999_983)
+        assert plan(problem, Strategy.SHORTEST).actions == (AddJug(999_983),) * 20
+
+    def test_shortest_tie_prefers_fewer_removals(self):
+        # 4 = 2 + 2 = 6 − 2: two actions either way; the one without a
+        # removal wins.
+        assert plan(JugProblem(2, 6, 4), Strategy.SHORTEST).actions == (AddJug(2),) * 2
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_plans_are_additions_then_removals_in_at_most_two_runs(self, strategy):
+        for n in range(1, 13):
+            for m in range(1, 13):
+                for target in range(1, 40):
+                    problem = JugProblem(n, m, target)
+                    if not is_achievable(problem):
+                        continue
+                    actions = plan(problem, strategy).actions
+                    runs = [key for key, _ in itertools.groupby(actions)]
+                    assert len(runs) <= 2, (n, m, target, runs)
+                    kinds = [type(action) for action in actions]
+                    assert kinds == sorted(kinds, key=lambda kind: kind is RemoveJug)
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 600))
+    @settings(max_examples=300, deadline=None)
+    def test_shortest_length_matches_bfs_oracle(self, n, m, target):
+        problem = JugProblem(n, m, target)
+        if not is_achievable(problem):
+            return
+        pour_plan = plan(problem, Strategy.SHORTEST)
+        assert len(pour_plan) == bfs_min_plan_length(
+            n, m, target, oracle_ceiling(n, m, target)
+        )
+        assert simulate(pour_plan, n, m) == target
 
     def test_certificate_handles_large_targets(self):
         problem = JugProblem(999_983, 999_979, 999_983 + 999_979)
