@@ -12,14 +12,12 @@ normal form.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-from .parser import ErrorKind, ParseError, SourceSpan
-
-_NAME = re.compile(r"[A-Z][A-Za-z0-9]*\Z")
+from .logic import _ATOM_NAME
+from .parser import Style, _format, _Grammar, _parse
 
 
 class UnknownPredicate(LookupError):
@@ -70,7 +68,7 @@ class CategoricalForm:
 
     def __post_init__(self) -> None:
         for name in (self.subject, self.predicate):
-            if not _NAME.match(name):
+            if not _ATOM_NAME.match(name):
                 raise ValueError(f"invalid predicate name {name!r}")
 
     @property
@@ -297,17 +295,36 @@ class Exists(MonadicFormula):
     body: MonadicFormula
 
 
+_BINARY_NODES = (MAnd, MOr, MImplies)
+_QUANTIFIER_NODES = (ForAll, Exists)
+
+
 def free_variables(formula: MonadicFormula) -> frozenset[str]:
-    match formula:
-        case PredApp(_, var):
-            return frozenset((var,))
-        case MNot(inner):
-            return free_variables(inner)
-        case MAnd(a, b) | MOr(a, b) | MImplies(a, b):
-            return free_variables(a) | free_variables(b)
-        case ForAll(var, body) | Exists(var, body):
-            return free_variables(body) - {var}
-    raise TypeError(f"not a monadic formula: {formula!r}")
+    free: set[str] = set()
+    bound: dict[str, int] = {}
+    # Work items are formulas to visit, or a bound variable's name where
+    # its quantifier's scope ends.
+    pending: list = [formula]
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is str:
+            bound[node] -= 1
+        elif kind is PredApp:
+            if not bound.get(node.var):
+                free.add(node.var)
+        elif kind is MNot:
+            pending.append(node.inner)
+        elif kind in _BINARY_NODES:
+            pending.append(node.right)
+            pending.append(node.left)
+        elif kind in _QUANTIFIER_NODES:
+            bound[node.var] = bound.get(node.var, 0) + 1
+            pending.append(node.var)
+            pending.append(node.body)
+        else:
+            raise TypeError(f"not a monadic formula: {node!r}")
+    return frozenset(free)
 
 
 def predicates(formula: MonadicFormula) -> tuple[str, ...]:
@@ -381,332 +398,80 @@ def negate_quantifiers(formula: MonadicFormula) -> MonadicFormula:
     inward until it sits only on predicate applications.
     """
     _require_closed(formula)
-    return _negated_nnf(formula)
+    return _nnf(formula, negated=True)
 
 
-def _nnf(formula: MonadicFormula) -> MonadicFormula:
-    match formula:
-        case PredApp():
-            return formula
-        case MNot(inner):
-            return _negated_nnf(inner)
-        case MAnd(a, b):
-            return MAnd(_nnf(a), _nnf(b))
-        case MOr(a, b):
-            return MOr(_nnf(a), _nnf(b))
-        case MImplies(a, b):
-            return MOr(_negated_nnf(a), _nnf(b))
-        case ForAll(var, body):
-            return ForAll(var, _nnf(body))
-        case Exists(var, body):
-            return Exists(var, _nnf(body))
-    raise TypeError(f"not a monadic formula: {formula!r}")
+# Node class -> (constructor of its normal form, of its negation's); an
+# implication's antecedent changes polarity.
+_NNF = {
+    MAnd: (MAnd, MOr),
+    MOr: (MOr, MAnd),
+    MImplies: (MOr, MAnd),
+    ForAll: (ForAll, Exists),
+    Exists: (Exists, ForAll),
+}
 
 
-def _negated_nnf(formula: MonadicFormula) -> MonadicFormula:
-    match formula:
-        case PredApp():
-            return MNot(formula)
-        case MNot(inner):
-            return _nnf(inner)
-        case MAnd(a, b):
-            return MOr(_negated_nnf(a), _negated_nnf(b))
-        case MOr(a, b):
-            return MAnd(_negated_nnf(a), _negated_nnf(b))
-        case MImplies(a, b):
-            return MAnd(_nnf(a), _negated_nnf(b))
-        case ForAll(var, body):
-            return Exists(var, _negated_nnf(body))
-        case Exists(var, body):
-            return ForAll(var, _negated_nnf(body))
-    raise TypeError(f"not a monadic formula: {formula!r}")
+def _nnf(formula: MonadicFormula, negated: bool) -> MonadicFormula:
+    """Negation normal form of ``formula``, or of its negation when
+    ``negated``, by one walk that carries the polarity.
+
+    Work items are ``(formula, negated)`` to visit, ``(constructor, None)``
+    to join the last two results, and ``(constructor, variable)`` to bind
+    the last result.
+    """
+    out: list[MonadicFormula] = []
+    pending: list = [(formula, negated)]
+    while pending:
+        node, arg = pending.pop()
+        if arg is None:
+            right = out.pop()
+            out[-1] = node(out[-1], right)
+            continue
+        if type(arg) is str:
+            out[-1] = node(arg, out[-1])
+            continue
+        kind = type(node)
+        if kind is PredApp:
+            out.append(MNot(node) if arg else node)
+        elif kind is MNot:
+            pending.append((node.inner, not arg))
+        elif kind in _BINARY_NODES:
+            pending.append((_NNF[kind][arg], None))
+            pending.append((node.right, arg))
+            pending.append((node.left, not arg if kind is MImplies else arg))
+        elif kind in _QUANTIFIER_NODES:
+            pending.append((_NNF[kind][arg], node.var))
+            pending.append((node.body, arg))
+        else:
+            raise TypeError(f"not a monadic formula: {node!r}")
+    return out[0]
 
 
 # --- Surface syntax for monadic formulas ------------------------------------
 #
-# Same connective aliases as the propositional grammar plus "forall",
-# "exists" and ".".  A quantifier's body extends as far right as possible.
-# Lowercase identifiers are variables except the reserved words, so "y" is
-# the conjunction keyword and cannot name a variable.
+# The propositional grammar without the biconditional, plus "forall x." /
+# "exists x." and predicate application "P(x)".  A quantifier's body
+# extends as far right as possible.  Lowercase identifiers are variables,
+# except the quantifier keywords; "y", "o", "ó" and "no" are connectives.
 
-_RESERVED_WORDS = {"y", "o", "ó", "no", "forall", "exists"}
-
-_M_SYMBOLS: tuple[tuple[str, str], ...] = (
-    ("->", "implies"),
-    ("=>", "implies"),
-    ("¬", "not"),
-    ("!", "not"),
-    ("~", "not"),
-    ("&", "and"),
-    ("∧", "and"),
-    ("|", "or"),
-    ("∨", "or"),
-    ("⇒", "implies"),
-    ("(", "lparen"),
-    (")", "rparen"),
-    (".", "dot"),
+_MONADIC = _Grammar(
+    binary={"and": MAnd, "or": MOr, "implies": MImplies},
+    negation=MNot,
+    leaf=PredApp,
+    build_leaf=PredApp,
+    leaf_text=lambda node: f"{node.pred}({node.var})",
+    quantifiers={"forall": ForAll, "exists": Exists},
+    styles={Style.ASCII: {"not": "~", "and": "&", "or": "|", "implies": "->"}},
+    noun="monadic formula",
 )
-
-_M_WORD_OPS = {"y": "and", "o": "or", "ó": "or", "no": "not"}
-
-
-@dataclass(frozen=True)
-class _MToken:
-    kind: str  # "upper", "lower", or a symbol kind
-    text: str
-    start: int
-    end: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
-
-
-def _m_tokenize(text: str) -> list[_MToken]:
-    tokens: list[_MToken] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalnum():
-            j = i + 1
-            while j < n and text[j].isalnum():
-                j += 1
-            word = text[i:j]
-            if word.isascii() and word[0].isupper():
-                tokens.append(_MToken("upper", word, i, j))
-            elif word == "ó" or (word.isascii() and word[0].islower()):
-                tokens.append(_MToken("lower", word, i, j))
-            else:
-                raise ParseError(
-                    ErrorKind.UNKNOWN_TOKEN,
-                    SourceSpan(i, j),
-                    f"unknown word {word!r}",
-                )
-            i = j
-            continue
-        for symbol, kind in _M_SYMBOLS:
-            if text.startswith(symbol, i):
-                tokens.append(_MToken(kind, symbol, i, i + len(symbol)))
-                i += len(symbol)
-                break
-        else:
-            raise ParseError(
-                ErrorKind.UNKNOWN_TOKEN,
-                SourceSpan(i, i + 1),
-                f"unknown character {ch!r}",
-            )
-    return tokens
-
-
-class _MonadicParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _m_tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _MToken | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def advance(self) -> _MToken:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def eof_span(self) -> SourceSpan:
-        return SourceSpan(len(self.text), len(self.text))
-
-    def _is_word(self, token: _MToken | None, *words: str) -> bool:
-        return token is not None and token.kind == "lower" and token.text in words
-
-    def _is_op(self, token: _MToken | None, op: str) -> bool:
-        if token is None:
-            return False
-        if token.kind == op:
-            return True
-        return token.kind == "lower" and _M_WORD_OPS.get(token.text) == op
-
-    def parse(self) -> MonadicFormula:
-        formula = self.formula()
-        leftover = self.peek()
-        if leftover is not None:
-            raise ParseError(
-                ErrorKind.TRAILING_INPUT,
-                leftover.span,
-                f"unexpected input {leftover.text!r} after a complete formula",
-            )
-        return formula
-
-    def formula(self) -> MonadicFormula:
-        if self._is_word(self.peek(), "forall", "exists"):
-            return self.quantified()
-        return self.implication()
-
-    def quantified(self) -> MonadicFormula:
-        keyword = self.advance()
-        var = self.variable()
-        dot = self.peek()
-        if dot is None:
-            raise ParseError(
-                ErrorKind.UNEXPECTED_END, self.eof_span(), "expected '.'"
-            )
-        if dot.kind != "dot":
-            raise ParseError(
-                ErrorKind.UNKNOWN_TOKEN, dot.span, f"expected '.', found {dot.text!r}"
-            )
-        self.advance()
-        body = self.formula()
-        if keyword.text == "forall":
-            return ForAll(var, body)
-        return Exists(var, body)
-
-    def variable(self) -> str:
-        token = self.peek()
-        if token is None:
-            raise ParseError(
-                ErrorKind.UNEXPECTED_END, self.eof_span(), "expected a variable"
-            )
-        if token.kind != "lower" or token.text in _RESERVED_WORDS:
-            raise ParseError(
-                ErrorKind.UNKNOWN_TOKEN,
-                token.span,
-                f"expected a variable, found {token.text!r}",
-            )
-        self.advance()
-        return token.text
-
-    def implication(self) -> MonadicFormula:
-        left = self.disjunction()
-        if self._is_op(self.peek(), "implies"):
-            self.advance()
-            return MImplies(left, self.formula())
-        return left
-
-    def disjunction(self) -> MonadicFormula:
-        left = self.conjunction()
-        while self._is_op(self.peek(), "or"):
-            self.advance()
-            left = MOr(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> MonadicFormula:
-        left = self.unary()
-        while self._is_op(self.peek(), "and"):
-            self.advance()
-            left = MAnd(left, self.unary())
-        return left
-
-    def unary(self) -> MonadicFormula:
-        if self._is_op(self.peek(), "not"):
-            self.advance()
-            return MNot(self.unary())
-        return self.primary()
-
-    def primary(self) -> MonadicFormula:
-        token = self.peek()
-        if token is None:
-            raise ParseError(
-                ErrorKind.UNEXPECTED_END, self.eof_span(), "expected a formula"
-            )
-        if self._is_word(token, "forall", "exists"):
-            return self.quantified()
-        if token.kind == "upper":
-            self.advance()
-            opening = self.peek()
-            if opening is None:
-                raise ParseError(
-                    ErrorKind.UNEXPECTED_END, self.eof_span(), "expected '('"
-                )
-            if opening.kind != "lparen":
-                raise ParseError(
-                    ErrorKind.UNKNOWN_TOKEN,
-                    opening.span,
-                    f"expected '(', found {opening.text!r}",
-                )
-            self.advance()
-            var = self.variable()
-            closing = self.peek()
-            if closing is None:
-                raise ParseError(
-                    ErrorKind.UNBALANCED_PAREN, self.eof_span(), "missing ')'"
-                )
-            if closing.kind != "rparen":
-                raise ParseError(
-                    ErrorKind.UNBALANCED_PAREN,
-                    closing.span,
-                    f"expected ')', found {closing.text!r}",
-                )
-            self.advance()
-            return PredApp(token.text, var)
-        if token.kind == "lparen":
-            self.advance()
-            inner = self.formula()
-            closing = self.peek()
-            if closing is None:
-                raise ParseError(
-                    ErrorKind.UNBALANCED_PAREN, self.eof_span(), "missing ')'"
-                )
-            if closing.kind != "rparen":
-                raise ParseError(
-                    ErrorKind.UNBALANCED_PAREN,
-                    closing.span,
-                    f"expected ')', found {closing.text!r}",
-                )
-            self.advance()
-            return inner
-        if token.kind == "rparen":
-            raise ParseError(ErrorKind.UNBALANCED_PAREN, token.span, "unmatched ')'")
-        raise ParseError(
-            ErrorKind.UNKNOWN_TOKEN,
-            token.span,
-            f"expected a formula, found {token.text!r}",
-        )
 
 
 def parse_monadic(text: str) -> MonadicFormula:
     """Parse the monadic surface syntax; raises ``ParseError`` on a fault."""
-    return _MonadicParser(text).parse()
-
-
-_M_PREC_APP = 5
-_M_PREC_NOT = 4
-_M_PREC_AND = 3
-_M_PREC_OR = 2
-_M_PREC_IMPLIES = 1
-_M_PREC_QUANT = 0
+    return _parse(text, _MONADIC)
 
 
 def format_monadic(formula: MonadicFormula) -> str:
     """Render in the ASCII surface syntax with minimal parentheses."""
-
-    def fmt(f: MonadicFormula, min_prec: int) -> str:
-        match f:
-            case PredApp(pred, var):
-                text, prec = f"{pred}({var})", _M_PREC_APP
-            case MNot(inner):
-                text, prec = "~" + fmt(inner, _M_PREC_NOT), _M_PREC_NOT
-            case MAnd(a, b):
-                text = f"{fmt(a, _M_PREC_AND)} & {fmt(b, _M_PREC_AND + 1)}"
-                prec = _M_PREC_AND
-            case MOr(a, b):
-                text = f"{fmt(a, _M_PREC_OR)} | {fmt(b, _M_PREC_OR + 1)}"
-                prec = _M_PREC_OR
-            case MImplies(a, b):
-                text = f"{fmt(a, _M_PREC_IMPLIES + 1)} -> {fmt(b, _M_PREC_IMPLIES)}"
-                prec = _M_PREC_IMPLIES
-            case ForAll(var, body):
-                text, prec = f"forall {var}. {fmt(body, 0)}", _M_PREC_QUANT
-            case Exists(var, body):
-                text, prec = f"exists {var}. {fmt(body, 0)}", _M_PREC_QUANT
-            case _:
-                raise TypeError(f"not a monadic formula: {f!r}")
-        if prec < min_prec:
-            return f"({text})"
-        return text
-
-    return fmt(formula, 0)
+    return _format(formula, _MONADIC, Style.ASCII)

@@ -321,21 +321,39 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     return TruthTable(atoms=columns, rows=rows)
 
 
+def _first_false(
+    columns: tuple[Atom, ...], full: int, block: int, vector: int
+) -> dict[str, bool]:
+    """The valuation at the first false row of ``block``'s truth vector."""
+    false_rows = full ^ vector
+    first = (false_rows & -false_rows).bit_length() - 1
+    row = _row_bits(block * full.bit_length() + first, len(columns))
+    return dict(zip((atom.name for atom in columns), row))
+
+
+def _decide(formula: Formula) -> tuple[Classification, dict[str, bool] | None]:
+    """The classification of ``formula`` and its first falsifying valuation
+    (canonical row order), from one scan that stops once a true and a false
+    row have both been seen.  The first false row lies in the first block
+    with a false row, which that stop never skips."""
+    columns, full, vectors = _scan(formula)
+    seen_true = False
+    counter = None
+    for block, vector in enumerate(vectors):
+        seen_true = seen_true or vector != 0
+        if counter is None and vector != full:
+            counter = _first_false(columns, full, block, vector)
+        if seen_true and counter is not None:
+            return Classification.CONTINGENT, counter
+    if counter is None:
+        return Classification.TAUTOLOGY, None
+    return Classification.CONTRADICTION, counter
+
+
 def classify(formula: Formula) -> Classification:
     """Classify by exhaustive enumeration, stopping once a true and a false
     row have both been seen."""
-    _, full, vectors = _scan(formula)
-    seen_true = seen_false = False
-    for vector in vectors:
-        if vector == full:
-            seen_true = True
-        elif vector == 0:
-            seen_false = True
-        else:
-            return Classification.CONTINGENT
-        if seen_true and seen_false:
-            return Classification.CONTINGENT
-    return Classification.TAUTOLOGY if seen_true else Classification.CONTRADICTION
+    return _decide(formula)[0]
 
 
 def falsifying_valuation(formula: Formula) -> dict[str, bool] | None:
@@ -343,10 +361,7 @@ def falsifying_valuation(formula: Formula) -> dict[str, bool] | None:
     columns, full, vectors = _scan(formula)
     for block, vector in enumerate(vectors):
         if vector != full:
-            false_rows = full ^ vector
-            first = (false_rows & -false_rows).bit_length() - 1
-            row = _row_bits(block * full.bit_length() + first, len(columns))
-            return dict(zip((atom.name for atom in columns), row))
+            return _first_false(columns, full, block, vector)
     return None
 
 

@@ -7,15 +7,20 @@ and/or associate left, implies/iff associate right.
 
 Printing is parenthesization-minimal: the output re-parses to a structurally
 equal formula in any of the three styles.
+
+One grammar core serves this language and the monadic one of
+``categorical``: a ``_Grammar`` table drives one tokenizer, one
+operator-precedence parser (Dijkstra's shunting-yard) and one printer.
+They keep explicit stacks, so nesting depth is bounded only by memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from enum import Enum
 from typing import NamedTuple
 
-from .logic import And, Atom, Atomic, Formula, Iff, Implies, Not, Or
+from .logic import And, Atomic, Formula, Iff, Implies, Not, Or, prop
 
 
 class SourceSpan(NamedTuple):
@@ -48,56 +53,97 @@ class Style(Enum):
     SPANISH = "spanish"
 
 
-class _Tok(Enum):
-    ATOM = "atom"
-    NOT = "not"
-    AND = "and"
-    OR = "or"
-    IMPLIES = "implies"
-    IFF = "iff"
-    LPAREN = "("
-    RPAREN = ")"
+# --- Grammar core ------------------------------------------------------------
+#
+# A token is a tuple ``(kind, text, start, end)``: a kind of ``_SPELLINGS``,
+# "name" (an uppercase-initial ASCII word), "var" (a lowercase ASCII word,
+# in a grammar with variables) or "end", a sentinel closing every token
+# list whose span is the end of the input.
+
+# Every spelling of each token kind.  The words are reserved; names start
+# uppercase so they can never clash.
+_SPELLINGS = {
+    "not": ("¬", "!", "~", "no"),
+    "and": ("&", "∧", "y"),
+    "or": ("|", "∨", "o", "ó"),
+    "implies": ("->", "=>", "⇒"),
+    "iff": ("<->", "<=>", "⇔"),
+    "(": ("(",),
+    ")": (")",),
+    ".": (".",),
+}
+_WORDS = {s: kind for kind, spellings in _SPELLINGS.items() for s in spellings if s.isalnum()}
+# Binary connectives: precedence (higher binds tighter), right-associative.
+_CONNECTIVES = {"and": (3, False), "or": (2, False), "implies": (1, True), "iff": (0, True)}
+# Negation binds tighter than every binary connective.  A quantifier prints
+# at 0, the floor of a whole formula and of its own body.
+_NOT_PREC = 4
+# Parser frames below every binary operator: a quantifier scope only ends
+# at a closing parenthesis or the end, and a parenthesis only at its match.
+_SCOPE, _PAREN, _BOTTOM = -1, -2, -3
+_BINARY = object()  # the argument in a binary operator's frame
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: _Tok
-    text: str
-    start: int
-    end: int
+class _Grammar:
+    """One language's table for the shared tokenizer, parser and printer.
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.start, self.end)
+    ``binary`` maps the grammar's connectives to their constructors.
+    ``leaf`` nodes are built by ``build_leaf`` from a name, or from a name
+    and a variable in a grammar with ``quantifiers`` (keyword ->
+    constructor of ``(variable, body)``), and printed by ``leaf_text``.
+    ``styles`` spells the connectives for printing.  Symbols of a kind the
+    grammar does not use are unknown characters to it.
+    """
+
+    def __init__(
+        self,
+        binary: Mapping[str, type],
+        negation: type,
+        leaf: type,
+        build_leaf: Callable,
+        leaf_text: Callable[[object], str],
+        quantifiers: Mapping[str, type],
+        styles: Mapping[Style, Mapping[str, str]],
+        noun: str,
+    ):
+        kinds = {*binary, "not", "(", ")"}
+        if quantifiers:
+            kinds.add(".")
+        # Longest first, so that "<->" is never read as "<" then "->".
+        self.symbols = sorted(
+            ((s, kind) for kind in kinds for s in _SPELLINGS[kind] if not s.isalnum()),
+            key=lambda pair: -len(pair[0]),
+        )
+        self.variables = bool(quantifiers)
+        self.negation = negation
+        self.build_leaf = build_leaf
+        self.quantifiers = quantifiers
+        self.noun = noun
+        # A binary operator first applies every pending frame above its
+        # threshold: one of equal precedence too when it associates left.
+        self.binary = {}
+        for kind, ctor in binary.items():
+            prec, right = _CONNECTIVES[kind]
+            self.binary[kind] = (prec if right else prec - 1, prec, ctor)
+        # Per style, node class -> (shape, precedence, text, floors of the
+        # children); a child is parenthesised when it binds below its floor.
+        self.printers = {}
+        for style, spelled in styles.items():
+            nodes = self.printers[style] = {
+                leaf: ("leaf", None, leaf_text, None, None),
+                negation: ("not", _NOT_PREC, spelled["not"], _NOT_PREC, None),
+            }
+            for kind, ctor in binary.items():
+                prec, right = _CONNECTIVES[kind]
+                floors = (prec + 1, prec) if right else (prec, prec + 1)
+                nodes[ctor] = ("binary", prec, f" {spelled[kind]} ", *floors)
+            for word, ctor in quantifiers.items():
+                nodes[ctor] = ("scope", 0, word + " ", 0, None)
 
 
-# Symbolic operators, longest first so "<->" wins over "<" garbage.
-_SYMBOLS: tuple[tuple[str, _Tok], ...] = (
-    ("<->", _Tok.IFF),
-    ("<=>", _Tok.IFF),
-    ("->", _Tok.IMPLIES),
-    ("=>", _Tok.IMPLIES),
-    ("¬", _Tok.NOT),
-    ("!", _Tok.NOT),
-    ("~", _Tok.NOT),
-    ("&", _Tok.AND),
-    ("∧", _Tok.AND),
-    ("|", _Tok.OR),
-    ("∨", _Tok.OR),
-    ("⇒", _Tok.IMPLIES),
-    ("⇔", _Tok.IFF),
-    ("(", _Tok.LPAREN),
-    (")", _Tok.RPAREN),
-)
-
-# Reserved lowercase words; atom names start uppercase so they can never clash.
-_WORDS = {"no": _Tok.NOT, "y": _Tok.AND, "o": _Tok.OR, "ó": _Tok.OR}
-
-_ATOM_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str, grammar: _Grammar) -> list[tuple[str, str, int, int]]:
+    tokens: list[tuple[str, str, int, int]] = []
+    symbols = grammar.symbols
     i = 0
     n = len(text)
     while i < n:
@@ -110,180 +156,206 @@ def _tokenize(text: str) -> list[_Token]:
             while j < n and text[j].isalnum():
                 j += 1
             word = text[i:j]
-            span = SourceSpan(i, j)
-            if word[0] in _ATOM_START and word.isascii():
-                tokens.append(_Token(_Tok.ATOM, word, i, j))
-            elif word in _WORDS:
-                tokens.append(_Token(_WORDS[word], word, i, j))
-            else:
+            kind = _WORDS.get(word)
+            if kind is None and word.isascii():
+                if word[0].isupper():
+                    kind = "name"
+                elif grammar.variables and word[0].islower():
+                    kind = "var"
+            if kind is None:
                 raise ParseError(
-                    ErrorKind.UNKNOWN_TOKEN, span, f"unknown word {word!r}"
+                    ErrorKind.UNKNOWN_TOKEN, SourceSpan(i, j), f"unknown word {word!r}"
                 )
+            tokens.append((kind, word, i, j))
             i = j
             continue
-        for symbol, kind in _SYMBOLS:
+        for symbol, kind in symbols:
             if text.startswith(symbol, i):
-                tokens.append(_Token(kind, symbol, i, i + len(symbol)))
+                tokens.append((kind, symbol, i, i + len(symbol)))
                 i += len(symbol)
                 break
         else:
             raise ParseError(
-                ErrorKind.UNKNOWN_TOKEN,
-                SourceSpan(i, i + 1),
-                f"unknown character {ch!r}",
+                ErrorKind.UNKNOWN_TOKEN, SourceSpan(i, i + 1), f"unknown character {ch!r}"
             )
+    tokens.append(("end", "", n, n))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _expected(token: tuple[str, str, int, int], wanted: str) -> ParseError:
+    kind, text, start, end = token
+    if kind == "end":
+        return ParseError(ErrorKind.UNEXPECTED_END, SourceSpan(start, end), f"expected {wanted}")
+    return ParseError(
+        ErrorKind.UNKNOWN_TOKEN, SourceSpan(start, end), f"expected {wanted}, found {text!r}"
+    )
 
-    def peek(self) -> _Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+def _unclosed(token: tuple[str, str, int, int]) -> ParseError:
+    kind, text, start, end = token
+    message = "missing ')'" if kind == "end" else f"expected ')', found {text!r}"
+    return ParseError(ErrorKind.UNBALANCED_PAREN, SourceSpan(start, end), message)
 
-    def eof_span(self) -> SourceSpan:
-        return SourceSpan(len(self.text), len(self.text))
 
-    def parse(self) -> Formula:
-        formula = self.iff()
-        leftover = self.peek()
-        if leftover is not None:
+def _variable(tokens: list, pos: int, grammar: _Grammar) -> str:
+    token = tokens[pos]
+    if token[0] != "var" or token[1] in grammar.quantifiers:
+        raise _expected(token, "a variable")
+    return token[1]
+
+
+def _reduce(frames: list, operands: list, floor: int) -> None:
+    """Apply the pending operators above ``floor`` to the operand stack."""
+    while frames[-1][0] > floor:
+        _, ctor, arg = frames.pop()
+        if arg is _BINARY:
+            right = operands.pop()
+            operands[-1] = ctor(operands[-1], right)
+        elif arg is None:
+            operands[-1] = ctor(operands[-1])
+        else:
+            operands[-1] = ctor(arg, operands[-1])
+
+
+def _parse(text: str, grammar: _Grammar):
+    """Parse ``text`` in ``grammar``; raises ``ParseError`` on the first fault.
+
+    Tokens are read once, left to right, alternating between the place of
+    an operand (prefixes, then a leaf) and the place of an operator.  Frames
+    are ``(precedence, constructor, argument)``: a binary operator, the
+    negation (argument ``None``), a quantifier (the variable) or an open
+    parenthesis.
+    """
+    tokens = _tokenize(text, grammar)
+    binary, quantifiers = grammar.binary, grammar.quantifiers
+    frames: list = [(_BOTTOM, None, None)]
+    operands: list = []
+    opened = 0
+    pos = 0
+    while True:
+        while True:
+            token = tokens[pos]
+            kind = token[0]
+            if kind == "not":
+                frames.append((_NOT_PREC, grammar.negation, None))
+            elif kind == "(":
+                frames.append((_PAREN, None, None))
+                opened += 1
+            elif kind == "var" and token[1] in quantifiers:
+                var = _variable(tokens, pos + 1, grammar)
+                pos += 2
+                if tokens[pos][0] != ".":
+                    raise _expected(tokens[pos], "'.'")
+                frames.append((_SCOPE, quantifiers[token[1]], var))
+            else:
+                break
+            pos += 1
+        if kind == "name":
+            if grammar.variables:
+                if tokens[pos + 1][0] != "(":
+                    raise _expected(tokens[pos + 1], "'('")
+                var = _variable(tokens, pos + 2, grammar)
+                pos += 3
+                if tokens[pos][0] != ")":
+                    raise _unclosed(tokens[pos])
+                operands.append(grammar.build_leaf(token[1], var))
+            else:
+                operands.append(grammar.build_leaf(token[1]))
+        elif kind == ")":
             raise ParseError(
-                ErrorKind.TRAILING_INPUT,
-                leftover.span,
-                f"unexpected input {leftover.text!r} after a complete formula",
+                ErrorKind.UNBALANCED_PAREN, SourceSpan(token[2], token[3]), "unmatched ')'"
             )
-        return formula
-
-    def iff(self) -> Formula:
-        left = self.implies()
-        token = self.peek()
-        if token is not None and token.kind is _Tok.IFF:
-            self.advance()
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        token = self.peek()
-        if token is not None and token.kind is _Tok.IMPLIES:
-            self.advance()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while (token := self.peek()) is not None and token.kind is _Tok.OR:
-            self.advance()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while (token := self.peek()) is not None and token.kind is _Tok.AND:
-            self.advance()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        token = self.peek()
-        if token is not None and token.kind is _Tok.NOT:
-            self.advance()
-            return Not(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        token = self.peek()
-        if token is None:
-            raise ParseError(
-                ErrorKind.UNEXPECTED_END, self.eof_span(), "expected a formula"
-            )
-        if token.kind is _Tok.ATOM:
-            self.advance()
-            return Atomic(Atom(token.text))
-        if token.kind is _Tok.LPAREN:
-            self.advance()
-            inner = self.iff()
-            closing = self.peek()
-            if closing is None:
+        else:
+            raise _expected(token, "a formula")
+        while True:
+            pos += 1
+            token = tokens[pos]
+            kind = token[0]
+            operator = binary.get(kind)
+            if operator is not None:
+                threshold, prec, ctor = operator
+                if frames[-1][0] > threshold:
+                    _reduce(frames, operands, threshold)
+                frames.append((prec, ctor, _BINARY))
+                pos += 1
+                break
+            if kind == ")" and opened:
+                _reduce(frames, operands, _PAREN)
+                frames.pop()
+                opened -= 1
+            elif opened:
+                raise _unclosed(token)
+            elif kind != "end":
                 raise ParseError(
-                    ErrorKind.UNBALANCED_PAREN, self.eof_span(), "missing ')'"
+                    ErrorKind.TRAILING_INPUT,
+                    SourceSpan(token[2], token[3]),
+                    f"unexpected input {token[1]!r} after a complete formula",
                 )
-            if closing.kind is not _Tok.RPAREN:
-                raise ParseError(
-                    ErrorKind.UNBALANCED_PAREN,
-                    closing.span,
-                    f"expected ')', found {closing.text!r}",
-                )
-            self.advance()
-            return inner
-        if token.kind is _Tok.RPAREN:
-            raise ParseError(
-                ErrorKind.UNBALANCED_PAREN, token.span, "unmatched ')'"
-            )
-        raise ParseError(
-            ErrorKind.UNKNOWN_TOKEN,
-            token.span,
-            f"expected a formula, found {token.text!r}",
-        )
+            else:
+                _reduce(frames, operands, _BOTTOM)
+                return operands[0]
+
+
+def _format(formula, grammar: _Grammar, style: Style) -> str:
+    """Render ``formula`` with the fewest parentheses that re-parse to it.
+
+    Work items are strings to emit, or ``(node, floor)`` to expand.
+    """
+    nodes = grammar.printers[style]
+    out: list[str] = []
+    stack: list = [(formula, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, floor = item
+        entry = nodes.get(type(node))
+        if entry is None:
+            raise TypeError(f"not a {grammar.noun}: {node!r}")
+        shape, prec, text, left, right = entry
+        if shape == "leaf":
+            out.append(text(node))
+            continue
+        if prec < floor:
+            out.append("(")
+            stack.append(")")
+        if shape == "binary":
+            stack.append((node.right, right))
+            stack.append(text)
+            stack.append((node.left, left))
+        elif shape == "not":
+            out.append(text)
+            stack.append((node.inner, left))
+        else:
+            out.append(f"{text}{node.var}. ")
+            stack.append((node.body, left))
+    return "".join(out)
+
+
+# --- The propositional language -----------------------------------------------
+
+_PROPOSITIONAL = _Grammar(
+    binary={"and": And, "or": Or, "implies": Implies, "iff": Iff},
+    negation=Not,
+    leaf=Atomic,
+    build_leaf=prop,
+    leaf_text=lambda node: node.atom.name,
+    quantifiers={},
+    styles={
+        Style.ASCII: {"not": "!", "and": "&", "or": "|", "implies": "->", "iff": "<->"},
+        Style.UNICODE: {"not": "¬", "and": "∧", "or": "∨", "implies": "⇒", "iff": "⇔"},
+        Style.SPANISH: {"not": "¬", "and": "y", "or": "ó", "implies": "⇒", "iff": "⇔"},
+    },
+    noun="formula",
+)
 
 
 def parse(text: str) -> Formula:
     """Parse ``text`` into a formula; raises ``ParseError`` on the first fault."""
-    return _Parser(text).parse()
-
-
-_STYLE_TOKENS = {
-    Style.ASCII: {"not": "!", "and": "&", "or": "|", "implies": "->", "iff": "<->"},
-    Style.UNICODE: {"not": "¬", "and": "∧", "or": "∨", "implies": "⇒", "iff": "⇔"},
-    Style.SPANISH: {"not": "¬", "and": "y", "or": "ó", "implies": "⇒", "iff": "⇔"},
-}
-
-# Binding tightness; parentheses appear exactly where a child binds too loosely.
-_PREC_ATOM = 5
-_PREC_NOT = 4
-_PREC_AND = 3
-_PREC_OR = 2
-_PREC_IMPLIES = 1
-_PREC_IFF = 0
+    return _parse(text, _PROPOSITIONAL)
 
 
 def format_formula(formula: Formula, style: Style = Style.ASCII) -> str:
     """Render ``formula`` with minimal parentheses in the given style."""
-    ops = _STYLE_TOKENS[style]
-
-    def fmt(f: Formula, min_prec: int) -> str:
-        match f:
-            case Atomic(atom):
-                text, prec = atom.name, _PREC_ATOM
-            case Not(inner):
-                text, prec = ops["not"] + fmt(inner, _PREC_NOT), _PREC_NOT
-            case And(a, b):
-                text = f"{fmt(a, _PREC_AND)} {ops['and']} {fmt(b, _PREC_AND + 1)}"
-                prec = _PREC_AND
-            case Or(a, b):
-                text = f"{fmt(a, _PREC_OR)} {ops['or']} {fmt(b, _PREC_OR + 1)}"
-                prec = _PREC_OR
-            case Implies(a, b):
-                text = f"{fmt(a, _PREC_IMPLIES + 1)} {ops['implies']} {fmt(b, _PREC_IMPLIES)}"
-                prec = _PREC_IMPLIES
-            case Iff(a, b):
-                text = f"{fmt(a, _PREC_IFF + 1)} {ops['iff']} {fmt(b, _PREC_IFF)}"
-                prec = _PREC_IFF
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
-        if prec < min_prec:
-            return f"({text})"
-        return text
-
-    return fmt(formula, 0)
+    return _format(formula, _PROPOSITIONAL, style)

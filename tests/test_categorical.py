@@ -346,3 +346,94 @@ class TestMonadicSyntax:
         for _ in range(120):
             formula = random_monadic(rng)
             assert parse_monadic(format_monadic(formula)) == formula
+
+
+# (input, kind, span, message) as the monadic parser reported them before it
+# became a table for the shared precedence parser: at least one input for
+# every place that parser raises.
+GOLDEN_ERRORS = [
+    # unknown word
+    ('1x', ErrorKind.UNKNOWN_TOKEN, (0, 2), "unknown word '1x'"),
+    ('forall x. P(x) & óx', ErrorKind.UNKNOWN_TOKEN, (17, 19), "unknown word 'óx'"),
+    ('Ñ(x)', ErrorKind.UNKNOWN_TOKEN, (0, 1), "unknown word 'Ñ'"),
+    # unknown character, including the biconditional at its first character
+    ('forall x. P(x) & q1 @', ErrorKind.UNKNOWN_TOKEN, (20, 21), "unknown character '@'"),
+    ('P(x) <-> Q(x)', ErrorKind.UNKNOWN_TOKEN, (5, 6), "unknown character '<'"),
+    ('P(x) <=> Q(x)', ErrorKind.UNKNOWN_TOKEN, (5, 6), "unknown character '<'"),
+    ('P(x) ⇔ Q(x)', ErrorKind.UNKNOWN_TOKEN, (5, 6), "unknown character '⇔'"),
+    ('P(x) @ Q(x)', ErrorKind.UNKNOWN_TOKEN, (5, 6), "unknown character '@'"),
+    ('forall x. P(x) # ', ErrorKind.UNKNOWN_TOKEN, (15, 16), "unknown character '#'"),
+    ('exists x , P(x)', ErrorKind.UNKNOWN_TOKEN, (9, 10), "unknown character ','"),
+    # trailing input
+    ('P(x) Q(x)', ErrorKind.TRAILING_INPUT, (5, 6), "unexpected input 'Q' after a complete formula"),
+    ('forall x. P(x))', ErrorKind.TRAILING_INPUT, (14, 15), "unexpected input ')' after a complete formula"),
+    ('P(x) x', ErrorKind.TRAILING_INPUT, (5, 6), "unexpected input 'x' after a complete formula"),
+    ('P(x) forall', ErrorKind.TRAILING_INPUT, (5, 11), "unexpected input 'forall' after a complete formula"),
+    ('P(x) ~Q(x)', ErrorKind.TRAILING_INPUT, (5, 6), "unexpected input '~' after a complete formula"),
+    # expected '.'
+    ('forall x', ErrorKind.UNEXPECTED_END, (8, 8), "expected '.'"),
+    ('forall x P(x)', ErrorKind.UNKNOWN_TOKEN, (9, 10), "expected '.', found 'P'"),
+    # expected a variable, including reserved words
+    ('forall', ErrorKind.UNEXPECTED_END, (6, 6), 'expected a variable'),
+    ('forall y. P(y)', ErrorKind.UNKNOWN_TOKEN, (7, 8), "expected a variable, found 'y'"),
+    ('forall forall. P(x)', ErrorKind.UNKNOWN_TOKEN, (7, 13), "expected a variable, found 'forall'"),
+    ('exists exists. P(x)', ErrorKind.UNKNOWN_TOKEN, (7, 13), "expected a variable, found 'exists'"),
+    ('forall X. P(X)', ErrorKind.UNKNOWN_TOKEN, (7, 8), "expected a variable, found 'X'"),
+    ('P(y)', ErrorKind.UNKNOWN_TOKEN, (2, 3), "expected a variable, found 'y'"),
+    ('P(no)', ErrorKind.UNKNOWN_TOKEN, (2, 4), "expected a variable, found 'no'"),
+    ('P(', ErrorKind.UNEXPECTED_END, (2, 2), 'expected a variable'),
+    ('P()', ErrorKind.UNKNOWN_TOKEN, (2, 3), "expected a variable, found ')'"),
+    # expected '('
+    ('forall x. P', ErrorKind.UNEXPECTED_END, (11, 11), "expected '('"),
+    ('forall x. P x', ErrorKind.UNKNOWN_TOKEN, (12, 13), "expected '(', found 'x'"),
+    ('P & Q(x)', ErrorKind.UNKNOWN_TOKEN, (2, 3), "expected '(', found '&'"),
+    ('P Q q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "expected '(', found 'Q'"),
+    # missing ')' at the end
+    ('exists x. P(x', ErrorKind.UNBALANCED_PAREN, (13, 13), "missing ')'"),
+    ('(forall x. P(x)', ErrorKind.UNBALANCED_PAREN, (15, 15), "missing ')'"),
+    ('((P(x))', ErrorKind.UNBALANCED_PAREN, (7, 7), "missing ')'"),
+    # expected ')'
+    ('P(x y)', ErrorKind.UNBALANCED_PAREN, (4, 5), "expected ')', found 'y'"),
+    ('(P(x) Q(x))', ErrorKind.UNBALANCED_PAREN, (6, 7), "expected ')', found 'Q'"),
+    ('(forall x. P(x) Q(x))', ErrorKind.UNBALANCED_PAREN, (16, 17), "expected ')', found 'Q'"),
+    # unmatched ')'
+    (')', ErrorKind.UNBALANCED_PAREN, (0, 1), "unmatched ')'"),
+    ('P(x) & )', ErrorKind.UNBALANCED_PAREN, (7, 8), "unmatched ')'"),
+    ('()', ErrorKind.UNBALANCED_PAREN, (1, 2), "unmatched ')'"),
+    # expected a formula
+    ('forall x.', ErrorKind.UNEXPECTED_END, (9, 9), 'expected a formula'),
+    ('forall x. x', ErrorKind.UNKNOWN_TOKEN, (10, 11), "expected a formula, found 'x'"),
+    ('P(x) & y', ErrorKind.UNKNOWN_TOKEN, (7, 8), "expected a formula, found 'y'"),
+    ('', ErrorKind.UNEXPECTED_END, (0, 0), 'expected a formula'),
+    ('~', ErrorKind.UNEXPECTED_END, (1, 1), 'expected a formula'),
+    ('P(x) -> . Q(x)', ErrorKind.UNKNOWN_TOKEN, (8, 9), "expected a formula, found '.'"),
+    # a tokenizing error wins over a later parse error
+    ('P(x) Q(x) @', ErrorKind.UNKNOWN_TOKEN, (10, 11), "unknown character '@'"),
+    ('forall y P <->', ErrorKind.UNKNOWN_TOKEN, (11, 12), "unknown character '<'"),
+]
+
+
+@pytest.mark.parametrize("text,kind,span,message", GOLDEN_ERRORS)
+def test_golden_error_corpus(text, kind, span, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_monadic(text)
+    error = excinfo.value
+    assert (error.kind, error.span, error.message) == (kind, span, message)
+    assert str(error) == f"{message} at {span[0]}..{span[1]}"
+
+
+def test_deep_quantifier_prefix_at_the_default_recursion_limit():
+    depth = 20_000
+    text = "forall x. " * depth + "P(x)"
+    formula = parse_monadic(text)
+    assert format_monadic(formula) == text
+    assert free_variables(formula) == frozenset()
+    negated = negate_quantifiers(formula)
+    assert format_monadic(negated) == "exists x. " * depth + "~P(x)"
+
+
+def test_free_variables_after_a_scope_ends():
+    closed_left = MAnd(ForAll("x", PredApp("P", "x")), PredApp("Q", "x"))
+    assert free_variables(closed_left) == {"x"}
+    shadowed = ForAll("x", MAnd(ForAll("x", PredApp("P", "x")), PredApp("Q", "x")))
+    assert free_variables(shadowed) == frozenset()

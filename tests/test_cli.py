@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from deduce import categorical, jugs, logic
 from deduce.cli import TABLE_MAX_ATOMS, main
@@ -392,3 +396,108 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "classify", wide)
         assert code == 2
         assert "limit" in err
+
+    def test_classify_scans_once(self, capsys, monkeypatch):
+        scans = []
+        scan = logic._scan
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(logic, "_scan", counted)
+        code, out, _ = run(capsys, "classify", "P -> Q")
+        assert (code, out) == (1, "contingente\ncontraejemplo: P=V Q=F\n")
+        assert len(scans) == 1
+
+
+class TestDeepInput:
+    """Nesting depth costs no Python frame; these run at the default
+    recursion limit."""
+
+    @pytest.mark.parametrize(
+        "text,printed",
+        [
+            ("¬" * 20_000 + "P", "!" * 20_000 + "P"),
+            ("(" * 20_000 + "P" + ")" * 20_000, "P"),
+        ],
+        ids=["negations", "parentheses"],
+    )
+    def test_classify_answers_contingent(self, capsys, text, printed):
+        code, out, err = run(capsys, "--format", "json", "classify", text)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "status": "invalid",
+            "command": "classify",
+            "result": {"formula": printed, "classification": "contingent"},
+            "counterexample": {"P": False},
+        }
+
+
+# Every connective spelling of both grammars, parentheses and the dot,
+# names, applications, lowercase words, quantifiers and junk.  No piece
+# starts an argparse option that prints help (no "-h", no "--h...").
+_NOT = ["¬", "!", "~", "no"]
+_BINARY = ["y", "&", "∧", "o", "ó", "|", "∨", "⇒", "->", "=>", "⇔", "<->", "<=>"]
+_PIECES = _NOT + _BINARY + [
+    "(", ")", ".", "P", "Q", "Foo", "X1", "P(x)", "Q(z)", "x", "z",
+    "forall", "exists", "forall x.", "exists z.",
+    "@", "#", "<", ",", "1", "Ñ", "óx", "-", "=", "⇐", "\t",
+]
+_JUNK = st.lists(
+    st.tuples(st.sampled_from(_PIECES), st.sampled_from(["", " "])), max_size=10
+).map(lambda pieces: "".join(piece + gap for piece, gap in pieces))
+
+
+def _grammatical(leaves):
+    """Well-formed text over ``leaves``, in any spelling and nesting."""
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(_NOT), inner).map(" ".join),
+            st.tuples(inner, st.sampled_from(_BINARY), inner).map(" ".join),
+            inner.map(lambda text: f"({text})"),
+            st.tuples(st.sampled_from(["forall x.", "exists z."]), inner).map(" ".join),
+        ),
+        max_leaves=8,
+    )
+
+
+_TEXT = st.one_of(
+    _JUNK,
+    _grammatical(["P", "Q", "Foo", "X1"]),
+    _grammatical(["P(x)", "Q(x)"]).map("forall x. ".__add__),
+    st.tuples(_grammatical(["P", "Q(x)"]), _JUNK).map("".join),
+)
+_COMMANDS = st.one_of(
+    st.tuples(st.just("classify"), _TEXT).map(list),
+    st.tuples(st.just("table"), _TEXT).map(list),
+    st.tuples(st.just("equiv"), _TEXT, _TEXT).map(list),
+    st.tuples(st.lists(_TEXT, max_size=3), _TEXT).map(
+        lambda parts: ["entail"]
+        + [arg for premise in parts[0] for arg in ("--premise", premise)]
+        + ["--conclusion", parts[1]]
+    ),
+    st.tuples(st.just("quant"), st.just("negate"), _TEXT).map(list),
+)
+
+
+@given(_COMMANDS, st.sampled_from(["text", "json before", "json after"]))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_argv_keeps_the_exit_code_contract(command, output):
+    argv = {
+        "text": command,
+        "json before": ["--format", "json", *command],
+        "json after": [*command, "--format", "json"],
+    }[output]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "error: " in err.getvalue()
+    elif output != "text":
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["status"] == ("ok" if code == 0 else "invalid")

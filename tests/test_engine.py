@@ -64,6 +64,20 @@ class TestAgainstRowByRow:
             assert list(got) == list(want)
 
     @BLOCK_BITS
+    @given(formula_strategy())
+    @settings(max_examples=100)
+    def test_one_scan_gives_the_classification_and_the_first_false_row(
+        self, bits, formula
+    ):
+        with blocks_of(bits):
+            classification, counter = logic._decide(formula)
+        assert classification is reference_classify(formula)
+        want = reference_falsifying(formula)
+        assert counter == want
+        if want is not None:
+            assert list(counter) == list(want)
+
+    @BLOCK_BITS
     @given(formula_strategy(max_leaves=8), formula_strategy(max_leaves=8))
     @settings(max_examples=100)
     def test_equivalent(self, bits, f, g):

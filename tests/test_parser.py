@@ -176,3 +176,105 @@ class TestRoundTrip:
         for style in Style:
             once = format_formula(formula, style)
             assert format_formula(parse(once), style) == once
+
+
+# (input, kind, span, message) as the parser reported them before its
+# recursive descent was replaced by the shared precedence parser: at least
+# one input for every place the parser raises.
+GOLDEN_ERRORS = [
+    # unknown word
+    ('P y q', ErrorKind.UNKNOWN_TOKEN, (4, 5), "unknown word 'q'"),
+    ('p -> Q', ErrorKind.UNKNOWN_TOKEN, (0, 1), "unknown word 'p'"),
+    ('1 y P', ErrorKind.UNKNOWN_TOKEN, (0, 1), "unknown word '1'"),
+    ('forall x. P', ErrorKind.UNKNOWN_TOKEN, (0, 6), "unknown word 'forall'"),
+    ('P y óx', ErrorKind.UNKNOWN_TOKEN, (4, 6), "unknown word 'óx'"),
+    ('Ñ y P', ErrorKind.UNKNOWN_TOKEN, (0, 1), "unknown word 'Ñ'"),
+    # unknown character, including '.'
+    ('P @ Q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '@'"),
+    ('P < Q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '<'"),
+    ('P . Q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '.'"),
+    ('P <- Q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '<'"),
+    ('P ⇐ Q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '⇐'"),
+    # trailing input
+    ('P Q', ErrorKind.TRAILING_INPUT, (2, 3), "unexpected input 'Q' after a complete formula"),
+    ('P)', ErrorKind.TRAILING_INPUT, (1, 2), "unexpected input ')' after a complete formula"),
+    ('P ¬Q', ErrorKind.TRAILING_INPUT, (2, 3), "unexpected input '¬' after a complete formula"),
+    ('(P) (Q)', ErrorKind.TRAILING_INPUT, (4, 5), "unexpected input '(' after a complete formula"),
+    # expected a formula at the end
+    ('', ErrorKind.UNEXPECTED_END, (0, 0), 'expected a formula'),
+    ('P y', ErrorKind.UNEXPECTED_END, (3, 3), 'expected a formula'),
+    ('¬', ErrorKind.UNEXPECTED_END, (1, 1), 'expected a formula'),
+    ('(', ErrorKind.UNEXPECTED_END, (1, 1), 'expected a formula'),
+    ('P -> ', ErrorKind.UNEXPECTED_END, (5, 5), 'expected a formula'),
+    # missing ')' at the end
+    ('(P y Q', ErrorKind.UNBALANCED_PAREN, (6, 6), "missing ')'"),
+    ('((P)', ErrorKind.UNBALANCED_PAREN, (4, 4), "missing ')'"),
+    ('(P -> (Q', ErrorKind.UNBALANCED_PAREN, (8, 8), "missing ')'"),
+    # expected ')'
+    ('(P Q)', ErrorKind.UNBALANCED_PAREN, (3, 4), "expected ')', found 'Q'"),
+    ('(P ¬Q)', ErrorKind.UNBALANCED_PAREN, (3, 4), "expected ')', found '¬'"),
+    ('((P) Q)', ErrorKind.UNBALANCED_PAREN, (5, 6), "expected ')', found 'Q'"),
+    # unmatched ')'
+    (')P', ErrorKind.UNBALANCED_PAREN, (0, 1), "unmatched ')'"),
+    ('()', ErrorKind.UNBALANCED_PAREN, (1, 2), "unmatched ')'"),
+    ('P & )', ErrorKind.UNBALANCED_PAREN, (4, 5), "unmatched ')'"),
+    # expected a formula
+    ('P y ó Q', ErrorKind.UNKNOWN_TOKEN, (4, 5), "expected a formula, found 'ó'"),
+    ('P ⇒ ⇒ Q', ErrorKind.UNKNOWN_TOKEN, (4, 5), "expected a formula, found '⇒'"),
+    ('& P', ErrorKind.UNKNOWN_TOKEN, (0, 1), "expected a formula, found '&'"),
+    ('¬ <-> P', ErrorKind.UNKNOWN_TOKEN, (2, 5), "expected a formula, found '<->'"),
+    # a tokenizing error wins over a later parse error
+    ('P Q q', ErrorKind.UNKNOWN_TOKEN, (4, 5), "unknown word 'q'"),
+    ('(P q', ErrorKind.UNKNOWN_TOKEN, (3, 4), "unknown word 'q'"),
+    (') @', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '@'"),
+    ('P & & .', ErrorKind.UNKNOWN_TOKEN, (6, 7), "unknown character '.'"),
+]
+
+
+@pytest.mark.parametrize("text,kind,span,message", GOLDEN_ERRORS)
+def test_golden_error_corpus(text, kind, span, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    error = excinfo.value
+    assert (error.kind, error.span, error.message) == (kind, span, message)
+    assert str(error) == f"{message} at {span[0]}..{span[1]}"
+
+
+DEPTH = 20_000
+
+# Input, then its printing in the ASCII, Unicode and Spanish styles.
+DEEP = {
+    "negations": ("¬" * DEPTH + "P", ("!" * DEPTH + "P", "¬" * DEPTH + "P", "¬" * DEPTH + "P")),
+    "parentheses": ("(" * DEPTH + "P" + ")" * DEPTH, ("P", "P", "P")),
+    "conjunctions": (
+        " & ".join(["P"] * DEPTH),
+        tuple(op.join(["P"] * DEPTH) for op in (" & ", " ∧ ", " y ")),
+    ),
+    "conditionals": (
+        " -> ".join(["P"] * DEPTH),
+        tuple(op.join(["P"] * DEPTH) for op in (" -> ", " ⇒ ", " ⇒ ")),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_depth_is_bounded_only_by_memory(name):
+    # At the default recursion limit: no nesting level costs a Python frame.
+    text, printed = DEEP[name]
+    formula = parse(text)
+    styles = (Style.ASCII, Style.UNICODE, Style.SPANISH)
+    for style, expected in zip(styles, printed):
+        assert format_formula(formula, style) == expected
+
+
+def test_deep_chains_keep_their_associativity():
+    node = parse(DEEP["conjunctions"][0])
+    for _ in range(DEPTH - 1):
+        assert isinstance(node, And) and node.right == P
+        node = node.left
+    assert node == P
+    node = parse(DEEP["conditionals"][0])
+    for _ in range(DEPTH - 1):
+        assert isinstance(node, Implies) and node.left == P
+        node = node.right
+    assert node == P
