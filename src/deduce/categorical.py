@@ -330,22 +330,21 @@ def free_variables(formula: MonadicFormula) -> frozenset[str]:
 def predicates(formula: MonadicFormula) -> tuple[str, ...]:
     """All predicate names occurring in the formula, sorted."""
     names: set[str] = set()
-
-    def walk(f: MonadicFormula) -> None:
-        match f:
-            case PredApp(pred, _):
-                names.add(pred)
-            case MNot(inner):
-                walk(inner)
-            case MAnd(a, b) | MOr(a, b) | MImplies(a, b):
-                walk(a)
-                walk(b)
-            case ForAll(_, body) | Exists(_, body):
-                walk(body)
-            case _:
-                raise TypeError(f"not a monadic formula: {f!r}")
-
-    walk(formula)
+    pending: list[MonadicFormula] = [formula]
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is PredApp:
+            names.add(node.pred)
+        elif kind is MNot:
+            pending.append(node.inner)
+        elif kind in _BINARY_NODES:
+            pending.append(node.right)
+            pending.append(node.left)
+        elif kind in _QUANTIFIER_NODES:
+            pending.append(node.body)
+        else:
+            raise TypeError(f"not a monadic formula: {node!r}")
     return tuple(sorted(names))
 
 

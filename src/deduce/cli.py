@@ -12,14 +12,19 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import categorical, jugs, logic, rules
+# ``categorical``, ``jugs``, ``rules`` and ``json`` are imported by the
+# functions that run them, so a command loads only what it uses.
+from . import logic
 from .logic import Classification, falsifying_valuation, format_truth_value
 from .parser import ParseError, Style, format_formula, parse
+
+if TYPE_CHECKING:
+    from . import categorical, jugs, rules
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -70,16 +75,25 @@ def _model_text(model: categorical.FiniteModel) -> str:
     return f"universo={universe} {extensions}"
 
 
-def _grouped_actions(actions: Sequence[jugs.Action]) -> str:
-    parts = []
-    for action, run in itertools.groupby(actions):
-        count = len(list(run))
-        word = "add" if isinstance(action, jugs.AddJug) else "remove"
-        part = f"{word} {action.capacity}"
-        if count > 1:
-            part += f" ×{count}"
-        parts.append(part)
-    return "; ".join(parts)
+def _action_runs(actions: Sequence[jugs.Action]) -> list[tuple[str, int, int]]:
+    """``(word, capacity, count)`` for each maximal run of equal actions."""
+    from . import jugs
+
+    return [
+        (
+            "add" if isinstance(action, jugs.AddJug) else "remove",
+            action.capacity,
+            sum(1 for _ in run),
+        )
+        for action, run in itertools.groupby(actions)
+    ]
+
+
+def _grouped_actions(runs: list[tuple[str, int, int]]) -> str:
+    return "; ".join(
+        f"{word} {capacity} ×{count}" if count > 1 else f"{word} {capacity}"
+        for word, capacity, count in runs
+    )
 
 
 # --- Command handlers --------------------------------------------------------
@@ -156,12 +170,16 @@ def _rule_json(schema: rules.RuleSchema) -> dict:
 
 
 def _cmd_rules_list(args: argparse.Namespace) -> Outcome:
+    from . import rules
+
     result = {"rules": [_rule_json(schema) for schema in rules.registry()]}
     lines = [schema.name for schema in rules.registry()]
     return Outcome("rules list", EXIT_OK, result, text_lines=lines)
 
 
 def _cmd_rules_show(args: argparse.Namespace) -> Outcome:
+    from . import rules
+
     schema = rules.get_rule(args.name)
     lines = [
         schema.name,
@@ -172,6 +190,8 @@ def _cmd_rules_show(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_rules_verify(args: argparse.Namespace) -> Outcome:
+    from . import rules
+
     schema = rules.get_rule(args.name)
     # The registry refuses, at import, any pattern that is not a tautology.
     classification = rules.verify_rule(args.name)
@@ -181,6 +201,8 @@ def _cmd_rules_verify(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_entail(args: argparse.Namespace) -> Outcome:
+    from . import rules
+
     premises = tuple(parse(text) for text in args.premise)
     conclusion = parse(args.conclusion)
     verdict = rules.entail(premises, conclusion)
@@ -213,6 +235,8 @@ def _describe_syllogism(name: str, syllogism: categorical.Syllogism) -> str:
 
 
 def _cmd_syllogism_list(args: argparse.Namespace) -> Outcome:
+    from . import categorical
+
     entries = categorical.registry_syllogisms()
     result = {
         "syllogisms": [
@@ -226,6 +250,8 @@ def _cmd_syllogism_list(args: argparse.Namespace) -> Outcome:
 def _check_syllogism(
     command: str, label: str, syllogism: categorical.Syllogism, existential_import: bool
 ) -> Outcome:
+    from . import categorical
+
     verdict = categorical.valid_syllogism(syllogism, existential_import)
     # The import models are a subset of all models, so a plain valid
     # verdict already settles the question with import.
@@ -250,6 +276,8 @@ def _check_syllogism(
 
 
 def _cmd_syllogism_check(args: argparse.Namespace) -> Outcome:
+    from . import categorical
+
     syllogism = categorical.get_syllogism(args.name)
     return _check_syllogism(
         "syllogism check", args.name.lower(), syllogism, args.existential_import
@@ -257,6 +285,8 @@ def _cmd_syllogism_check(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_syllogism_custom(args: argparse.Namespace) -> Outcome:
+    from . import categorical
+
     syllogism = categorical.Syllogism(
         categorical.parse_categorical(args.major),
         categorical.parse_categorical(args.minor),
@@ -268,6 +298,8 @@ def _cmd_syllogism_custom(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_quant_negate(args: argparse.Namespace) -> Outcome:
+    from . import categorical
+
     formula = categorical.parse_monadic(args.formula)
     negated = categorical.negate_quantifiers(formula)
     result = {
@@ -280,12 +312,16 @@ def _cmd_quant_negate(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_jugs_gcd(args: argparse.Namespace) -> Outcome:
+    from . import jugs
+
     value = jugs.gcd(args.n, args.m)
     result = {"n": args.n, "m": args.m, "gcd": value}
     return Outcome("jugs gcd", EXIT_OK, result, text_lines=[str(value)])
 
 
 def _cmd_jugs_bezout(args: argparse.Namespace) -> Outcome:
+    from . import jugs
+
     certificate = jugs.bezout(args.n, args.m)
     result = {
         "n": args.n,
@@ -299,6 +335,8 @@ def _cmd_jugs_bezout(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_jugs_amounts(args: argparse.Namespace) -> Outcome:
+    from . import jugs
+
     amounts = jugs.achievable_amounts(args.n, args.m, args.limit)
     result = {"n": args.n, "m": args.m, "limit": args.limit, "amounts": amounts}
     lines = [" ".join(str(amount) for amount in amounts)] if amounts else []
@@ -306,6 +344,8 @@ def _cmd_jugs_amounts(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_jugs_plan(args: argparse.Namespace) -> Outcome:
+    from . import jugs
+
     problem = jugs.JugProblem(n=args.n, m=args.m, target=args.target)
     strategy = jugs.Strategy(args.strategy)
     base = {"n": args.n, "m": args.m, "target": args.target, "strategy": strategy.value}
@@ -318,39 +358,42 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> Outcome:
             f"mcd({exc.n}, {exc.m}) = {exc.gcd} no divide {exc.target}",
         ]
         return Outcome("jugs plan", EXIT_INVALID, result, {"gcd": exc.gcd}, lines)
-    actions = [
-        {
-            "action": "add" if isinstance(action, jugs.AddJug) else "remove",
-            "capacity": action.capacity,
-        }
-        for action in pour_plan.actions
-    ]
+    runs = _action_runs(pour_plan.actions)
+    # One shared entry per run: a long plan lists the same few objects.
+    actions: list[dict] = []
+    for word, capacity, count in runs:
+        actions += [{"action": word, "capacity": capacity}] * count
     result = {
         **base,
         "achievable": True,
         "actions": actions,
         "length": len(pour_plan.actions),
     }
-    return Outcome(
-        "jugs plan", EXIT_OK, result, text_lines=[_grouped_actions(pour_plan.actions)]
-    )
+    return Outcome("jugs plan", EXIT_OK, result, text_lines=[_grouped_actions(runs)])
 
 
 # --- Argument parsing --------------------------------------------------------
 
 
+def _int_at_least(text: str, minimum: int) -> int:
+    # ArgumentTypeError keeps argparse from naming this function in the
+    # message, as it does for a ValueError.
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if value >= minimum:
+            return value
+    raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    return _int_at_least(text, 1)
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,8 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
     jugs_plan.add_argument("--target", type=_positive_int, required=True)
     jugs_plan.add_argument(
         "--strategy",
-        choices=[strategy.value for strategy in jugs.Strategy],
-        default=jugs.Strategy.CERTIFICATE.value,
+        # The values of ``jugs.Strategy``, spelt out so that parsing the
+        # command line does not import ``jugs``.
+        choices=("certificate", "shortest"),
+        default="certificate",
         help="certificate: scaled Bézout identity; shortest: minimal-length plan",
     )
     jugs_plan.set_defaults(handler=_cmd_jugs_plan)
@@ -511,6 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(outcome: Outcome, output_format: str) -> None:
     if output_format == "json":
+        import json
+
         envelope = {
             "status": "ok" if outcome.exit_code == EXIT_OK else "invalid",
             "command": outcome.command,

@@ -377,20 +377,32 @@ def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
     Atoms absent from the mapping are left unchanged; images are inserted
     as-is and never rewritten again.
     """
-    match formula:
-        case Atomic(atom):
-            return mapping.get(atom.name, formula)
-        case Not(inner):
-            return Not(substitute(inner, mapping))
-        case Or(a, b):
-            return Or(substitute(a, mapping), substitute(b, mapping))
-        case And(a, b):
-            return And(substitute(a, mapping), substitute(b, mapping))
-        case Implies(a, b):
-            return Implies(substitute(a, mapping), substitute(b, mapping))
-        case Iff(a, b):
-            return Iff(substitute(a, mapping), substitute(b, mapping))
-    raise TypeError(f"not a formula: {formula!r}")
+    out: list[Formula] = []
+    # Work items are ``(formula, True)`` to visit, and ``(connective, False)``
+    # to rebuild a node of that class from the last results.
+    pending: list = [(formula, True)]
+    while pending:
+        node, visit = pending.pop()
+        if not visit:
+            if node is Not:
+                out[-1] = Not(out[-1])
+            else:
+                right = out.pop()
+                out[-1] = node(out[-1], right)
+            continue
+        kind = type(node)
+        if kind is Atomic:
+            out.append(mapping.get(node.atom.name, node))
+        elif kind is Not:
+            pending.append((Not, False))
+            pending.append((node.inner, True))
+        elif kind in _BINARY:
+            pending.append((kind, False))
+            pending.append((node.right, True))
+            pending.append((node.left, True))
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+    return out[0]
 
 
 def format_truth_value(value: bool) -> str:

@@ -432,6 +432,20 @@ def test_deep_quantifier_prefix_at_the_default_recursion_limit():
     assert format_monadic(negated) == "exists x. " * depth + "~P(x)"
 
 
+@pytest.mark.parametrize(
+    "text,names",
+    [
+        ("forall x. " * 20_000 + "P(x)", ("P",)),
+        ("forall x. " + "~" * 20_000 + "Q(x)", ("Q",)),
+        ("forall x. " + " & ".join(f"P{i % 3}(x)" for i in range(20_000)), ("P0", "P1", "P2")),
+        ("forall x. " + " -> ".join(f"Q{i % 2}(x)" for i in range(20_000)), ("Q0", "Q1")),
+    ],
+    ids=["quantifiers", "negations", "conjunctions", "conditionals"],
+)
+def test_predicates_at_the_default_recursion_limit(text, names):
+    assert predicates(parse_monadic(text)) == names
+
+
 def test_free_variables_after_a_scope_ends():
     closed_left = MAnd(ForAll("x", PredApp("P", "x")), PredApp("Q", "x"))
     assert free_variables(closed_left) == {"x"}

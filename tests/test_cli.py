@@ -1,13 +1,20 @@
+import argparse
+import ast
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import deduce
 from deduce import categorical, jugs, logic
-from deduce.cli import TABLE_MAX_ATOMS, main
+from deduce.cli import TABLE_MAX_ATOMS, build_parser, main
 
 EXPECTED_TABLE = """\
 P  Q  P y Q
@@ -261,6 +268,42 @@ class TestQuant:
         assert "closed" in err
 
 
+# Vessels and targets of the JSON plan tests.
+_PLAN_CASES = [(3, 11, 1), (11, 3, 1), (7, 5, 4), (5, 7, 4), (6, 4, 2), (2, 6, 4), (4, 9, 25), (1, 1, 5)]
+
+
+def _subparser(parser: argparse.ArgumentParser, *names: str) -> argparse.ArgumentParser:
+    for name in names:
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        parser = subparsers.choices[name]
+    return parser
+
+
+def _per_action_plan_json(n: int, m: int, target: int, strategy: str) -> str:
+    """The ``jugs plan`` JSON envelope with one freshly built entry per action."""
+    pour_plan = jugs.plan(jugs.JugProblem(n, m, target), jugs.Strategy(strategy))
+    actions = [
+        {
+            "action": "add" if isinstance(action, jugs.AddJug) else "remove",
+            "capacity": action.capacity,
+        }
+        for action in pour_plan.actions
+    ]
+    result = {
+        "n": n,
+        "m": m,
+        "target": target,
+        "strategy": strategy,
+        "achievable": True,
+        "actions": actions,
+        "length": len(actions),
+    }
+    envelope = {"status": "ok", "command": "jugs plan", "result": result, "counterexample": None}
+    return json.dumps(envelope, sort_keys=True, ensure_ascii=True, separators=(",", ":")) + "\n"
+
+
 class TestJugs:
     def test_gcd(self, capsys):
         code, out, _ = run(capsys, "jugs", "gcd", "--n", "3", "--m", "6")
@@ -350,6 +393,55 @@ class TestJugs:
         code, _, err = run(capsys, "jugs", "gcd", "--n", "0", "--m", "6")
         assert code == 2
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gcd", "--n", "x", "--m", "3"], "argument --n: expected an integer >= 1, got 'x'"),
+            (["gcd", "--n", "0", "--m", "3"], "argument --n: expected an integer >= 1, got '0'"),
+            (["gcd", "--n", "3", "--m", "-1"], "argument --m: expected an integer >= 0, got '-1'"),
+            (["gcd", "--n", "3", "--m", "1.5"], "argument --m: expected an integer >= 0, got '1.5'"),
+            (
+                ["plan", "--n", "3", "--m", "5", "--target", "-2"],
+                "argument --target: expected an integer >= 1, got '-2'",
+            ),
+        ],
+    )
+    def test_integer_argument_errors_name_the_bound_and_the_value(
+        self, capsys, argv, message
+    ):
+        code, out, err = run(capsys, "jugs", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: deduce jugs ")
+        assert err.endswith(f"error: {message}\n")
+        assert "_int" not in err
+
+    def test_strategy_choices_are_the_strategy_values(self):
+        plan_parser = _subparser(build_parser(), "jugs", "plan")
+        (strategy,) = [a for a in plan_parser._actions if a.dest == "strategy"]
+        assert list(strategy.choices) == [s.value for s in jugs.Strategy]
+        assert strategy.default == jugs.Strategy.CERTIFICATE.value
+
+    @pytest.mark.parametrize("strategy", ["certificate", "shortest"])
+    @pytest.mark.parametrize("n,m,target", _PLAN_CASES)
+    def test_plan_json_matches_a_per_action_encoding(self, capsys, strategy, n, m, target):
+        argv = ["jugs", "plan", "--n", str(n), "--m", str(m), "--target", str(target)]
+        code, out, _ = run(capsys, *argv, "--strategy", strategy, "--format", "json")
+        assert code == 0
+        assert out == _per_action_plan_json(n, m, target, strategy)
+
+    @pytest.mark.parametrize("strategy", list(jugs.Strategy))
+    def test_plan_json_cases_include_two_runs_with_a_removal(self, strategy):
+        # The cases above cover plans whose second run is a removal.
+        removing = [
+            (n, m, target)
+            for n, m, target in _PLAN_CASES
+            if isinstance(
+                jugs.plan(jugs.JugProblem(n, m, target), strategy).actions[-1],
+                jugs.RemoveJug,
+            )
+        ]
+        assert len(removing) >= 2
 
 
 class TestErrorsAndDeterminism:
@@ -501,3 +593,57 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(command, output):
         lines = out.getvalue().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["status"] == ("ok" if code == 0 else "invalid")
+
+
+# Runs one command in a fresh interpreter and prints, on its last line, the
+# modules that importing ``deduce.cli`` and running the command loaded.
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import deduce.cli
+deduce.cli.main(sys.argv[1:])
+print(repr(sorted(set(sys.modules) - before)))
+"""
+_LAZY = {"deduce.categorical", "deduce.jugs", "deduce.rules", "json"}
+
+
+def _modules_loaded(*argv: str) -> set[str]:
+    src = str(Path(deduce.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode in (0, 1), done.stderr
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+_IMPORT_CASES = [
+    (["classify", "P -> Q"], set()),
+    (["table", "P y Q"], set()),
+    (["equiv", "P", "~~P"], set()),
+    (["jugs", "gcd", "--n", "3", "--m", "6"], {"deduce.jugs"}),
+    (["jugs", "amounts", "--n", "3", "--m", "6", "--limit", "12"], {"deduce.jugs"}),
+    (["jugs", "plan", "--n", "3", "--m", "11", "--target", "1"], {"deduce.jugs"}),
+    (["syllogism", "check", "darapti"], {"deduce.categorical"}),
+    (["syllogism", "custom", "all:M:P", "all:S:M", "all:S:P"], {"deduce.categorical"}),
+    (["quant", "negate", "forall x. P(x)"], {"deduce.categorical"}),
+    (["rules", "list"], {"deduce.rules"}),
+    (["rules", "verify", "modus-ponens"], {"deduce.rules"}),
+    (["entail", "--premise", "P", "--conclusion", "P | Q"], {"deduce.rules"}),
+    (["--format", "json", "classify", "P"], {"json"}),
+    (["--format", "json", "jugs", "plan", "--n", "3", "--m", "11", "--target", "1"], {"deduce.jugs", "json"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,needed", _IMPORT_CASES, ids=[" ".join(argv) for argv, _ in _IMPORT_CASES]
+)
+def test_a_command_imports_only_the_modules_it_runs(argv, needed):
+    loaded = _modules_loaded(*argv)
+    assert {"deduce.cli", "deduce.logic", "deduce.parser"} <= loaded
+    assert loaded & _LAZY == needed

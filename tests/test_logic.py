@@ -27,6 +27,7 @@ from deduce.logic import (
     substitute,
     truth_table,
 )
+from deduce.parser import format_formula, parse
 from helpers import formula_strategy, random_formula
 
 P, Q, R = prop("P"), prop("Q"), prop("R")
@@ -247,6 +248,36 @@ class TestSubstitute:
         # P maps to Q while Q maps to R; the inserted Q must survive.
         result = substitute(And(P, Q), {"P": Q, "Q": R})
         assert result == And(Q, R)
+
+    @given(formula_strategy(max_leaves=8), formula_strategy(max_leaves=4))
+    @settings(max_examples=100)
+    def test_substitution_lemma(self, f, image):
+        # The value of f[P := image] under v is that of f under v with P
+        # given image's value.
+        result = substitute(f, {"P": image, "Q": Not(image)})
+        names = {atom.name for atom in atoms(f) + atoms(image)} | {"P", "Q"}
+        for bits in itertools.product((True, False), repeat=len(names)):
+            v = dict(zip(sorted(names), bits))
+            value = evaluate(image, v)
+            assert evaluate(result, v) == evaluate(f, {**v, "P": value, "Q": not value})
+
+    @pytest.mark.parametrize(
+        "text,image,expected",
+        [
+            ("¬" * 20_000 + "P", And(Q, R), "!" * 20_000 + "(Q & R)"),
+            (" & ".join(["P"] * 20_000), Or(Q, R), " & ".join(["(Q | R)"] * 20_000)),
+            (
+                " -> ".join(["P"] * 20_000),
+                Implies(Q, R),
+                " -> ".join(["(Q -> R)"] * 19_999 + ["Q -> R"]),
+            ),
+        ],
+        ids=["negations", "conjunctions", "conditionals"],
+    )
+    def test_depth_is_bounded_only_by_memory(self, text, image, expected):
+        # At the default recursion limit.  Compared as text: the generated
+        # ``__eq__`` of a formula node still recurses.
+        assert format_formula(substitute(parse(text), {"P": image})) == expected
 
 
 class TestTruthValueText:
