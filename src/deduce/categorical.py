@@ -1,11 +1,16 @@
 """Categorical statements, Aristotelian syllogisms, and finite-model checking.
 
 A categorical form is one of the four classical statement shapes over two
-predicate names (all/no/some/some-not).  Syllogism validity is decided by
-exhaustive search over canonical finite models: three predicates split any
-universe into at most eight regions, and duplicating elements inside a
-region never changes a categorical form's truth value, so the 256 models
-with at most one element per region are enough.  The same module carries a
+predicate names (all/no/some/some-not).  Syllogism validity is decided over
+canonical finite models: three predicates split any universe into at most
+eight regions, and duplicating elements inside a region never changes a
+categorical form's truth value, so the 256 models with at most one element
+per region are enough.  Each region is a propositional atom that says the
+region is empty (Venn's region method), so every form is a conjunction or
+disjunction of region atoms, and the 256 models are the rows of one
+8-column block of the propositional engine.  One scan of ``premises ->
+conclusion`` decides the syllogism; its first false row is the first
+counter-model of the canonical enumeration.  The same module carries a
 small monadic quantifier language with negation rewriting into negation
 normal form.
 """
@@ -15,8 +20,19 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
-from .logic import _ATOM_NAME
+from .logic import (
+    _ATOM_NAME,
+    And,
+    Atom,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    _first_false_row,
+    prop,
+)
 from .parser import Style, _format, _Grammar, _parse
 
 
@@ -205,6 +221,17 @@ def get_syllogism(name: str) -> Syllogism:
     return syllogism
 
 
+def _model_of(names: tuple[str, ...], mask: int) -> FiniteModel:
+    """The canonical model whose inhabited regions are the set bits of
+    ``mask``: one element per region, in ascending region order."""
+    regions = [r for r in range(8) if mask >> r & 1]
+    extensions = {
+        name: frozenset(i for i, r in enumerate(regions) if r >> bit & 1)
+        for bit, name in enumerate(names)
+    }
+    return FiniteModel(len(regions), extensions)
+
+
 def canonical_models(
     names: tuple[str, str, str], existential_import: bool = False
 ) -> Iterator[FiniteModel]:
@@ -216,32 +243,65 @@ def canonical_models(
     is non-empty are produced.
     """
     for mask in range(256):
-        regions = [r for r in range(8) if mask >> r & 1]
-        extensions = {
-            name: frozenset(i for i, r in enumerate(regions) if r >> bit & 1)
-            for bit, name in enumerate(names)
-        }
-        if existential_import and not all(extensions.values()):
-            continue
-        yield FiniteModel(len(regions), extensions)
+        model = _model_of(names, mask)
+        if not existential_import or all(model.extensions.values()):
+            yield model
+
+
+# Atom ``E{7-r}`` says that region ``r`` is empty.  Over the eight atoms in
+# alphabetical order, engine row ``m`` leaves region ``r`` inhabited exactly
+# when bit ``r`` of ``m`` is set: row ``m`` is ``_model_of(names, m)``.
+_REGIONS = tuple(Atom(f"E{i}") for i in range(8))
+_EMPTY = tuple(prop(f"E{7 - r}") for r in range(8))
+_INHABITED = tuple(Not(empty) for empty in _EMPTY)
+# The engine has no constants; a form whose subject is its predicate has no
+# regions and stands for one of these.
+_TRUE = Implies(_EMPTY[0], _EMPTY[0])
+_FALSE = Not(_TRUE)
+# Existential import: each of the three terms has an inhabited region.
+_IMPORT = reduce(
+    And,
+    (reduce(Or, (_INHABITED[r] for r in range(8) if r >> bit & 1)) for bit in range(3)),
+)
+
+
+def _form_formula(form: CategoricalForm, names: tuple[str, ...]) -> Formula:
+    """``form`` over the region atoms: a universal says its regions are all
+    empty, a particular that one of them is inhabited.  The regions are the
+    subject's that lie inside the predicate (no, some) or outside it (all,
+    some-not)."""
+    subject = names.index(form.subject)
+    predicate = names.index(form.predicate)
+    inside = form.kind in (FormKind.UNIVERSAL_NEGATIVE, FormKind.PARTICULAR_AFFIRMATIVE)
+    regions = [
+        r for r in range(8) if r >> subject & 1 and bool(r >> predicate & 1) is inside
+    ]
+    if form.kind in (FormKind.UNIVERSAL_AFFIRMATIVE, FormKind.UNIVERSAL_NEGATIVE):
+        return reduce(And, (_EMPTY[r] for r in regions)) if regions else _TRUE
+    return reduce(Or, (_INHABITED[r] for r in regions)) if regions else _FALSE
 
 
 def valid_syllogism(syllogism: Syllogism, existential_import: bool = False) -> Verdict:
-    """Exhaustively search canonical models for a counterexample.
+    """Decide ``premises -> conclusion`` over the region atoms in one scan.
 
-    The first counter-model in the canonical enumeration order is reported,
-    so output is deterministic.  ``existential_import`` restricts the search
-    to models where all three terms denote non-empty sets.
+    The engine's 256 rows are the canonical models in ascending order, so
+    the first false row is the first counter-model of the canonical
+    enumeration, and output is deterministic.  ``existential_import``
+    restricts the models to those where all three terms denote non-empty
+    sets.
     """
     names = syllogism.term_names()
-    for model in canonical_models((names[0], names[1], names[2]), existential_import):
-        if (
-            eval_categorical(syllogism.major, model)
-            and eval_categorical(syllogism.minor, model)
-            and not eval_categorical(syllogism.conclusion, model)
-        ):
-            return Verdict(valid=False, counter_model=model)
-    return Verdict(valid=True)
+    premises = And(
+        _form_formula(syllogism.major, names), _form_formula(syllogism.minor, names)
+    )
+    if existential_import:
+        premises = And(_IMPORT, premises)
+    _, row = _first_false_row(
+        Implies(premises, _form_formula(syllogism.conclusion, names)), _REGIONS
+    )
+    if row is None:
+        return Verdict(valid=True)
+    return Verdict(valid=False, counter_model=_model_of(names, row))
 
 
 # --- Monadic quantifier language ------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -375,6 +376,10 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> Outcome:
 # --- Argument parsing --------------------------------------------------------
 
 
+#: Longest argument text an error message quotes in full.
+_ECHO_LIMIT = 40
+
+
 def _int_at_least(text: str, minimum: int) -> int:
     # ArgumentTypeError keeps argparse from naming this function in the
     # message, as it does for a ValueError.
@@ -385,7 +390,15 @@ def _int_at_least(text: str, minimum: int) -> int:
     else:
         if value >= minimum:
             return value
-    raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+    expected = f"an integer >= {minimum}"
+    # Python 3.11+ refuses to convert more digits than this; 0 means no limit.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < digits < len(text):
+        expected += f" of at most {digits} digits"
+    shown = repr(text)
+    if len(text) > _ECHO_LIMIT:
+        shown = f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {shown}")
 
 
 def _positive_int(text: str) -> int:
@@ -590,7 +603,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (LookupError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _emit(outcome, args.format)
+    try:
+        _emit(outcome, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  The answer stands; send whatever is
+        # still buffered to devnull so that the flush at exit cannot fail
+        # too (see "Note on SIGPIPE" in the ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return outcome.exit_code
 
 

@@ -321,14 +321,26 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     return TruthTable(atoms=columns, rows=rows)
 
 
-def _first_false(
-    columns: tuple[Atom, ...], full: int, block: int, vector: int
-) -> dict[str, bool]:
-    """The valuation at the first false row of ``block``'s truth vector."""
+def _false_row(full: int, block: int, vector: int) -> int:
+    """The canonical index of the first false row of ``block``'s truth vector."""
     false_rows = full ^ vector
-    first = (false_rows & -false_rows).bit_length() - 1
-    row = _row_bits(block * full.bit_length() + first, len(columns))
-    return dict(zip((atom.name for atom in columns), row))
+    return block * full.bit_length() + (false_rows & -false_rows).bit_length() - 1
+
+
+def _valuation(columns: tuple[Atom, ...], row: int) -> dict[str, bool]:
+    return dict(zip((atom.name for atom in columns), _row_bits(row, len(columns))))
+
+
+def _first_false_row(
+    formula: Formula, over: Sequence[Atom] | None = None
+) -> tuple[tuple[Atom, ...], int | None]:
+    """The columns of ``_scan`` and the canonical index of the first row
+    where ``formula`` is false, or ``None`` if it is true at every row."""
+    columns, full, vectors = _scan(formula, over)
+    for block, vector in enumerate(vectors):
+        if vector != full:
+            return columns, _false_row(full, block, vector)
+    return columns, None
 
 
 def _decide(formula: Formula) -> tuple[Classification, dict[str, bool] | None]:
@@ -342,7 +354,7 @@ def _decide(formula: Formula) -> tuple[Classification, dict[str, bool] | None]:
     for block, vector in enumerate(vectors):
         seen_true = seen_true or vector != 0
         if counter is None and vector != full:
-            counter = _first_false(columns, full, block, vector)
+            counter = _valuation(columns, _false_row(full, block, vector))
         if seen_true and counter is not None:
             return Classification.CONTINGENT, counter
     if counter is None:
@@ -358,11 +370,8 @@ def classify(formula: Formula) -> Classification:
 
 def falsifying_valuation(formula: Formula) -> dict[str, bool] | None:
     """First valuation (canonical row order) making ``formula`` false, if any."""
-    columns, full, vectors = _scan(formula)
-    for block, vector in enumerate(vectors):
-        if vector != full:
-            return _first_false(columns, full, block, vector)
-    return None
+    columns, row = _first_false_row(formula)
+    return None if row is None else _valuation(columns, row)
 
 
 def equivalent(f: Formula, g: Formula) -> bool:

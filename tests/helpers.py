@@ -3,9 +3,10 @@
 Oracles here deliberately avoid the library code paths they are checking:
 propositional answers come from one ``evaluate`` call per canonical row,
 entailment is scanned premise-by-premise without building the implication
-formula, syllogism validity is decided by naive enumeration of every model
-up to a universe size, and jug reachability is a plain breadth-first
-closure over running totals.
+formula, syllogism validity is decided by evaluating the three forms on
+each canonical model or by naive enumeration of every model up to a
+universe size, and jug reachability is a plain breadth-first closure over
+running totals.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from deduce.categorical import (
     MonadicFormula,
     PredApp,
     Syllogism,
+    Verdict,
+    canonical_models,
     eval_categorical,
 )
 from deduce.logic import (
@@ -225,6 +228,23 @@ def naive_valid_syllogism(
         ):
             return False
     return True
+
+
+def reference_valid_syllogism(
+    syllogism: Syllogism, existential_import: bool = False
+) -> Verdict:
+    """The first canonical model, in enumeration order, that satisfies both
+    premises and falsifies the conclusion, by evaluating the three forms on
+    each model in turn."""
+    names = syllogism.term_names()
+    for model in canonical_models((names[0], names[1], names[2]), existential_import):
+        if (
+            eval_categorical(syllogism.major, model)
+            and eval_categorical(syllogism.minor, model)
+            and not eval_categorical(syllogism.conclusion, model)
+        ):
+            return Verdict(valid=False, counter_model=model)
+    return Verdict(valid=True)
 
 
 # --- Jug oracle: breadth-first closure over running totals -------------------

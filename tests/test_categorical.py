@@ -1,6 +1,9 @@
+from functools import reduce
 from random import Random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from deduce.categorical import (
     CategoricalForm,
@@ -30,6 +33,7 @@ from deduce.categorical import (
     registry_syllogisms,
     valid_syllogism,
 )
+from deduce.logic import And, Atom, Not, _first_false_row, prop, truth_table
 from deduce.parser import ErrorKind, ParseError
 from helpers import (
     all_models,
@@ -37,6 +41,7 @@ from helpers import (
     naive_valid_syllogism,
     random_monadic,
     random_mood,
+    reference_valid_syllogism,
 )
 
 ALL, NO = FormKind.UNIVERSAL_AFFIRMATIVE, FormKind.UNIVERSAL_NEGATIVE
@@ -194,6 +199,70 @@ class TestValidSyllogism:
                 assert valid_syllogism(syllogism, flag).valid == naive_valid_syllogism(
                     syllogism, models, flag
                 )
+
+
+def _answer(verdict):
+    model = verdict.counter_model
+    if model is None:
+        return verdict.valid, None
+    return verdict.valid, model.universe_size, dict(model.extensions)
+
+
+_FORMS_OVER_ABC = st.builds(
+    CategoricalForm, st.sampled_from(FormKind), st.sampled_from("ABC"), st.sampled_from("ABC")
+)
+
+
+class TestSyllogismEngine:
+    """``valid_syllogism`` against the 256-model reference search."""
+
+    @given(_FORMS_OVER_ABC, _FORMS_OVER_ABC, _FORMS_OVER_ABC)
+    @settings(max_examples=300)
+    def test_verdict_and_counter_model_match_the_reference(self, major, minor, conclusion):
+        terms = {major.subject, major.predicate, minor.subject, minor.predicate}
+        assume(len(terms | {conclusion.subject, conclusion.predicate}) == 3)
+        syllogism = Syllogism(major, minor, conclusion)
+        for flag in (False, True):
+            assert _answer(valid_syllogism(syllogism, flag)) == _answer(
+                reference_valid_syllogism(syllogism, flag)
+            )
+
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("kind", list(FormKind))
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            ("{self}", "all:B:C", "some:B:A"),
+            ("some:B:C", "{self}", "some-not:C:A"),
+            ("all:A:B", "all:B:C", "{self}"),
+        ],
+        ids=["major", "minor", "conclusion"],
+    )
+    def test_degenerate_self_forms(self, codes, kind, flag):
+        forms = [parse_categorical(code.format(self=f"{kind.value}:A:A")) for code in codes]
+        syllogism = Syllogism(*forms)
+        verdict = valid_syllogism(syllogism, flag)
+        assert _answer(verdict) == _answer(reference_valid_syllogism(syllogism, flag))
+        # "todo A es A" always holds and "algún A no es A" never does.
+        if forms[2].code == "all:A:A" or "some-not:A:A" in (forms[0].code, forms[1].code):
+            assert verdict.valid
+
+    def test_engine_row_m_is_the_mth_canonical_model(self):
+        # Atom E{7-r} says that region r is empty.
+        regions = tuple(Atom(f"E{i}") for i in range(8))
+        table = truth_table(prop("E0"), over=regions)
+        models = list(canonical_models(("A", "B", "C")))
+        assert len(table.rows) == len(models) == 256
+        for mask, (row, model) in enumerate(zip(table.rows, models)):
+            inhabited = [r for r in range(8) if not row.valuation[f"E{7 - r}"]]
+            codes = [
+                sum(1 << bit for bit, name in enumerate("ABC") if e in model.extensions[name])
+                for e in range(model.universe_size)
+            ]
+            assert codes == inhabited
+            literals = [prop(f"E{7 - r}") for r in range(8) if r not in inhabited]
+            literals += [Not(prop(f"E{7 - r}")) for r in inhabited]
+            assert _first_false_row(Not(reduce(And, literals)), regions) == (regions, mask)
 
 
 class TestMonadicEval:

@@ -416,6 +416,21 @@ class TestJugs:
         assert err.endswith(f"error: {message}\n")
         assert "_int" not in err
 
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    def test_integer_argument_at_the_digit_limit(self, capsys, digits):
+        code, out, err = run(capsys, "jugs", "gcd", "--n", "9" * digits, "--m", "6")
+        assert (code, out) == (2, "")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < digits:
+            assert len(err) < 300
+            assert err.endswith(
+                f"error: argument --n: expected an integer >= 1 of at most {limit} "
+                f"digits, got '{'9' * 40}'... ({digits} characters)\n"
+            )
+        else:
+            # Parsed; the capacity bound refuses it.
+            assert err.startswith("error: n must be between 1 and ")
+
     def test_strategy_choices_are_the_strategy_values(self):
         plan_parser = _subparser(build_parser(), "jugs", "plan")
         (strategy,) = [a for a in plan_parser._actions if a.dest == "strategy"]
@@ -607,15 +622,19 @@ print(repr(sorted(set(sys.modules) - before)))
 _LAZY = {"deduce.categorical", "deduce.jugs", "deduce.rules", "json"}
 
 
-def _modules_loaded(*argv: str) -> set[str]:
+def _child_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on the path."""
     src = str(Path(deduce.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _modules_loaded(*argv: str) -> set[str]:
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=60,
     )
     assert done.returncode in (0, 1), done.stderr
@@ -647,3 +666,38 @@ def test_a_command_imports_only_the_modules_it_runs(argv, needed):
     loaded = _modules_loaded(*argv)
     assert {"deduce.cli", "deduce.logic", "deduce.parser"} <= loaded
     assert loaded & _LAZY == needed
+
+
+_CLOSED_STDOUT_CASES = [
+    (["syllogism", "check", "barbara"], 0),
+    (["syllogism", "check", "darapti"], 1),
+    (["table", " & ".join(f"P{i}" for i in range(TABLE_MAX_ATOMS))], 0),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv,code", _CLOSED_STDOUT_CASES, ids=["barbara", "darapti", "table-16-atoms"]
+)
+def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
+    # The read end is closed before the child starts, so every write to its
+    # stdout fails, whatever the timing.  Buffered, the first failure comes
+    # at a flush; unbuffered, at the first write.
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "deduce.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, "")
