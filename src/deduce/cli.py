@@ -11,7 +11,6 @@ JSON mode always emits a single object:
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from collections.abc import Sequence
@@ -25,7 +24,7 @@ from .logic import Classification, falsifying_valuation, format_truth_value
 from .parser import ParseError, Style, format_formula, parse
 
 if TYPE_CHECKING:
-    from . import categorical, jugs, rules
+    from . import categorical, rules
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -74,27 +73,6 @@ def _model_text(model: categorical.FiniteModel) -> str:
         for name, members in sorted(model.extensions.items())
     )
     return f"universo={universe} {extensions}"
-
-
-def _action_runs(actions: Sequence[jugs.Action]) -> list[tuple[str, int, int]]:
-    """``(word, capacity, count)`` for each maximal run of equal actions."""
-    from . import jugs
-
-    return [
-        (
-            "add" if isinstance(action, jugs.AddJug) else "remove",
-            action.capacity,
-            sum(1 for _ in run),
-        )
-        for action, run in itertools.groupby(actions)
-    ]
-
-
-def _grouped_actions(runs: list[tuple[str, int, int]]) -> str:
-    return "; ".join(
-        f"{word} {capacity} ×{count}" if count > 1 else f"{word} {capacity}"
-        for word, capacity, count in runs
-    )
 
 
 # --- Command handlers --------------------------------------------------------
@@ -359,18 +337,15 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> Outcome:
             f"mcd({exc.n}, {exc.m}) = {exc.gcd} no divide {exc.target}",
         ]
         return Outcome("jugs plan", EXIT_INVALID, result, {"gcd": exc.gcd}, lines)
-    runs = _action_runs(pour_plan.actions)
-    # One shared entry per run: a long plan lists the same few objects.
     actions: list[dict] = []
-    for word, capacity, count in runs:
-        actions += [{"action": word, "capacity": capacity}] * count
-    result = {
-        **base,
-        "achievable": True,
-        "actions": actions,
-        "length": len(pour_plan.actions),
-    }
-    return Outcome("jugs plan", EXIT_OK, result, text_lines=[_grouped_actions(runs)])
+    grouped: list[str] = []
+    for action, count in pour_plan.runs:
+        word = "add" if isinstance(action, jugs.AddJug) else "remove"
+        # One shared entry per run: a long plan lists the same few objects.
+        actions += [{"action": word, "capacity": action.capacity}] * count
+        grouped.append(f"{word} {action.capacity}" + (f" ×{count}" if count > 1 else ""))
+    result = {**base, "achievable": True, "actions": actions, "length": len(pour_plan)}
+    return Outcome("jugs plan", EXIT_OK, result, text_lines=["; ".join(grouped)])
 
 
 # --- Argument parsing --------------------------------------------------------

@@ -9,6 +9,7 @@ much.  Exactly the positive multiples of gcd(n, m) are producible, and a
 Bézout identity turns that fact into a concrete plan: every plan is a
 solution x·n + y·m = target, read as |x| pours of one vessel and |y| of the
 other, so both planning strategies are a choice of one point on that line.
+A plan is stored as its runs of equal actions; its length and replay cost O(runs).
 
 Amounts are exact integers in abstract units; scaling all quantities by a
 common factor changes nothing.
@@ -16,8 +17,10 @@ common factor changes nothing.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, groupby, repeat
 
 MAX_CAPACITY = 10**6
 MAX_TARGET = 10**9
@@ -64,11 +67,15 @@ class PlanTooLong(ValueError):
         self.length = length
 
 
-def _check_capacity(value: int, name: str, minimum: int = 1) -> None:
-    if not minimum <= value <= MAX_CAPACITY:
-        raise ValueError(
-            f"{name} must be between {minimum} and {MAX_CAPACITY}, got {value}"
-        )
+def _check_range(
+    value: int, name: str, maximum: int = MAX_CAPACITY, minimum: int = 1
+) -> None:
+    if not minimum <= value <= maximum:
+        # A value of thousands of digits is quoted by its first 40 and its length.
+        shown = str(value)
+        if len(shown) > 40:
+            shown = f"{shown[:40]}... ({len(shown.lstrip('-'))} digits)"
+        raise ValueError(f"{name} must be between {minimum} and {maximum}, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -80,12 +87,9 @@ class JugProblem:
     target: int
 
     def __post_init__(self) -> None:
-        _check_capacity(self.n, "n")
-        _check_capacity(self.m, "m")
-        if not 1 <= self.target <= MAX_TARGET:
-            raise ValueError(
-                f"target must be between 1 and {MAX_TARGET}, got {self.target}"
-            )
+        _check_range(self.n, "n")
+        _check_range(self.m, "m")
+        _check_range(self.target, "target", MAX_TARGET)
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,30 @@ class RemoveJug:
 Action = AddJug | RemoveJug
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PourPlan:
-    actions: tuple[Action, ...]
+    """A sequence of actions stored as its maximal runs, ``(action, count)``
+    pairs; ``actions`` expands them again on each read."""
+
+    runs: tuple[tuple[Action, int], ...]
+
+    def __init__(self, actions: Iterable[Action]) -> None:
+        runs = tuple((action, sum(1 for _ in run)) for action, run in groupby(actions))
+        object.__setattr__(self, "runs", runs)
+
+    @classmethod
+    def _of_runs(cls, *runs: tuple[Action, int]) -> PourPlan:
+        # The caller gives no two equal neighbours; empty runs are dropped.
+        pour_plan = cls.__new__(cls)
+        object.__setattr__(pour_plan, "runs", tuple(run for run in runs if run[1]))
+        return pour_plan
+
+    @property
+    def actions(self) -> tuple[Action, ...]:
+        return tuple(chain.from_iterable(repeat(*run) for run in self.runs))
 
     def __len__(self) -> int:
-        return len(self.actions)
+        return sum(count for _, count in self.runs)
 
 
 class Strategy(Enum):
@@ -125,33 +147,31 @@ class Strategy(Enum):
 
 def gcd(n: int, m: int) -> int:
     """Greatest common divisor by the Euclidean algorithm; n ≥ 1, m ≥ 0."""
-    _check_capacity(n, "n")
-    _check_capacity(m, "m", minimum=0)
+    _check_range(n, "n")
+    _check_range(m, "m", minimum=0)
     while m:
         n, m = m, n % m
     return n
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    # Returns (g, x, y) with x·a + y·b = g for a ≥ 1, b ≥ 0.
+def _extended_gcd(a: int, b: int) -> tuple[int, int]:
+    # Returns (g, x) with x·a + y·b = g for some integer y, a ≥ 1, b ≥ 0.
     old_r, r = a, b
     old_x, x = 1, 0
-    old_y, y = 0, 1
     while r:
         q = old_r // r
         old_r, r = r, old_r - q * r
         old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
+    return old_r, old_x
 
 
 def bezout(n: int, m: int) -> BezoutCertificate:
     """Extended Euclid with the canonical representative for the coefficient
     of n: 0 ≤ a < m/g.  When m/g = 1 that interval forces a = 0 and the
     whole weight falls on b."""
-    _check_capacity(n, "n")
-    _check_capacity(m, "m")
-    g, x, _ = _extended_gcd(n, m)
+    _check_range(n, "n")
+    _check_range(m, "m")
+    g, x = _extended_gcd(n, m)
     period = m // g
     a = x % period
     b = (g - a * n) // m
@@ -165,10 +185,9 @@ def is_achievable(problem: JugProblem) -> bool:
 
 def achievable_amounts(n: int, m: int, limit: int) -> list[int]:
     """All producible amounts up to ``limit``: the multiples of gcd(n, m)."""
-    _check_capacity(n, "n")
-    _check_capacity(m, "m")
-    if not 1 <= limit <= MAX_LIMIT:
-        raise ValueError(f"limit must be between 1 and {MAX_LIMIT}, got {limit}")
+    _check_range(n, "n")
+    _check_range(m, "m")
+    _check_range(limit, "limit", MAX_LIMIT)
     g = gcd(n, m)
     return list(range(g, limit + 1, g))
 
@@ -177,15 +196,16 @@ def _emit(n: int, m: int, x: int, y: int) -> PourPlan:
     # All additions come first, so the total peaks at their sum and never
     # goes negative: before each removal it is the target plus that removal
     # and the ones still to come.  At most one of x, y is negative (the
-    # target is positive), so the plan has at most two runs.
+    # target is positive), so the plan has at most two runs, and they differ:
+    # with n = m the period m/g is 1, so both strategies take x = 0.
     length = abs(x) + abs(y)
     if length > MAX_PLAN_LENGTH:
         raise PlanTooLong(length)
-    return PourPlan(
-        (AddJug(n),) * max(x, 0)
-        + (AddJug(m),) * max(y, 0)
-        + (RemoveJug(n),) * max(-x, 0)
-        + (RemoveJug(m),) * max(-y, 0)
+    return PourPlan._of_runs(
+        (AddJug(n), max(x, 0)),
+        (AddJug(m), max(y, 0)),
+        (RemoveJug(n), max(-x, 0)),
+        (RemoveJug(m), max(-y, 0)),
     )
 
 
@@ -230,18 +250,22 @@ def simulate(pour_plan: PourPlan, n: int, m: int) -> int:
     Raises ``PlanViolation`` at the first action that uses a foreign
     capacity or would drive the total negative.
     """
-    _check_capacity(n, "n")
-    _check_capacity(m, "m")
+    _check_range(n, "n")
+    _check_range(m, "m")
     total = 0
-    for index, action in enumerate(pour_plan.actions):
+    index = 0
+    for action, count in pour_plan.runs:
         if action.capacity not in (n, m):
             raise PlanViolation(index, ViolationKind.FOREIGN_CAPACITY)
         if isinstance(action, AddJug):
-            total += action.capacity
+            total += action.capacity * count
         elif isinstance(action, RemoveJug):
-            if total < action.capacity:
-                raise PlanViolation(index, ViolationKind.NEGATIVE_AMOUNT)
-            total -= action.capacity
+            # The run's first removal that finds less than a vessel left.
+            overdraft = total // action.capacity
+            if overdraft < count:
+                raise PlanViolation(index + overdraft, ViolationKind.NEGATIVE_AMOUNT)
+            total -= action.capacity * count
         else:
             raise TypeError(f"not a plan action: {action!r}")
+        index += count
     return total

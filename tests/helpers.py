@@ -5,14 +5,15 @@ propositional answers come from one ``evaluate`` call per canonical row,
 entailment is scanned premise-by-premise without building the implication
 formula, syllogism validity is decided by evaluating the three forms on
 each canonical model or by naive enumeration of every model up to a
-universe size, and jug reachability is a plain breadth-first closure over
-running totals.
+universe size, jug reachability is a plain breadth-first closure over
+running totals, and plans are replayed one action at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Sequence
 from random import Random
 
 import hypothesis.strategies as st
@@ -34,6 +35,7 @@ from deduce.categorical import (
     canonical_models,
     eval_categorical,
 )
+from deduce.jugs import Action, AddJug, PlanViolation, RemoveJug, ViolationKind
 from deduce.logic import (
     And,
     Atomic,
@@ -280,3 +282,23 @@ def bfs_min_plan_length(n: int, m: int, target: int, ceiling: int) -> int | None
                 distances[neighbor] = distances[total] + 1
                 queue.append(neighbor)
     return None
+
+
+# --- Plan replay reference: one action at a time ------------------------------
+
+
+def reference_simulate(actions: Sequence[Action], n: int, m: int) -> int:
+    """``jugs.simulate`` on the plan of ``actions``, one action at a time."""
+    total = 0
+    for index, action in enumerate(actions):
+        if action.capacity not in (n, m):
+            raise PlanViolation(index, ViolationKind.FOREIGN_CAPACITY)
+        if isinstance(action, AddJug):
+            total += action.capacity
+        elif isinstance(action, RemoveJug):
+            if total < action.capacity:
+                raise PlanViolation(index, ViolationKind.NEGATIVE_AMOUNT)
+            total -= action.capacity
+        else:
+            raise TypeError(f"not a plan action: {action!r}")
+    return total

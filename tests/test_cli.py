@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import deduce
-from deduce import categorical, jugs, logic
+from deduce import categorical, jugs, logic, rules
 from deduce.cli import TABLE_MAX_ATOMS, build_parser, main
 
 EXPECTED_TABLE = """\
@@ -420,9 +420,9 @@ class TestJugs:
     def test_integer_argument_at_the_digit_limit(self, capsys, digits):
         code, out, err = run(capsys, "jugs", "gcd", "--n", "9" * digits, "--m", "6")
         assert (code, out) == (2, "")
+        assert len(err) < 300
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if 0 < limit < digits:
-            assert len(err) < 300
             assert err.endswith(
                 f"error: argument --n: expected an integer >= 1 of at most {limit} "
                 f"digits, got '{'9' * 40}'... ({digits} characters)\n"
@@ -430,6 +430,7 @@ class TestJugs:
         else:
             # Parsed; the capacity bound refuses it.
             assert err.startswith("error: n must be between 1 and ")
+            assert f" and {jugs.MAX_CAPACITY}, got {'9' * 40}... ({digits} digits)" in err
 
     def test_strategy_choices_are_the_strategy_values(self):
         plan_parser = _subparser(build_parser(), "jugs", "plan")
@@ -576,6 +577,81 @@ _TEXT = st.one_of(
     _grammatical(["P(x)", "Q(x)"]).map("forall x. ".__add__),
     st.tuples(_grammatical(["P", "Q(x)"]), _JUNK).map("".join),
 )
+_NAME = st.one_of(
+    st.sampled_from(
+        [schema.name for schema in rules.registry()]
+        + [name for name, _ in categorical.registry_syllogisms()]
+        + ["DARII", "modus_ponens", ""]
+    ),
+    _JUNK,
+)
+_CATEGORICAL = st.one_of(
+    st.tuples(
+        st.sampled_from(["all", "no", "some", "some-not", "every", ""]),
+        st.sampled_from(["S", "M", "P", "x", ""]),
+        st.sampled_from(["S", "M", "P", "P:Q"]),
+    ).map(":".join),
+    _JUNK,
+)
+_IMPORT_FLAG = st.sampled_from([[], ["--existential-import"]])
+
+# ``jugs`` options: (option, least value argparse accepts, largest value the
+# library accepts).  Values are drawn at and around both ends, and past
+# Python's limit on the digits ``int()`` converts.
+_JUG_OPTIONS = {
+    "gcd": [("--n", 1, jugs.MAX_CAPACITY), ("--m", 0, jugs.MAX_CAPACITY)],
+    "bezout": [("--n", 1, jugs.MAX_CAPACITY), ("--m", 1, jugs.MAX_CAPACITY)],
+    "amounts": [
+        ("--n", 1, jugs.MAX_CAPACITY),
+        ("--m", 1, jugs.MAX_CAPACITY),
+        ("--limit", 1, jugs.MAX_LIMIT),
+    ],
+    "plan": [
+        ("--n", 1, jugs.MAX_CAPACITY),
+        ("--m", 1, jugs.MAX_CAPACITY),
+        ("--target", 1, jugs.MAX_TARGET),
+    ],
+}
+
+
+def _bound_values(maximum: int):
+    return st.sampled_from(["0", "1", str(maximum), str(maximum + 1), "9" * 4301])
+
+
+def _jugs_command(subcommand: str):
+    options = [
+        st.tuples(st.just(option), _bound_values(maximum))
+        for option, _, maximum in _JUG_OPTIONS[subcommand]
+    ]
+    if subcommand == "plan":
+        strategies = st.sampled_from(["certificate", "shortest"])
+        options.append(st.tuples(st.just("--strategy"), strategies))
+    return st.tuples(*options).map(
+        lambda pairs: ["jugs", subcommand, *(arg for pair in pairs for arg in pair)]
+    )
+
+
+def _value_refused(argv: list[str]) -> str | None:
+    """How refusing the first value out of range of the ``jugs`` command
+    ``argv`` names the bound, or None when every value is in range."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bounds = _JUG_OPTIONS[argv[1]]
+    values = [
+        (argv[argv.index(option) + 1], minimum, maximum)
+        for option, minimum, maximum in bounds
+    ]
+    # argparse converts every value before the command runs.
+    for text, minimum, _ in values:
+        if 0 < digits < len(text):
+            return f"of at most {digits} digits"
+        if int(text) < minimum:
+            return f"expected an integer >= {minimum}"
+    for text, minimum, maximum in values:
+        if int(text) > maximum:
+            return f"must be between {minimum} and {maximum}, got "
+    return None
+
+
 _COMMANDS = st.one_of(
     st.tuples(st.just("classify"), _TEXT).map(list),
     st.tuples(st.just("table"), _TEXT).map(list),
@@ -586,11 +662,21 @@ _COMMANDS = st.one_of(
         + ["--conclusion", parts[1]]
     ),
     st.tuples(st.just("quant"), st.just("negate"), _TEXT).map(list),
+    st.just(["rules", "list"]),
+    st.tuples(st.just("rules"), st.sampled_from(["show", "verify"]), _NAME).map(list),
+    st.just(["syllogism", "list"]),
+    st.tuples(st.just(["syllogism", "check"]), _NAME, _IMPORT_FLAG).map(
+        lambda parts: [*parts[0], parts[1], *parts[2]]
+    ),
+    st.tuples(st.lists(_CATEGORICAL, min_size=3, max_size=3), _IMPORT_FLAG).map(
+        lambda parts: ["syllogism", "custom", *parts[0], *parts[1]]
+    ),
+    *(_jugs_command(subcommand) for subcommand in _JUG_OPTIONS),
 )
 
 
 @given(_COMMANDS, st.sampled_from(["text", "json before", "json after"]))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_fuzzed_argv_keeps_the_exit_code_contract(command, output):
     argv = {
         "text": command,
@@ -601,6 +687,14 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(command, output):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if command[0] == "jugs":
+        # Every refusal of a jugs command is a bound, and names it; a plan
+        # whose values are all in range can still be too long.
+        refused = _value_refused(command)
+        assert code == 2 or refused is None
+        if code == 2:
+            assert (refused or f"the limit is {jugs.MAX_PLAN_LENGTH}") in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
         assert "error: " in err.getvalue()

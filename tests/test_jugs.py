@@ -1,11 +1,15 @@
 import itertools
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from deduce.jugs import (
+    MAX_CAPACITY,
+    MAX_LIMIT,
     MAX_PLAN_LENGTH,
+    MAX_TARGET,
     AddJug,
     BezoutCertificate,
     JugProblem,
@@ -23,7 +27,12 @@ from deduce.jugs import (
     plan,
     simulate,
 )
-from helpers import bfs_min_plan_length, bfs_reachable, oracle_ceiling
+from helpers import (
+    bfs_min_plan_length,
+    bfs_reachable,
+    oracle_ceiling,
+    reference_simulate,
+)
 
 
 class TestGcd:
@@ -228,10 +237,49 @@ class TestPlan:
         )
         assert simulate(pour_plan, n, m) == target
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_plan_runs_are_the_maximal_runs_of_its_actions(self, strategy):
+        # Including n = m, where the two addition runs could be one.
+        for n in range(1, 13):
+            for m in range(1, 13):
+                for target in range(1, 40):
+                    problem = JugProblem(n, m, target)
+                    if not is_achievable(problem):
+                        continue
+                    pour_plan = plan(problem, strategy)
+                    assert pour_plan.runs == PourPlan(pour_plan.actions).runs
+                    assert len(pour_plan.runs) <= 2
+                    assert len(pour_plan) == len(pour_plan.actions)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_long_plan_is_not_expanded(self, strategy):
+        # Expanded, these 10^7 actions would be an 80 MB tuple.
+        problem = JugProblem(1, 1, MAX_PLAN_LENGTH)
+        tracemalloc.start()
+        try:
+            pour_plan = plan(problem, strategy)
+            assert len(pour_plan) == MAX_PLAN_LENGTH
+            assert simulate(pour_plan, 1, 1) == MAX_PLAN_LENGTH
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_certificate_handles_large_targets(self):
         problem = JugProblem(999_983, 999_979, 999_983 + 999_979)
         pour_plan = plan(problem, Strategy.CERTIFICATE)
         assert simulate(pour_plan, problem.n, problem.m) == problem.target
+
+
+@st.composite
+def _plan_actions(draw):
+    """Vessels n and m and actions over n, m and one foreign capacity, drawn
+    as runs of one to five equal actions; runs of one interleave."""
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    capacities = st.sampled_from([n, m, n + m + 1])
+    run = st.tuples(st.sampled_from([AddJug, RemoveJug]), capacities, st.integers(1, 5))
+    runs = draw(st.lists(run, max_size=12))
+    return n, m, [kind(capacity) for kind, capacity, count in runs for _ in range(count)]
 
 
 class TestSimulate:
@@ -260,6 +308,34 @@ class TestSimulate:
     def test_empty_plan_yields_zero(self):
         assert simulate(PourPlan(()), 3, 6) == 0
 
+    def test_overdraft_inside_a_run_reports_its_action(self):
+        # 14 units cover four removals of 3; the fifth is action 2 + 4.
+        pour_plan = PourPlan((AddJug(7), AddJug(7)) + (RemoveJug(3),) * 5)
+        assert pour_plan.runs == ((AddJug(7), 2), (RemoveJug(3), 5))
+        with pytest.raises(PlanViolation) as excinfo:
+            simulate(pour_plan, 3, 7)
+        assert excinfo.value.index == 6
+        assert excinfo.value.reason is ViolationKind.NEGATIVE_AMOUNT
+
+    @given(_plan_actions())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_per_action_replay(self, drawn):
+        n, m, actions = drawn
+        pour_plan = PourPlan(actions)
+        assert pour_plan.actions == tuple(actions)
+        assert len(pour_plan) == len(actions)
+        try:
+            expected = reference_simulate(actions, n, m)
+        except PlanViolation as violation:
+            with pytest.raises(PlanViolation) as excinfo:
+                simulate(pour_plan, n, m)
+            assert (excinfo.value.index, excinfo.value.reason) == (
+                violation.index,
+                violation.reason,
+            )
+        else:
+            assert simulate(pour_plan, n, m) == expected
+
 
 class TestValidation:
     @pytest.mark.parametrize("n,m,target", [(0, 5, 1), (5, 0, 1), (5, 5, 0), (-1, 2, 3)])
@@ -274,3 +350,28 @@ class TestValidation:
     def test_amounts_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             achievable_amounts(3, 6, 0)
+
+    @pytest.mark.parametrize(
+        "call,name,maximum",
+        [
+            (lambda value: gcd(value, 6), "n", MAX_CAPACITY),
+            (lambda value: JugProblem(3, value, 1), "m", MAX_CAPACITY),
+            (lambda value: JugProblem(3, 5, value), "target", MAX_TARGET),
+            (lambda value: achievable_amounts(3, 5, value), "limit", MAX_LIMIT),
+        ],
+        ids=["capacity", "problem capacity", "target", "limit"],
+    )
+    def test_bound_messages_cut_long_values(self, call, name, maximum):
+        with pytest.raises(ValueError) as excinfo:
+            call(maximum + 1)
+        assert str(excinfo.value) == (
+            f"{name} must be between 1 and {maximum}, got {maximum + 1}"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            call(10**4000)
+        assert str(excinfo.value) == (
+            f"{name} must be between 1 and {maximum}, got 1{'0' * 39}... (4001 digits)"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            call(-(10**50))
+        assert str(excinfo.value).endswith(f"got -1{'0' * 38}... (51 digits)")
