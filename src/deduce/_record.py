@@ -1,0 +1,110 @@
+"""The one immutable record idiom of the package.
+
+A record class names its fields in ``__slots__`` and writes its own
+``__init__``, which stores each field with ``_setattr``.  ``Record`` gives
+it the rest: ``__match_args__`` (the public slots, inherited ones first),
+field-wise ``==`` and ``hash`` between records of one class, the
+``Name(field=value, ...)`` repr, ``copy`` and ``pickle`` support, and an
+``AttributeError`` on any later assignment.  ``==`` and ``repr`` walk
+fields that hold records with an explicit stack, so a formula's nesting
+depth is bounded only by memory.
+
+``Node`` is the base of formula trees: it computes its hash on the first
+``hash()``, bottom-up with an explicit stack, and keeps it in its ``_hash``
+slot, so construction does not pay for it.
+"""
+
+from __future__ import annotations
+
+#: Stores a field of a record under construction, past ``Record.__setattr__``.
+_setattr = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__slots__", ())
+        cls.__match_args__ += tuple(name for name in own if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            mine, theirs = pending.pop()
+            if mine is theirs:
+                continue
+            if type(mine) is not type(theirs):
+                return False
+            for left, right in zip(mine._values(), theirs._values()):
+                if isinstance(left, Record):
+                    pending.append((left, right))
+                elif left != right:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash((type(self), *self._values()))
+
+    def __repr__(self) -> str:
+        # Work items are text to emit, or records to expand.
+        out: list[str] = []
+        pending: list = [self]
+        while pending:
+            item = pending.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            parts: list = [type(item).__qualname__ + "("]
+            for i, (name, value) in enumerate(zip(item.__match_args__, item._values())):
+                parts.append(f", {name}=" if i else f"{name}=")
+                parts.append(value if isinstance(value, Record) else repr(value))
+            parts.append(")")
+            pending += reversed(parts)
+        return "".join(out)
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Node(Record):
+    """A record whose fields may hold further nodes: a formula tree."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # Postorder: a node is hashed once all its children hold their hash,
+        # so hashing the tuple of its fields reads each child's slot.
+        pending = [self]
+        while pending:
+            node = pending[-1]
+            values = node._values()
+            unhashed = [
+                value
+                for value in values
+                if isinstance(value, Node) and not hasattr(value, "_hash")
+            ]
+            if unhashed:
+                pending += unhashed
+            else:
+                pending.pop()
+                _setattr(node, "_hash", hash((type(node), *values)))
+        return self._hash

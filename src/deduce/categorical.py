@@ -18,10 +18,10 @@ normal form.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
+from ._record import Node, Record, _setattr
 from .logic import (
     _ATOM_NAME,
     And,
@@ -69,8 +69,7 @@ _SPANISH_TEMPLATES = {
 _KIND_BY_CODE = {kind.value: kind for kind in FormKind}
 
 
-@dataclass(frozen=True)
-class CategoricalForm:
+class CategoricalForm(Record):
     """One of the four statement shapes applied to two predicate names.
 
     Subject and predicate may coincide ("todo A es A" is legal and always
@@ -78,14 +77,15 @@ class CategoricalForm:
     or digits.
     """
 
-    kind: FormKind
-    subject: str
-    predicate: str
+    __slots__ = ("kind", "subject", "predicate")
 
-    def __post_init__(self) -> None:
-        for name in (self.subject, self.predicate):
+    def __init__(self, kind: FormKind, subject: str, predicate: str):
+        for name in (subject, predicate):
             if not _ATOM_NAME.match(name):
                 raise ValueError(f"invalid predicate name {name!r}")
+        _setattr(self, "kind", kind)
+        _setattr(self, "subject", subject)
+        _setattr(self, "predicate", predicate)
 
     @property
     def code(self) -> str:
@@ -108,15 +108,17 @@ def parse_categorical(code: str) -> CategoricalForm:
     return CategoricalForm(_KIND_BY_CODE[parts[0]], parts[1], parts[2])
 
 
-@dataclass(frozen=True)
-class Syllogism:
+class Syllogism(Record):
     """Two premises and a conclusion naming exactly three distinct terms."""
 
-    major: CategoricalForm
-    minor: CategoricalForm
-    conclusion: CategoricalForm
+    __slots__ = ("major", "minor", "conclusion")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, major: CategoricalForm, minor: CategoricalForm, conclusion: CategoricalForm
+    ):
+        _setattr(self, "major", major)
+        _setattr(self, "minor", minor)
+        _setattr(self, "conclusion", conclusion)
         if len(self.term_names()) != 3:
             raise ValueError("a syllogism must mention exactly three distinct terms")
 
@@ -128,24 +130,23 @@ class Syllogism:
         return tuple(sorted(names))
 
 
-@dataclass(frozen=True)
-class FiniteModel:
+class FiniteModel(Record):
     """A universe ``{0, ..., universe_size - 1}`` with predicate extensions."""
 
-    universe_size: int
-    extensions: Mapping[str, frozenset[int]]
+    __slots__ = ("universe_size", "extensions")
 
-    def __post_init__(self) -> None:
-        if self.universe_size < 0:
+    def __init__(self, universe_size: int, extensions: Mapping[str, frozenset[int]]):
+        if universe_size < 0:
             raise ValueError("universe size must be non-negative")
-        frozen = {name: frozenset(members) for name, members in self.extensions.items()}
-        universe = range(self.universe_size)
+        frozen = {name: frozenset(members) for name, members in extensions.items()}
+        universe = range(universe_size)
         for name, members in frozen.items():
             if not all(member in universe for member in members):
                 raise ValueError(
                     f"extension of {name!r} reaches outside the universe"
                 )
-        object.__setattr__(self, "extensions", frozen)
+        _setattr(self, "universe_size", universe_size)
+        _setattr(self, "extensions", frozen)
 
     def extension(self, name: str) -> frozenset[int]:
         try:
@@ -154,13 +155,15 @@ class FiniteModel:
             raise UnknownPredicate(name) from None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Valid, or invalid with a counter-model satisfying both premises and
     falsifying the conclusion."""
 
-    valid: bool
-    counter_model: FiniteModel | None = None
+    __slots__ = ("valid", "counter_model")
+
+    def __init__(self, valid: bool, counter_model: FiniteModel | None = None):
+        _setattr(self, "valid", valid)
+        _setattr(self, "counter_model", counter_model)
 
     def __bool__(self) -> bool:
         return self.valid
@@ -307,52 +310,62 @@ def valid_syllogism(syllogism: Syllogism, existential_import: bool = False) -> V
 # --- Monadic quantifier language ------------------------------------------
 
 
-class MonadicFormula:
+class MonadicFormula(Node):
     """Base class for the quantified fragment: one variable sort, unary
     predicates, no functions or equality."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PredApp(MonadicFormula):
-    pred: str
-    var: str
+    __slots__ = ("pred", "var")
+
+    def __init__(self, pred: str, var: str):
+        _setattr(self, "pred", pred)
+        _setattr(self, "var", var)
 
 
-@dataclass(frozen=True)
 class MNot(MonadicFormula):
-    inner: MonadicFormula
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: MonadicFormula):
+        _setattr(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class MAnd(MonadicFormula):
-    left: MonadicFormula
-    right: MonadicFormula
+class _MBinary(MonadicFormula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: MonadicFormula, right: MonadicFormula):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
-@dataclass(frozen=True)
-class MOr(MonadicFormula):
-    left: MonadicFormula
-    right: MonadicFormula
+class MAnd(_MBinary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MImplies(MonadicFormula):
-    left: MonadicFormula
-    right: MonadicFormula
+class MOr(_MBinary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ForAll(MonadicFormula):
-    var: str
-    body: MonadicFormula
+class MImplies(_MBinary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists(MonadicFormula):
-    var: str
-    body: MonadicFormula
+class _Quantifier(MonadicFormula):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: MonadicFormula):
+        _setattr(self, "var", var)
+        _setattr(self, "body", body)
+
+
+class ForAll(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
 
 
 _BINARY_NODES = (MAnd, MOr, MImplies)
@@ -422,32 +435,44 @@ def eval_monadic(formula: MonadicFormula, model: FiniteModel) -> bool:
     A universal over the empty universe is true and an existential false.
     """
     _require_closed(formula)
-
-    def go(f: MonadicFormula, env: dict[str, int]) -> bool:
-        match f:
-            case PredApp(pred, var):
-                return env[var] in model.extension(pred)
-            case MNot(inner):
-                return not go(inner, env)
-            case MAnd(a, b):
-                return go(a, env) and go(b, env)
-            case MOr(a, b):
-                return go(a, env) or go(b, env)
-            case MImplies(a, b):
-                return (not go(a, env)) or go(b, env)
-            case ForAll(var, body):
-                return all(
-                    go(body, env | {var: element})
-                    for element in range(model.universe_size)
-                )
-            case Exists(var, body):
-                return any(
-                    go(body, env | {var: element})
-                    for element in range(model.universe_size)
-                )
-        raise TypeError(f"not a monadic formula: {f!r}")
-
-    return go(formula, {})
+    size = model.universe_size
+    value = False
+    # Work items are ``(node, env, None)``, which evaluates ``node`` into
+    # ``value``, and ``(node, env, element)``, which resumes ``node`` with
+    # the value of the item run above it.
+    pending: list = [(formula, {}, None)]
+    while pending:
+        node, env, element = pending.pop()
+        kind = type(node)
+        if element is None:
+            if kind is PredApp:
+                value = env[node.var] in model.extension(node.pred)
+            elif kind is MNot:
+                pending.append((node, env, 0))
+                pending.append((node.inner, env, None))
+            elif kind in _BINARY_NODES:
+                pending.append((node, env, 0))
+                pending.append((node.left, env, None))
+            elif kind in _QUANTIFIER_NODES:
+                # The answer over an empty universe, or so far.
+                value = kind is ForAll
+                pending.append((node, env, 0))
+            else:
+                raise TypeError(f"not a monadic formula: {node!r}")
+        elif kind is MNot:
+            value = not value
+        elif kind in _BINARY_NODES:
+            # A false left operand settles MAnd (false) and MImplies (true),
+            # a true one MOr (true); otherwise the right operand decides.
+            if value is (kind is not MOr):
+                pending.append((node.right, env, None))
+            elif kind is MImplies:
+                value = True
+        elif value is (kind is ForAll) and element < size:
+            # Not yet settled: go on with the next element.
+            pending.append((node, env, element + 1))
+            pending.append((node.body, env | {node.var: element}, None))
+    return value
 
 
 def negate_quantifiers(formula: MonadicFormula) -> MonadicFormula:

@@ -14,12 +14,13 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 # ``categorical``, ``jugs``, ``rules`` and ``json`` are imported by the
 # functions that run them, so a command loads only what it uses.
 from . import logic
+from ._record import Record, _setattr
 from .logic import Classification, falsifying_valuation, format_truth_value
 from .parser import ParseError, Style, format_formula, parse
 
@@ -42,13 +43,22 @@ _CLASS_SPANISH = {
 }
 
 
-@dataclass
-class Outcome:
-    command: str
-    exit_code: int
-    result: dict
-    counterexample: dict | None = None
-    text_lines: list[str] = field(default_factory=list)
+class Outcome(Record):
+    __slots__ = ("command", "exit_code", "result", "counterexample", "text_lines")
+
+    def __init__(
+        self,
+        command: str,
+        exit_code: int,
+        result: dict,
+        counterexample: dict | None = None,
+        text_lines: list[str] | None = None,
+    ):
+        _setattr(self, "command", command)
+        _setattr(self, "exit_code", exit_code)
+        _setattr(self, "result", result)
+        _setattr(self, "counterexample", counterexample)
+        _setattr(self, "text_lines", [] if text_lines is None else text_lines)
 
 
 def _valuation_text(valuation: dict[str, bool]) -> str:
@@ -337,14 +347,19 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> Outcome:
             f"mcd({exc.n}, {exc.m}) = {exc.gcd} no divide {exc.target}",
         ]
         return Outcome("jugs plan", EXIT_INVALID, result, {"gcd": exc.gcd}, lines)
+    listed = args.format == "json"
     actions: list[dict] = []
     grouped: list[str] = []
     for action, count in pour_plan.runs:
         word = "add" if isinstance(action, jugs.AddJug) else "remove"
-        # One shared entry per run: a long plan lists the same few objects.
-        actions += [{"action": word, "capacity": action.capacity}] * count
         grouped.append(f"{word} {action.capacity}" + (f" ×{count}" if count > 1 else ""))
-    result = {**base, "achievable": True, "actions": actions, "length": len(pour_plan)}
+        if listed:
+            # One shared entry per run: a long plan lists the same few objects.
+            actions.extend(repeat({"action": word, "capacity": action.capacity}, count))
+    result = {**base, "achievable": True, "length": len(pour_plan)}
+    # Only JSON lists the actions; text prints the runs.
+    if listed:
+        result["actions"] = actions
     return Outcome("jugs plan", EXIT_OK, result, text_lines=["; ".join(grouped)])
 
 

@@ -17,10 +17,12 @@ common factor changes nothing.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, groupby, repeat
+
+from ._record import Record, _setattr
 
 MAX_CAPACITY = 10**6
 MAX_TARGET = 10**9
@@ -71,66 +73,87 @@ def _check_range(
     value: int, name: str, maximum: int = MAX_CAPACITY, minimum: int = 1
 ) -> None:
     if not minimum <= value <= maximum:
-        # A value of thousands of digits is quoted by its first 40 and its length.
-        shown = str(value)
-        if len(shown) > 40:
-            shown = f"{shown[:40]}... ({len(shown.lstrip('-'))} digits)"
-        raise ValueError(f"{name} must be between {minimum} and {maximum}, got {shown}")
+        raise ValueError(
+            f"{name} must be between {minimum} and {maximum}, got {_quoted(value)}"
+        )
 
 
-@dataclass(frozen=True)
-class JugProblem:
+def _quoted(value: int) -> str:
+    """``value`` in full up to 40 characters, else its first 40 and its
+    digit count.  A value over Python's limit on int-to-text conversion is
+    quoted by its digit count alone, which needs no conversion."""
+    magnitude = abs(value)
+    # log10(2) < 0.30103, so this is the digit count or one less.
+    digits = int(magnitude.bit_length() * 0.30103)
+    digits += magnitude >= 10**digits
+    # Python 3.11+ refuses to convert more digits than this; 0 means no limit.
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits:
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+    shown = str(value)
+    return shown if len(shown) <= 40 else f"{shown[:40]}... ({digits} digits)"
+
+
+class JugProblem(Record):
     """Two vessel capacities and a target amount, all positive integers."""
 
-    n: int
-    m: int
-    target: int
+    __slots__ = ("n", "m", "target")
 
-    def __post_init__(self) -> None:
-        _check_range(self.n, "n")
-        _check_range(self.m, "m")
-        _check_range(self.target, "target", MAX_TARGET)
+    def __init__(self, n: int, m: int, target: int):
+        _check_range(n, "n")
+        _check_range(m, "m")
+        _check_range(target, "target", MAX_TARGET)
+        _setattr(self, "n", n)
+        _setattr(self, "m", m)
+        _setattr(self, "target", target)
 
 
-@dataclass(frozen=True)
-class BezoutCertificate:
+class BezoutCertificate(Record):
     """Integers with a·n + b·m = g = gcd(n, m), a normalized to 0 ≤ a < m/g."""
 
-    g: int
-    a: int
-    b: int
+    __slots__ = ("g", "a", "b")
+
+    def __init__(self, g: int, a: int, b: int):
+        _setattr(self, "g", g)
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
 
 
-@dataclass(frozen=True)
-class AddJug:
-    capacity: int
+class AddJug(Record):
+    __slots__ = ("capacity",)
+
+    def __init__(self, capacity: int):
+        _setattr(self, "capacity", capacity)
 
 
-@dataclass(frozen=True)
-class RemoveJug:
-    capacity: int
+class RemoveJug(Record):
+    __slots__ = ("capacity",)
+
+    def __init__(self, capacity: int):
+        _setattr(self, "capacity", capacity)
 
 
 Action = AddJug | RemoveJug
 
 
-@dataclass(frozen=True, init=False)
-class PourPlan:
+class PourPlan(Record):
     """A sequence of actions stored as its maximal runs, ``(action, count)``
     pairs; ``actions`` expands them again on each read."""
 
-    runs: tuple[tuple[Action, int], ...]
+    __slots__ = ("runs",)
 
     def __init__(self, actions: Iterable[Action]) -> None:
         runs = tuple((action, sum(1 for _ in run)) for action, run in groupby(actions))
-        object.__setattr__(self, "runs", runs)
+        _setattr(self, "runs", runs)
 
     @classmethod
     def _of_runs(cls, *runs: tuple[Action, int]) -> PourPlan:
         # The caller gives no two equal neighbours; empty runs are dropped.
         pour_plan = cls.__new__(cls)
-        object.__setattr__(pour_plan, "runs", tuple(run for run in runs if run[1]))
+        _setattr(pour_plan, "runs", tuple(run for run in runs if run[1]))
         return pour_plan
+
+    def __reduce__(self) -> tuple:
+        return PourPlan._of_runs, self.runs
 
     @property
     def actions(self) -> tuple[Action, ...]:

@@ -5,21 +5,22 @@ negation, disjunction, conjunction, conditional, and biconditional.
 Truth values are plain booleans; ``format_truth_value`` renders them in the
 classroom V/F notation and ``parse_truth_value`` accepts V/F and 1/0.
 
-``evaluate`` computes one valuation.  ``classify``, ``falsifying_valuation``,
-``equivalent`` and ``truth_table`` share one engine that holds truth tables
-as bit strings (Knuth, TAOCP Vol. 4A, 7.1.1-7.1.2): a formula is compiled
-once into a postorder program, and each run of the program applies
-``^ & |`` to big integers whose bit ``r`` is the value at canonical row
-``r``, deciding a block of up to 2^12 rows in one pass.  Scans stop at the
-first block that settles the answer.
+``evaluate``, ``classify``, ``falsifying_valuation``, ``equivalent`` and
+``truth_table`` share one engine that holds truth tables as bit strings
+(Knuth, TAOCP Vol. 4A, 7.1.1-7.1.2): a formula is compiled once into a
+postorder program, and each run of the program applies ``^ & |`` to big
+integers whose bit ``r`` is the value at canonical row ``r``, deciding a
+block of up to 2^12 rows in one pass (``evaluate``: one row).  Scans stop
+at the first block that settles the answer.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
+
+from ._record import Node, Record, _setattr
 
 #: Hard ceiling on distinct atoms per classification query.  2^24 rows is
 #: 4096 blocks of the bit-parallel scan (about 0.1 s for a 24-atom chain
@@ -46,21 +47,34 @@ class TooManyAtoms(ValueError):
         self.limit = limit
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """A named proposition letter: an uppercase letter then letters/digits."""
+class Atom(Record):
+    """A named proposition letter: an uppercase letter then letters/digits.
+    Atoms order by name."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not _ATOM_NAME.match(self.name):
+    def __init__(self, name: str):
+        if not _ATOM_NAME.match(name):
             raise ValueError(
-                f"invalid atom name {self.name!r}: must start with an uppercase "
+                f"invalid atom name {name!r}: must start with an uppercase "
                 "letter followed by letters or digits"
             )
+        _setattr(self, "name", name)
+
+    def __lt__(self, other: Atom) -> bool:
+        return self.name < other.name if type(other) is Atom else NotImplemented
+
+    def __le__(self, other: Atom) -> bool:
+        return self.name <= other.name if type(other) is Atom else NotImplemented
+
+    def __gt__(self, other: Atom) -> bool:
+        return self.name > other.name if type(other) is Atom else NotImplemented
+
+    def __ge__(self, other: Atom) -> bool:
+        return self.name >= other.name if type(other) is Atom else NotImplemented
 
 
-class Formula:
+class Formula(Node):
     """Base class for formula nodes; construction sugar lives here.
 
     ``~f`` negates, ``f & g`` conjoins, ``f | g`` disjoins, ``f >> g`` builds
@@ -85,38 +99,42 @@ class Formula:
         return Iff(self, other)
 
 
-@dataclass(frozen=True)
 class Atomic(Formula):
-    atom: Atom
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: Atom):
+        _setattr(self, "atom", atom)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    inner: Formula
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Formula):
+        _setattr(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 def prop(name: str) -> Atomic:
@@ -136,43 +154,22 @@ class Classification(Enum):
     CONTINGENT = "contingent"
 
 
-@dataclass(frozen=True)
-class TableRow:
-    valuation: dict[str, bool]
-    value: bool
+class TableRow(Record):
+    __slots__ = ("valuation", "value")
+
+    def __init__(self, valuation: dict[str, bool], value: bool):
+        _setattr(self, "valuation", valuation)
+        _setattr(self, "value", value)
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Record):
     """All 2^n valuations of a formula, first atom varying slowest, V before F."""
 
-    atoms: tuple[Atom, ...]
-    rows: tuple[TableRow, ...]
+    __slots__ = ("atoms", "rows")
 
-
-def evaluate(formula: Formula, valuation: Valuation) -> bool:
-    """Compute the truth value of ``formula`` under ``valuation``.
-
-    Raises ``MissingAtom`` if the valuation lacks an atom of the formula.
-    """
-    match formula:
-        case Atomic(atom):
-            try:
-                return valuation[atom.name]
-            except KeyError:
-                raise MissingAtom(atom.name) from None
-        case Not(inner):
-            return not evaluate(inner, valuation)
-        case Or(left, right):
-            return evaluate(left, valuation) or evaluate(right, valuation)
-        case And(left, right):
-            return evaluate(left, valuation) and evaluate(right, valuation)
-        case Implies(left, right):
-            # False exactly when the antecedent holds and the consequent fails.
-            return (not evaluate(left, valuation)) or evaluate(right, valuation)
-        case Iff(left, right):
-            return evaluate(left, valuation) == evaluate(right, valuation)
-    raise TypeError(f"not a formula: {formula!r}")
+    def __init__(self, atoms: tuple[Atom, ...], rows: tuple[TableRow, ...]):
+        _setattr(self, "atoms", atoms)
+        _setattr(self, "rows", rows)
 
 
 # A compiled program is a postorder list of ints: an entry ``i >= 0`` pushes
@@ -248,6 +245,22 @@ def _run(program: list[int], vectors: list[int], full: int) -> int:
     return stack[0]
 
 
+def evaluate(formula: Formula, valuation: Valuation) -> bool:
+    """Compute the truth value of ``formula`` under ``valuation``: its
+    compiled program run on one row, each atom a 1-bit vector.
+
+    Raises ``MissingAtom`` if the valuation lacks an atom of the formula.
+    """
+    program, found = _compile(formula)
+    vectors = []
+    for atom in found:
+        try:
+            vectors.append(1 if valuation[atom.name] else 0)
+        except KeyError:
+            raise MissingAtom(atom.name) from None
+    return _run(program, vectors, 1) == 1
+
+
 def _scan(
     formula: Formula, over: Sequence[Atom] | None = None
 ) -> tuple[tuple[Atom, ...], int, Iterator[int]]:
@@ -315,10 +328,10 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     suffixes = [_row_bits(row, half) for row in range(1 << half)]
     bits = (prefix + suffix for prefix in prefixes for suffix in suffixes)
     rows = tuple(
-        TableRow(valuation=dict(zip(names, row)), value=value == "1")
+        TableRow(dict(zip(names, row)), value == "1")
         for row, value in zip(bits, values)
     )
-    return TruthTable(atoms=columns, rows=rows)
+    return TruthTable(columns, rows)
 
 
 def _false_row(full: int, block: int, vector: int) -> int:

@@ -9,10 +9,10 @@ tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from collections.abc import Mapping, Sequence
 
+from ._record import Record, _setattr
 from .logic import (
     And,
     Atom,
@@ -35,29 +35,35 @@ class UnknownRule(LookupError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class RuleSchema:
-    name: str
-    metavariables: tuple[Atom, ...]
-    pattern: Formula
+class RuleSchema(Record):
+    __slots__ = ("name", "metavariables", "pattern")
+
+    def __init__(self, name: str, metavariables: tuple[Atom, ...], pattern: Formula):
+        _setattr(self, "name", name)
+        _setattr(self, "metavariables", metavariables)
+        _setattr(self, "pattern", pattern)
 
 
-@dataclass(frozen=True)
-class Entailment:
+class Entailment(Record):
     """Premises and a conclusion; empty premises ask whether the conclusion
     is a tautology outright."""
 
-    premises: tuple[Formula, ...]
-    conclusion: Formula
+    __slots__ = ("premises", "conclusion")
+
+    def __init__(self, premises: tuple[Formula, ...], conclusion: Formula):
+        _setattr(self, "premises", premises)
+        _setattr(self, "conclusion", conclusion)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Either valid, or invalid with one countervaluation (canonical row
     order) making every premise true and the conclusion false."""
 
-    valid: bool
-    countervaluation: dict[str, bool] | None = None
+    __slots__ = ("valid", "countervaluation")
+
+    def __init__(self, valid: bool, countervaluation: dict[str, bool] | None = None):
+        _setattr(self, "valid", valid)
+        _setattr(self, "countervaluation", countervaluation)
 
     def __bool__(self) -> bool:
         return self.valid

@@ -1,9 +1,11 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library code paths they are checking:
-propositional answers come from one ``evaluate`` call per canonical row,
-entailment is scanned premise-by-premise without building the implication
-formula, syllogism validity is decided by evaluating the three forms on
+propositional answers come from one call per canonical row of
+``reference_evaluate`` (the recursive walk that ``evaluate`` replaced),
+monadic ones from the recursive ``reference_eval_monadic``, record reprs
+and equality from frozen dataclass twins, entailment is scanned
+premise-by-premise without building the implication formula, syllogism validity is decided by evaluating the three forms on
 each canonical model or by naive enumeration of every model up to a
 universe size, jug reachability is a plain breadth-first closure over
 running totals, and plans are replayed one action at a time.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from collections.abc import Sequence
+from dataclasses import make_dataclass
 from random import Random
 
 import hypothesis.strategies as st
@@ -35,6 +38,7 @@ from deduce.categorical import (
     canonical_models,
     eval_categorical,
 )
+from deduce._record import Record
 from deduce.jugs import Action, AddJug, PlanViolation, RemoveJug, ViolationKind
 from deduce.logic import (
     And,
@@ -44,8 +48,8 @@ from deduce.logic import (
     Iff,
     Implies,
     Not,
+    MissingAtom,
     Or,
-    evaluate,
     prop,
 )
 
@@ -80,7 +84,31 @@ def formula_strategy(names=("P", "Q", "R", "S", "T"), max_leaves=12):
     )
 
 
-# --- Propositional reference: one evaluate call per canonical row -----------
+# --- Propositional reference: one recursive walk per canonical row ----------
+
+
+def reference_evaluate(formula: Formula, valuation) -> bool:
+    """``logic.evaluate`` by one recursive call per node, short-circuiting
+    ``or`` and ``and``."""
+    match formula:
+        case Atomic(atom):
+            try:
+                return valuation[atom.name]
+            except KeyError:
+                raise MissingAtom(atom.name) from None
+        case Not(inner):
+            return not reference_evaluate(inner, valuation)
+        case Or(left, right):
+            return reference_evaluate(left, valuation) or reference_evaluate(right, valuation)
+        case And(left, right):
+            return reference_evaluate(left, valuation) and reference_evaluate(right, valuation)
+        case Implies(left, right):
+            return (not reference_evaluate(left, valuation)) or reference_evaluate(
+                right, valuation
+            )
+        case Iff(left, right):
+            return reference_evaluate(left, valuation) == reference_evaluate(right, valuation)
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 def atom_names(formula: Formula) -> list[str]:
@@ -99,7 +127,7 @@ def canonical_valuations(names):
 
 
 def reference_table(formula: Formula, names) -> list[tuple[dict[str, bool], bool]]:
-    return [(v, evaluate(formula, v)) for v in canonical_valuations(names)]
+    return [(v, reference_evaluate(formula, v)) for v in canonical_valuations(names)]
 
 
 def reference_classify(formula: Formula) -> Classification:
@@ -113,14 +141,17 @@ def reference_classify(formula: Formula) -> Classification:
 
 def reference_falsifying(formula: Formula) -> dict[str, bool] | None:
     for valuation in canonical_valuations(atom_names(formula)):
-        if not evaluate(formula, valuation):
+        if not reference_evaluate(formula, valuation):
             return valuation
     return None
 
 
 def reference_equivalent(f: Formula, g: Formula) -> bool:
     names = sorted(set(atom_names(f)) | set(atom_names(g)))
-    return all(evaluate(f, v) == evaluate(g, v) for v in canonical_valuations(names))
+    return all(
+        reference_evaluate(f, v) == reference_evaluate(g, v)
+        for v in canonical_valuations(names)
+    )
 
 
 # --- Entailment oracle: direct scan, no implication formula ------------------
@@ -132,9 +163,9 @@ def scan_entails(premises, conclusion) -> tuple[bool, dict[str, bool] | None]:
     for premise in premises:
         joint.update(atom_names(premise))
     for valuation in canonical_valuations(sorted(joint)):
-        if all(evaluate(premise, valuation) for premise in premises) and not evaluate(
-            conclusion, valuation
-        ):
+        if all(
+            reference_evaluate(premise, valuation) for premise in premises
+        ) and not reference_evaluate(conclusion, valuation):
             return False, valuation
     return True, None
 
@@ -167,6 +198,37 @@ def _random_monadic_body(rng, depth, preds, scope) -> MonadicFormula:
     var = rng.choice(_VARS)
     quantifier = ForAll if choice == 4 else Exists
     return quantifier(var, _random_monadic_body(rng, depth - 1, preds, scope + [var]))
+
+
+def reference_eval_monadic(formula: MonadicFormula, model: FiniteModel) -> bool:
+    """``categorical.eval_monadic`` on a closed formula, by one recursive
+    call per node and element, short-circuiting like ``all`` and ``any``."""
+
+    def go(f: MonadicFormula, env: dict[str, int]) -> bool:
+        match f:
+            case PredApp(pred, var):
+                return env[var] in model.extension(pred)
+            case MNot(inner):
+                return not go(inner, env)
+            case MAnd(a, b):
+                return go(a, env) and go(b, env)
+            case MOr(a, b):
+                return go(a, env) or go(b, env)
+            case MImplies(a, b):
+                return (not go(a, env)) or go(b, env)
+            case ForAll(var, body):
+                return all(
+                    go(body, env | {var: element})
+                    for element in range(model.universe_size)
+                )
+            case Exists(var, body):
+                return any(
+                    go(body, env | {var: element})
+                    for element in range(model.universe_size)
+                )
+        raise TypeError(f"not a monadic formula: {f!r}")
+
+    return go(formula, {})
 
 
 def is_nnf(formula: MonadicFormula) -> bool:
@@ -302,3 +364,24 @@ def reference_simulate(actions: Sequence[Action], n: int, m: int) -> int:
         else:
             raise TypeError(f"not a plan action: {action!r}")
     return total
+
+
+# --- Record reference: frozen dataclasses of the same names and fields -------
+
+_TWINS: dict[type, type] = {}
+
+
+def dataclass_twin(record: Record):
+    """``record`` rebuilt, recursively, from frozen dataclasses with the same
+    class names and fields, whose generated ``repr`` and ``==`` the
+    hand-written ones must match.  For trees within the recursion limit."""
+    kind = type(record)
+    twin = _TWINS.get(kind)
+    if twin is None:
+        twin = _TWINS[kind] = make_dataclass(kind.__qualname__, kind.__match_args__, frozen=True)
+    return twin(
+        *(
+            dataclass_twin(value) if isinstance(value, Record) else value
+            for value in record._values()
+        )
+    )

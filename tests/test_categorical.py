@@ -41,6 +41,7 @@ from helpers import (
     naive_valid_syllogism,
     random_monadic,
     random_mood,
+    reference_eval_monadic,
     reference_valid_syllogism,
 )
 
@@ -287,6 +288,26 @@ class TestMonadicEval:
     def test_open_formula_is_rejected(self):
         with pytest.raises(ValueError):
             eval_monadic(PredApp("P", "x"), model(1, P={0}))
+
+    @given(st.integers(0, 2**32))
+    def test_agrees_with_the_recursive_walk(self, seed):
+        formula = random_monadic(Random(seed))
+        for m in all_models(("P", "Q", "R"), 2):
+            assert eval_monadic(formula, m) is reference_eval_monadic(formula, m)
+
+    @given(st.integers(0, 2**32))
+    def test_stops_where_the_recursive_walk_stops(self, seed):
+        # Short-circuits decide whether a missing predicate is ever read.
+        formula = random_monadic(Random(seed))
+        for m in all_models(("P", "Q"), 2):
+            try:
+                expected = reference_eval_monadic(formula, m)
+            except UnknownPredicate as missing:
+                with pytest.raises(UnknownPredicate) as excinfo:
+                    eval_monadic(formula, m)
+                assert excinfo.value.name == missing.name
+            else:
+                assert eval_monadic(formula, m) is expected
 
     def test_shadowing_rebinds_the_inner_variable(self):
         formula = Exists(

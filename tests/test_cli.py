@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -354,6 +355,19 @@ class TestJugs:
         assert envelope["status"] == "invalid"
         assert envelope["counterexample"] == {"gcd": 3}
         assert envelope["result"]["achievable"] is False
+
+    def test_plan_text_builds_no_listing(self, capsys):
+        # A JSON listing of these 10^7 actions would take some 168 MB.
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "jugs", "plan", "--n", "1", "--m", "1", "--target", "10000000"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, "add 1 ×10000000\n", "")
+        assert peak < 5 << 20
 
     def test_plan_json_lists_actions(self, capsys):
         code, envelope, _ = run_json(
@@ -714,6 +728,8 @@ deduce.cli.main(sys.argv[1:])
 print(repr(sorted(set(sys.modules) - before)))
 """
 _LAZY = {"deduce.categorical", "deduce.jugs", "deduce.rules", "json"}
+# Importing ``dataclasses`` would cost every command some 8 ms.
+_NEVER = {"dataclasses", "inspect"}
 
 
 def _child_env() -> dict[str, str]:
@@ -740,6 +756,7 @@ _IMPORT_CASES = [
     (["table", "P y Q"], set()),
     (["equiv", "P", "~~P"], set()),
     (["jugs", "gcd", "--n", "3", "--m", "6"], {"deduce.jugs"}),
+    (["jugs", "bezout", "--n", "3", "--m", "11"], {"deduce.jugs"}),
     (["jugs", "amounts", "--n", "3", "--m", "6", "--limit", "12"], {"deduce.jugs"}),
     (["jugs", "plan", "--n", "3", "--m", "11", "--target", "1"], {"deduce.jugs"}),
     (["syllogism", "check", "darapti"], {"deduce.categorical"}),
@@ -760,6 +777,29 @@ def test_a_command_imports_only_the_modules_it_runs(argv, needed):
     loaded = _modules_loaded(*argv)
     assert {"deduce.cli", "deduce.logic", "deduce.parser"} <= loaded
     assert loaded & _LAZY == needed
+    assert not loaded & _NEVER
+
+
+_BARE_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import deduce
+print(repr(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    done = subprocess.run(
+        [sys.executable, "-c", _BARE_IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    assert "deduce.logic" in loaded
+    assert not loaded & _NEVER
 
 
 _CLOSED_STDOUT_CASES = [

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -375,3 +376,41 @@ class TestValidation:
         with pytest.raises(ValueError) as excinfo:
             call(-(10**50))
         assert str(excinfo.value).endswith(f"got -1{'0' * 38}... (51 digits)")
+
+    def test_bound_messages_count_digits_exactly(self):
+        # Around each power of ten and of two, where a digit count estimated
+        # from the bit length could be off by one.
+        values = [10**d + delta for d in range(10, 400) for delta in (-1, 0, 1)]
+        values += [2**k + delta for k in range(30, 1400) for delta in (-1, 0)]
+        for value in values:
+            with pytest.raises(ValueError) as excinfo:
+                JugProblem(3, 5, value)
+            shown = str(value)
+            if len(shown) > 40:
+                shown = f"{shown[:40]}... ({len(shown)} digits)"
+            assert str(excinfo.value) == f"target must be between 1 and {MAX_TARGET}, got {shown}"
+
+    @pytest.mark.parametrize(
+        "call,name,value,digits",
+        [
+            (lambda value: JugProblem(value, 1, 1), "n", 10**5000, 5001),
+            (lambda value: gcd(value, 1), "n", 10**5000, 5001),
+            (lambda value: gcd(3, value), "m", -(10**5000), 5001),
+            (lambda value: JugProblem(3, 5, value), "target", 10**4300 - 1, 4300),
+            (lambda value: achievable_amounts(3, 5, value), "limit", 10**4300, 4301),
+        ],
+        ids=["problem", "gcd", "negative", "at-the-limit", "past-the-limit"],
+    )
+    def test_bound_messages_past_the_int_to_text_limit(self, call, name, value, digits):
+        with pytest.raises(ValueError) as excinfo:
+            call(value)
+        message = str(excinfo.value)
+        assert message.startswith(f"{name} must be between ")
+        # Python 3.11+ refuses to convert more digits than this to text; a
+        # value past it is quoted by its digit count alone.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < digits:
+            sign = "a negative" if value < 0 else "an"
+            assert message.endswith(f", got {sign} integer of {digits} digits")
+        else:
+            assert message.endswith(f"... ({digits} digits)")

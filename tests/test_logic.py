@@ -28,7 +28,12 @@ from deduce.logic import (
     truth_table,
 )
 from deduce.parser import format_formula, parse
-from helpers import formula_strategy, random_formula
+from helpers import (
+    canonical_valuations,
+    formula_strategy,
+    random_formula,
+    reference_evaluate,
+)
 
 P, Q, R = prop("P"), prop("Q"), prop("R")
 
@@ -62,6 +67,17 @@ class TestEvaluate:
         with pytest.raises(MissingAtom) as excinfo:
             evaluate(And(P, Q), {"P": True})
         assert excinfo.value.name == "Q"
+
+    def test_missing_atom_whatever_the_other_operand_reads(self):
+        # ``P | Q`` is true once P is, but Q is still an atom of the formula.
+        with pytest.raises(MissingAtom) as excinfo:
+            evaluate(Or(P, Q), {"P": True})
+        assert excinfo.value.name == "Q"
+
+    @given(formula_strategy())
+    def test_agrees_with_the_recursive_walk(self, formula):
+        for valuation in canonical_valuations(("P", "Q", "R", "S", "T")):
+            assert evaluate(formula, valuation) is reference_evaluate(formula, valuation)
 
     # The five connective tables, row by row.
     @pytest.mark.parametrize(
@@ -275,8 +291,7 @@ class TestSubstitute:
         ids=["negations", "conjunctions", "conditionals"],
     )
     def test_depth_is_bounded_only_by_memory(self, text, image, expected):
-        # At the default recursion limit.  Compared as text: the generated
-        # ``__eq__`` of a formula node still recurses.
+        # At the default recursion limit.
         assert format_formula(substitute(parse(text), {"P": image})) == expected
 
 
