@@ -157,10 +157,27 @@ class PourPlan(Record):
 
     @property
     def actions(self) -> tuple[Action, ...]:
-        return tuple(chain.from_iterable(repeat(*run) for run in self.runs))
+        return tuple(_Expansion(self.runs))
 
     def __len__(self) -> int:
         return sum(count for _, count in self.runs)
+
+
+class _Expansion:
+    """The actions of some runs, iterable and sized: ``tuple()`` of it
+    allocates its result once, at its exact length, where an unsized
+    iterator would grow it by a chain of reallocations."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[tuple[Action, int], ...]):
+        self.runs = runs
+
+    def __len__(self) -> int:
+        return sum(count for _, count in self.runs)
+
+    def __iter__(self):
+        return chain.from_iterable(repeat(*run) for run in self.runs)
 
 
 class Strategy(Enum):

@@ -266,6 +266,19 @@ class TestPlan:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_actions_are_allocated_once_at_their_length(self):
+        # A tuple grown from an unsized iterator passes through a chain of
+        # reallocations, which overshoots the final 8 bytes per action.
+        pour_plan = PourPlan._of_runs((AddJug(3), 600_000), (RemoveJug(5), 400_000))
+        tracemalloc.start()
+        try:
+            actions = pour_plan.actions
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert actions == (AddJug(3),) * 600_000 + (RemoveJug(5),) * 400_000
+        assert peak < 8 * len(actions) + 4096
+
     def test_certificate_handles_large_targets(self):
         problem = JugProblem(999_983, 999_979, 999_983 + 999_979)
         pour_plan = plan(problem, Strategy.CERTIFICATE)
