@@ -11,7 +11,8 @@ depth is bounded only by memory.
 
 ``Node`` is the base of formula trees: it computes its hash on the first
 ``hash()``, bottom-up with an explicit stack, and keeps it in its ``_hash``
-slot, so construction does not pay for it.
+slot, so construction does not pay for it.  A node is immutable, so any
+copy of it, shallow or deep, is the node itself; only ``pickle`` recurses.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ class Node(Record):
     """A record whose fields may hold further nodes: a formula tree."""
 
     __slots__ = ("_hash",)
+
+    def __copy__(self) -> Node:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> Node:
+        return self
 
     def __hash__(self) -> int:
         try:

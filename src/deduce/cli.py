@@ -15,6 +15,7 @@ import os
 import sys
 from collections.abc import Sequence
 from itertools import repeat
+from operator import getitem
 from typing import TYPE_CHECKING
 
 # ``categorical``, ``jugs``, ``rules`` and ``json`` are imported by the
@@ -98,25 +99,22 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
         )
     table = logic.truth_table(formula)
     names = [atom.name for atom in table.atoms]
-    headers = names + [format_formula(formula, Style.SPANISH)]
-    grid = [headers]
-    for row in table.rows:
-        cells = [format_truth_value(row.valuation[name]) for name in names]
-        cells.append(format_truth_value(row.value))
-        grid.append(cells)
-    widths = [max(len(line[col]) for line in grid) for col in range(len(headers))]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
-        for line in grid
+    result = {"formula": format_formula(formula), "atoms": names}
+    # Only JSON lists the rows; text prints them.
+    if args.format == "json":
+        result["rows"] = [
+            {"valuation": row.valuation, "value": row.value} for row in table.rows
+        ]
+        return Outcome("table", EXIT_OK, result)
+    # Every body cell is one letter, so each column is as wide as its header.
+    # A column's two padded cells are (F, V), indexed by a row's value; each
+    # valuation holds the columns in table order.
+    cells = [("F".ljust(len(name)) + "  ", "V".ljust(len(name)) + "  ") for name in names]
+    lines = ["  ".join(names + [format_formula(formula, Style.SPANISH)])]
+    lines += [
+        "".join(map(getitem, cells, row.valuation.values())) + format_truth_value(row.value)
+        for row in table.rows
     ]
-    result = {
-        "formula": format_formula(formula),
-        "atoms": names,
-        "rows": [
-            {"valuation": dict(row.valuation), "value": row.value}
-            for row in table.rows
-        ],
-    }
     return Outcome("table", EXIT_OK, result, text_lines=lines)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
+from itertools import product
 
 from ._record import Node, Record, _setattr
 
@@ -303,12 +304,6 @@ def _scan(
     return columns, full, blocks()
 
 
-def _row_bits(row: int, count: int) -> tuple[bool, ...]:
-    """The values of ``count`` columns at canonical ``row``: column ``i`` is
-    true where bit ``count - 1 - i`` of the row number is 0."""
-    return tuple(not row >> s & 1 for s in range(count - 1, -1, -1))
-
-
 def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTable:
     """Build the canonical truth table of ``formula``.
 
@@ -320,16 +315,10 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     width = full.bit_length()
     values = "".join(format(vector, f"0{width}b")[::-1] for vector in vectors)
     names = [atom.name for atom in columns]
-    # A row's bits are a prefix over the first columns and a suffix over the
-    # last ``half``: two tables of about 2^(n/2) tuples stand in for one of 2^n.
-    half = len(names) // 2
-    rest = len(names) - half
-    prefixes = [_row_bits(row, rest) for row in range(1 << rest)]
-    suffixes = [_row_bits(row, half) for row in range(1 << half)]
-    bits = (prefix + suffix for prefix in prefixes for suffix in suffixes)
+    # ``product`` yields the canonical order: first column slowest, V before F.
     rows = tuple(
-        TableRow(dict(zip(names, row)), value == "1")
-        for row, value in zip(bits, values)
+        TableRow(dict(zip(names, bits)), value == "1")
+        for bits, value in zip(product((True, False), repeat=len(names)), values)
     )
     return TruthTable(columns, rows)
 
@@ -341,7 +330,10 @@ def _false_row(full: int, block: int, vector: int) -> int:
 
 
 def _valuation(columns: tuple[Atom, ...], row: int) -> dict[str, bool]:
-    return dict(zip((atom.name for atom in columns), _row_bits(row, len(columns))))
+    """The values of ``columns`` at canonical ``row``: column ``i`` of ``n``
+    is true where bit ``n - 1 - i`` of the row number is 0."""
+    last = len(columns) - 1
+    return {atom.name: not row >> (last - i) & 1 for i, atom in enumerate(columns)}
 
 
 def _first_false_row(
@@ -389,8 +381,7 @@ def falsifying_valuation(formula: Formula) -> dict[str, bool] | None:
 
 def equivalent(f: Formula, g: Formula) -> bool:
     """Whether ``f`` and ``g`` are equivalent: their biconditional is a tautology."""
-    _, full, vectors = _scan(Iff(f, g))
-    return all(vector == full for vector in vectors)
+    return _first_false_row(Iff(f, g))[1] is None
 
 
 def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library code paths they are checking:
 propositional answers come from one call per canonical row of
 ``reference_evaluate`` (the recursive walk that ``evaluate`` replaced),
-monadic ones from the recursive ``reference_eval_monadic``, record reprs
+monadic ones from the recursive ``reference_eval_monadic``, the text of a
+truth table from a grid whose columns are measured cell by cell, record reprs
 and equality from frozen dataclass twins, entailment is scanned
 premise-by-premise without building the implication formula, syllogism validity is decided by evaluating the three forms on
 each canonical model or by naive enumeration of every model up to a
@@ -52,6 +53,7 @@ from deduce.logic import (
     Or,
     prop,
 )
+from deduce.parser import Style, format_formula
 
 # --- Random propositional formulas ------------------------------------------
 
@@ -128,6 +130,21 @@ def canonical_valuations(names):
 
 def reference_table(formula: Formula, names) -> list[tuple[dict[str, bool], bool]]:
     return [(v, reference_evaluate(formula, v)) for v in canonical_valuations(names)]
+
+
+def reference_table_lines(formula: Formula) -> list[str]:
+    """The text of ``deduce table``, laid out as a grid: every column as
+    wide as its widest cell, cells left-justified, two spaces between
+    columns, trailing blanks stripped."""
+    names = atom_names(formula)
+    grid = [names + [format_formula(formula, Style.SPANISH)]]
+    for valuation, value in reference_table(formula, names):
+        grid.append(["V" if valuation[name] else "F" for name in names] + ["V" if value else "F"])
+    widths = [max(len(line[col]) for line in grid) for col in range(len(grid[0]))]
+    return [
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
+        for line in grid
+    ]
 
 
 def reference_classify(formula: Formula) -> Classification:

@@ -16,6 +16,14 @@ from hypothesis import given, settings
 import deduce
 from deduce import categorical, jugs, logic, rules
 from deduce.cli import TABLE_MAX_ATOMS, build_parser, main
+from deduce.logic import MAX_ATOMS, Atom, prop
+from deduce.parser import Style, format_formula
+from helpers import (
+    atom_names,
+    formula_strategy,
+    reference_table,
+    reference_table_lines,
+)
 
 EXPECTED_TABLE = """\
 P  Q  P y Q
@@ -73,6 +81,27 @@ class TestClassify:
         assert envelope["counterexample"] == {"P": True, "Q": False}
 
 
+# Atom names one to six characters long, so that the atom columns are as
+# wide as their cells or wider, and the formula's header ranges from one
+# letter (a bare atom) to many times a cell's width.
+_TABLE_NAMES = ("P", "Q", "Llueve", "X12", "Sol", "Nieva", "Z", "R2", "Hace", "T")
+_BINARIES = (logic.Or, logic.And, logic.Implies, logic.Iff)
+
+
+@st.composite
+def _table_cases(draw):
+    """A formula over exactly 1-8 atoms, a style to write it in, and a
+    wider column order for ``truth_table(..., over=...)``."""
+    names = draw(st.lists(st.sampled_from(_TABLE_NAMES), min_size=1, max_size=8, unique=True))
+    formula = draw(formula_strategy(names, max_leaves=10))
+    for name in names:
+        if name not in atom_names(formula):
+            formula = draw(st.sampled_from(_BINARIES))(formula, prop(name))
+    extra = [name for name in _TABLE_NAMES if name not in names][:2]
+    over = draw(st.permutations(names + extra))
+    return formula, draw(st.sampled_from(list(Style))), over
+
+
 class TestTable:
     def test_conjunction_matches_the_classic_layout(self, capsys):
         code, out, _ = run(capsys, "table", "P y Q")
@@ -96,8 +125,65 @@ class TestTable:
         code, out, err = run(capsys, "table", wide)
         assert code == 2
         assert out == ""
-        assert f"table of {TABLE_MAX_ATOMS + 1} atoms" in err
-        assert f"limit is {TABLE_MAX_ATOMS} atoms" in err
+        assert TABLE_MAX_ATOMS == 16
+        assert err == (
+            "error: table of 17 atoms has 131072 rows; "
+            "the limit is 16 atoms (65536 rows)\n"
+        )
+
+    def test_the_widest_table_prints_every_row(self, capsys):
+        names = [f"A{i}" for i in range(TABLE_MAX_ATOMS)]
+        widest = " ó ".join(names)
+        code, out, _ = run(capsys, "table", widest)
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == (1 << TABLE_MAX_ATOMS) + 1 == 65_537
+        # Columns are alphabetical: A0, A1, A10, ..., A15, A2, ..., A9.
+        assert lines[0] == "  ".join(sorted(names)) + "  " + widest
+        assert lines[1] == "  ".join(["V "] * 2 + ["V  "] * 6 + ["V "] * 8 + ["V"])
+        assert lines[-1] == "  ".join(["F "] * 2 + ["F  "] * 6 + ["F "] * 8 + ["F"])
+
+    @given(_table_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_output_matches_the_grid_layout(self, case):
+        formula, style, over = case
+        text = format_formula(formula, style)
+        names = atom_names(formula)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["table", text]) == 0
+        assert out.getvalue() == "\n".join(reference_table_lines(formula)) + "\n"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["table", text, "--format", "json"]) == 0
+        result = json.loads(out.getvalue())["result"]
+        assert result["atoms"] == names
+        rows = [(row["valuation"], row["value"]) for row in result["rows"]]
+        assert rows == reference_table(formula, names)
+        # ``over`` adds columns the formula does not use, in any order.
+        table = logic.truth_table(formula, over=[Atom(name) for name in over])
+        assert [atom.name for atom in table.atoms] == over
+        assert [(row.valuation, row.value) for row in table.rows] == reference_table(
+            formula, over
+        )
+
+
+_TOO_WIDE = " ó ".join(f"A{i}" for i in range(MAX_ATOMS + 1))
+_OVER_THE_ATOM_LIMIT = [
+    ["classify", _TOO_WIDE],
+    ["equiv", _TOO_WIDE, "A0"],
+    ["entail", "--premise", _TOO_WIDE, "--conclusion", "A0"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _OVER_THE_ATOM_LIMIT, ids=[argv[0] for argv in _OVER_THE_ATOM_LIMIT]
+)
+def test_a_refusal_over_the_atom_limit_names_the_limit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert MAX_ATOMS == 24
+    assert "has 25 atoms; the limit is 24" in err
 
 
 class TestEquiv:

@@ -286,6 +286,8 @@ def test_formula_operations_at_depth(build, text, with_q):
     assert evaluate(formula, {"P": True}) is True
     # ``with_q``: the value when the innermost P becomes a false Q.
     assert evaluate(other, {"P": True, "Q": False}) is with_q
+    # A node is immutable, so its copies are the node, also inside a container.
+    assert copy.copy(formula) is formula and copy.deepcopy([formula])[0] is formula
 
 
 @_fails_fast_on_recursion
@@ -300,6 +302,8 @@ def test_monadic_operations_at_depth():
     assert foralls == twin and hash(foralls) == hash(twin)
     assert prefix != ForAll("x", MNot(negations))
     assert repr(foralls) == "ForAll(var='x', body=" * DEPTH + "PredApp(pred='P', var='x')" + ")" * DEPTH
+    for node in (foralls, negations):
+        assert copy.copy(node) is node and copy.deepcopy([node])[0] is node
     for size, members in [(0, set()), (1, {0}), (1, set()), (3, {0, 2})]:
         model = FiniteModel(size, {"P": members})
         assert eval_monadic(foralls, model) is (members == set(range(size)))
