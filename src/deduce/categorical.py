@@ -5,34 +5,25 @@ predicate names (all/no/some/some-not).  Syllogism validity is decided over
 canonical finite models: three predicates split any universe into at most
 eight regions, and duplicating elements inside a region never changes a
 categorical form's truth value, so the 256 models with at most one element
-per region are enough.  Each region is a propositional atom that says the
-region is empty (Venn's region method), so every form is a conjunction or
-disjunction of region atoms, and the 256 models are the rows of one
-8-column block of the propositional engine.  One scan of ``premises ->
-conclusion`` decides the syllogism; its first false row is the first
-counter-model of the canonical enumeration.  The same module carries a
-small monadic quantifier language with negation rewriting into negation
-normal form.
+per region are enough.  A set of these models is a 256-bit int, bit ``m``
+for the model whose inhabited regions are the set bits of ``m`` (Venn's
+region method, with truth tables as bit vectors): a particular form holds
+in the models that inhabit one of its regions, a universal in the rest.
+``major & minor & ~conclusion`` holds the counter-models, and its lowest
+bit is the first counter-model of the canonical enumeration.  The same
+module carries a small monadic quantifier language with negation rewriting
+into negation normal form.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from enum import Enum
 from functools import reduce
+from operator import and_, or_
 
 from ._record import Node, Record, _setattr
-from .logic import (
-    _ATOM_NAME,
-    And,
-    Atom,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    _first_false_row,
-    prop,
-)
+from .logic import _ATOM_NAME
 from .parser import Style, _format, _Grammar, _parse
 
 
@@ -251,60 +242,64 @@ def canonical_models(
             yield model
 
 
-# Atom ``E{7-r}`` says that region ``r`` is empty.  Over the eight atoms in
-# alphabetical order, engine row ``m`` leaves region ``r`` inhabited exactly
-# when bit ``r`` of ``m`` is set: row ``m`` is ``_model_of(names, m)``.
-_REGIONS = tuple(Atom(f"E{i}") for i in range(8))
-_EMPTY = tuple(prop(f"E{7 - r}") for r in range(8))
-_INHABITED = tuple(Not(empty) for empty in _EMPTY)
-# The engine has no constants; a form whose subject is its predicate has no
-# regions and stands for one of these.
-_TRUE = Implies(_EMPTY[0], _EMPTY[0])
-_FALSE = Not(_TRUE)
-# Existential import: each of the three terms has an inhabited region.
-_IMPORT = reduce(
-    And,
-    (reduce(Or, (_INHABITED[r] for r in range(8) if r >> bit & 1)) for bit in range(3)),
+# A model set is an int whose bit ``m`` stands for the canonical model
+# ``_model_of(names, m)``.  ``_INHABITED[r]`` holds the models that inhabit
+# region ``r``: the ``m`` with bit ``r`` set, a period of ``2 << r`` bits.
+_ALL = (1 << 256) - 1
+_INHABITED = tuple(
+    _ALL // ((1 << (2 << r)) - 1) * (((1 << (1 << r)) - 1) << (1 << r))
+    for r in range(8)
 )
 
 
-def _form_formula(form: CategoricalForm, names: tuple[str, ...]) -> Formula:
-    """``form`` over the region atoms: a universal says its regions are all
-    empty, a particular that one of them is inhabited.  The regions are the
+def _union(regions: Iterable[int]) -> int:
+    """The models that inhabit at least one of ``regions``."""
+    return reduce(or_, (_INHABITED[r] for r in regions), 0)
+
+
+# Existential import: each of the three terms has an inhabited region.
+_IMPORT = reduce(
+    and_, (_union(r for r in range(8) if r >> bit & 1) for bit in range(3))
+)
+
+
+def _form_models(form: CategoricalForm, names: tuple[str, ...]) -> int:
+    """The canonical models of ``form``: a particular holds where one of its
+    regions is inhabited, a universal where none is.  The regions are the
     subject's that lie inside the predicate (no, some) or outside it (all,
     some-not)."""
     subject = names.index(form.subject)
     predicate = names.index(form.predicate)
     inside = form.kind in (FormKind.UNIVERSAL_NEGATIVE, FormKind.PARTICULAR_AFFIRMATIVE)
-    regions = [
+    models = _union(
         r for r in range(8) if r >> subject & 1 and bool(r >> predicate & 1) is inside
-    ]
+    )
     if form.kind in (FormKind.UNIVERSAL_AFFIRMATIVE, FormKind.UNIVERSAL_NEGATIVE):
-        return reduce(And, (_EMPTY[r] for r in regions)) if regions else _TRUE
-    return reduce(Or, (_INHABITED[r] for r in regions)) if regions else _FALSE
+        return _ALL ^ models
+    return models
 
 
 def valid_syllogism(syllogism: Syllogism, existential_import: bool = False) -> Verdict:
-    """Decide ``premises -> conclusion`` over the region atoms in one scan.
+    """Decide a syllogism over the 256 canonical models at once.
 
-    The engine's 256 rows are the canonical models in ascending order, so
-    the first false row is the first counter-model of the canonical
-    enumeration, and output is deterministic.  ``existential_import``
+    Its counter-models are the models of both premises outside the
+    conclusion's; the lowest is the first counter-model of the canonical
+    enumeration, so output is deterministic.  ``existential_import``
     restricts the models to those where all three terms denote non-empty
     sets.
     """
     names = syllogism.term_names()
-    premises = And(
-        _form_formula(syllogism.major, names), _form_formula(syllogism.minor, names)
+    counters = (
+        _form_models(syllogism.major, names)
+        & _form_models(syllogism.minor, names)
+        & ~_form_models(syllogism.conclusion, names)
     )
     if existential_import:
-        premises = And(_IMPORT, premises)
-    _, row = _first_false_row(
-        Implies(premises, _form_formula(syllogism.conclusion, names)), _REGIONS
-    )
-    if row is None:
+        counters &= _IMPORT
+    if not counters:
         return Verdict(valid=True)
-    return Verdict(valid=False, counter_model=_model_of(names, row))
+    first = (counters & -counters).bit_length() - 1
+    return Verdict(valid=False, counter_model=_model_of(names, first))
 
 
 # --- Monadic quantifier language ------------------------------------------

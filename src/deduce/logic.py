@@ -336,12 +336,10 @@ def _valuation(columns: tuple[Atom, ...], row: int) -> dict[str, bool]:
     return {atom.name: not row >> (last - i) & 1 for i, atom in enumerate(columns)}
 
 
-def _first_false_row(
-    formula: Formula, over: Sequence[Atom] | None = None
-) -> tuple[tuple[Atom, ...], int | None]:
+def _first_false_row(formula: Formula) -> tuple[tuple[Atom, ...], int | None]:
     """The columns of ``_scan`` and the canonical index of the first row
     where ``formula`` is false, or ``None`` if it is true at every row."""
-    columns, full, vectors = _scan(formula, over)
+    columns, full, vectors = _scan(formula)
     for block, vector in enumerate(vectors):
         if vector != full:
             return columns, _false_row(full, block, vector)

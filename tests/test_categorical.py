@@ -1,4 +1,5 @@
-from functools import reduce
+from functools import partial
+from itertools import product
 from random import Random
 
 import hypothesis.strategies as st
@@ -33,7 +34,6 @@ from deduce.categorical import (
     registry_syllogisms,
     valid_syllogism,
 )
-from deduce.logic import And, Atom, Not, _first_false_row, prop, truth_table
 from deduce.parser import ErrorKind, ParseError
 from helpers import (
     all_models,
@@ -248,22 +248,40 @@ class TestSyllogismEngine:
         if forms[2].code == "all:A:A" or "some-not:A:A" in (forms[0].code, forms[1].code):
             assert verdict.valid
 
-    def test_engine_row_m_is_the_mth_canonical_model(self):
-        # Atom E{7-r} says that region r is empty.
-        regions = tuple(Atom(f"E{i}") for i in range(8))
-        table = truth_table(prop("E0"), over=regions)
+    def test_every_syllogism_over_three_terms_matches_set_semantics(self):
+        # Bit m of each mask stands for the m-th canonical model; the masks
+        # come from the set reading of each form, not from regions.
         models = list(canonical_models(("A", "B", "C")))
-        assert len(table.rows) == len(models) == 256
-        for mask, (row, model) in enumerate(zip(table.rows, models)):
-            inhabited = [r for r in range(8) if not row.valuation[f"E{7 - r}"]]
-            codes = [
-                sum(1 << bit for bit, name in enumerate("ABC") if e in model.extensions[name])
-                for e in range(model.universe_size)
-            ]
-            assert codes == inhabited
-            literals = [prop(f"E{7 - r}") for r in range(8) if r not in inhabited]
-            literals += [Not(prop(f"E{7 - r}")) for r in inhabited]
-            assert _first_false_row(Not(reduce(And, literals)), regions) == (regions, mask)
+        forms = [
+            CategoricalForm(kind, subject, predicate)
+            for kind in FormKind
+            for subject in "ABC"
+            for predicate in "ABC"
+        ]
+
+        def mask(holds):
+            return sum(1 << m for m, model in enumerate(models) if holds(model))
+
+        masks = [mask(partial(eval_categorical, form)) for form in forms]
+        imported = mask(lambda model: all(model.extensions.values()))
+        within = {False: (1 << 256) - 1, True: imported}
+        cases = 0
+        for (major, major_mask), (minor, minor_mask), (conclusion, conclusion_mask) in (
+            product(zip(forms, masks), repeat=3)
+        ):
+            terms = {major.subject, major.predicate, minor.subject, minor.predicate}
+            if len(terms | {conclusion.subject, conclusion.predicate}) != 3:
+                continue
+            syllogism = Syllogism(major, minor, conclusion)
+            counters = major_mask & minor_mask & ~conclusion_mask
+            for flag in (False, True):
+                found = counters & within[flag]
+                verdict = valid_syllogism(syllogism, flag)
+                assert verdict.valid is (found == 0)
+                expected = models[(found & -found).bit_length() - 1] if found else None
+                assert verdict.counter_model == expected
+                cases += 1
+        assert cases == 69_120
 
 
 class TestMonadicEval:

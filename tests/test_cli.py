@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -752,7 +753,32 @@ def _value_refused(argv: list[str]) -> str | None:
     return None
 
 
+def _chain(count: int):
+    """``count`` distinct atoms ``A0``, ``A1``, ... joined by random
+    connectives."""
+    gaps = count - 1
+    connectives = st.lists(st.sampled_from(_BINARY), min_size=gaps, max_size=gaps)
+    return connectives.map(
+        lambda drawn: " ".join(["A0", *(f"{c} A{i}" for i, c in enumerate(drawn, 1))])
+    )
+
+
+# Chains at and one past the atom limit, and one past the table's; a full
+# 16-atom table is left to its own test.
+_WIDE = st.sampled_from([MAX_ATOMS, MAX_ATOMS + 1]).flatmap(_chain)
+_CHAIN_COMMANDS = {"classify", "equiv", "entail", "table"}
+_TABLE_ROWS = 1 << TABLE_MAX_ATOMS
+# Whether a command is ``table`` -> (its atom limit, how refusals name it).
+_ATOM_LIMITS = {
+    False: (MAX_ATOMS, f"the limit is {MAX_ATOMS}"),
+    True: (TABLE_MAX_ATOMS, f"the limit is {TABLE_MAX_ATOMS} atoms ({_TABLE_ROWS} rows)"),
+}
+
 _COMMANDS = st.one_of(
+    st.tuples(st.just("classify"), _WIDE).map(list),
+    st.tuples(st.just("equiv"), _WIDE, st.just("A0")).map(list),
+    _WIDE.map(lambda chain: ["entail", "--conclusion", chain]),
+    _chain(TABLE_MAX_ATOMS + 1).map(lambda chain: ["table", chain]),
     st.tuples(st.just("classify"), _TEXT).map(list),
     st.tuples(st.just("table"), _TEXT).map(list),
     st.tuples(st.just("equiv"), _TEXT, _TEXT).map(list),
@@ -795,6 +821,14 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(command, output):
         assert code == 2 or refused is None
         if code == 2:
             assert (refused or f"the limit is {jugs.MAX_PLAN_LENGTH}") in err.getvalue()
+    chain = {atom for arg in command for atom in re.findall(r"\bA\d+\b", arg)}
+    if command[0] in _CHAIN_COMMANDS and chain:
+        # A chain is refused exactly when it is over its limit, which the
+        # refusal names.
+        limit, message = _ATOM_LIMITS[command[0] == "table"]
+        assert (code == 2) is (len(chain) > limit)
+        if code == 2:
+            assert message in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
         assert "error: " in err.getvalue()
