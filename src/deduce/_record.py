@@ -12,7 +12,10 @@ depth is bounded only by memory.
 ``Node`` is the base of formula trees: it computes its hash on the first
 ``hash()``, bottom-up with an explicit stack, and keeps it in its ``_hash``
 slot, so construction does not pay for it.  A node is immutable, so any
-copy of it, shallow or deep, is the node itself; only ``pickle`` recurses.
+copy of it, shallow or deep, is the node itself.  It pickles as a flat
+postorder program and a tuple of its leaf values, which ``_rebuild`` runs
+with an explicit stack, so pickling does not recurse either; a subtree
+shared within the formula is written once and stays shared.
 """
 
 from __future__ import annotations
@@ -93,6 +96,37 @@ class Node(Record):
     def __deepcopy__(self, memo: dict) -> Node:
         return self
 
+    def __reduce__(self) -> tuple:
+        # Postorder, one (class, mask) step per node: bit i of the mask is
+        # set when field i is a node, which ``_rebuild`` takes from its
+        # stack; the other field values go to ``leaves`` in step order.  A
+        # node met again is a (None, step) reference to its first step, so
+        # a shared subtree is written and rebuilt once.
+        program: list = []
+        leaves: list = []
+        steps: dict[int, int] = {}
+        pending: list = [self]
+        while pending:
+            item = pending.pop()
+            if type(item) is tuple:
+                node, mask, others = item
+                steps[id(node)] = len(program) // 2
+                program += (type(node), mask)
+                leaves += others
+            elif id(item) in steps:
+                program += (None, steps[id(item)])
+            else:
+                mask, others, children = 0, [], []
+                for i, value in enumerate(item._values()):
+                    if isinstance(value, Node):
+                        mask |= 1 << i
+                        children.append(value)
+                    else:
+                        others.append(value)
+                pending.append((item, mask, others))
+                pending += reversed(children)
+        return _rebuild, (tuple(program), tuple(leaves))
+
     def __hash__(self) -> int:
         try:
             return self._hash
@@ -115,3 +149,24 @@ class Node(Record):
                 pending.pop()
                 _setattr(node, "_hash", hash((type(node), *values)))
         return self._hash
+
+
+def _rebuild(program: tuple, leaves: tuple) -> Node:
+    """The node that ``Node.__reduce__`` flattened into ``program`` and
+    ``leaves``."""
+    built: list = []
+    stack: list = []
+    values = iter(leaves)
+    for i in range(0, len(program), 2):
+        kind, mask = program[i], program[i + 1]
+        if kind is None:
+            node = built[mask]
+        else:
+            count = mask.bit_count()
+            children = iter(stack[len(stack) - count :])
+            del stack[len(stack) - count :]
+            fields = range(len(kind.__match_args__))
+            node = kind(*[next(children) if mask >> j & 1 else next(values) for j in fields])
+        built.append(node)
+        stack.append(node)
+    return stack[0]

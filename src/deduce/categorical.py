@@ -279,6 +279,25 @@ def _form_models(form: CategoricalForm, names: tuple[str, ...]) -> int:
     return models
 
 
+def _counter_models(syllogism: Syllogism) -> int:
+    """The canonical counter-models of ``syllogism``: the models of both
+    premises outside the conclusion's."""
+    names = syllogism.term_names()
+    return (
+        _form_models(syllogism.major, names)
+        & _form_models(syllogism.minor, names)
+        & ~_form_models(syllogism.conclusion, names)
+    )
+
+
+def _verdict(syllogism: Syllogism, counters: int) -> Verdict:
+    """Valid when ``counters`` is empty, else invalid with its lowest model."""
+    if not counters:
+        return Verdict(valid=True)
+    first = (counters & -counters).bit_length() - 1
+    return Verdict(valid=False, counter_model=_model_of(syllogism.term_names(), first))
+
+
 def valid_syllogism(syllogism: Syllogism, existential_import: bool = False) -> Verdict:
     """Decide a syllogism over the 256 canonical models at once.
 
@@ -288,18 +307,10 @@ def valid_syllogism(syllogism: Syllogism, existential_import: bool = False) -> V
     restricts the models to those where all three terms denote non-empty
     sets.
     """
-    names = syllogism.term_names()
-    counters = (
-        _form_models(syllogism.major, names)
-        & _form_models(syllogism.minor, names)
-        & ~_form_models(syllogism.conclusion, names)
-    )
+    counters = _counter_models(syllogism)
     if existential_import:
         counters &= _IMPORT
-    if not counters:
-        return Verdict(valid=True)
-    first = (counters & -counters).bit_length() - 1
-    return Verdict(valid=False, counter_model=_model_of(names, first))
+    return _verdict(syllogism, counters)
 
 
 # --- Monadic quantifier language ------------------------------------------

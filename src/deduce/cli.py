@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import cache
 from itertools import repeat
 from operator import getitem
 from typing import TYPE_CHECKING
@@ -87,9 +88,13 @@ def _model_text(model: categorical.FiniteModel) -> str:
 
 
 # --- Command handlers --------------------------------------------------------
+#
+# A handler returns the fields of its ``Outcome`` after the command's name,
+# which ``main`` reads from the parsed command path: the exit code, the
+# result, and optionally the counterexample and the text lines.
 
 
-def _cmd_table(args: argparse.Namespace) -> Outcome:
+def _cmd_table(args: argparse.Namespace) -> tuple:
     formula = parse(args.formula)
     count = len(logic.atoms(formula))
     if count > TABLE_MAX_ATOMS:
@@ -105,7 +110,7 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
         result["rows"] = [
             {"valuation": row.valuation, "value": row.value} for row in table.rows
         ]
-        return Outcome("table", EXIT_OK, result)
+        return EXIT_OK, result
     # Every body cell is one letter, so each column is as wide as its header.
     # A column's two padded cells are (F, V), indexed by a row's value; each
     # valuation holds the columns in table order.
@@ -115,10 +120,10 @@ def _cmd_table(args: argparse.Namespace) -> Outcome:
         "".join(map(getitem, cells, row.valuation.values())) + format_truth_value(row.value)
         for row in table.rows
     ]
-    return Outcome("table", EXIT_OK, result, text_lines=lines)
+    return EXIT_OK, result, None, lines
 
 
-def _cmd_classify(args: argparse.Namespace) -> Outcome:
+def _cmd_classify(args: argparse.Namespace) -> tuple:
     formula = parse(args.formula)
     classification, counter = logic._decide(formula)
     result = {
@@ -127,12 +132,12 @@ def _cmd_classify(args: argparse.Namespace) -> Outcome:
     }
     lines = [_CLASS_SPANISH[classification]]
     if classification is Classification.TAUTOLOGY:
-        return Outcome("classify", EXIT_OK, result, text_lines=lines)
+        return EXIT_OK, result, None, lines
     lines.append(f"contraejemplo: {_valuation_text(counter)}")
-    return Outcome("classify", EXIT_INVALID, result, counter, lines)
+    return EXIT_INVALID, result, counter, lines
 
 
-def _cmd_equiv(args: argparse.Namespace) -> Outcome:
+def _cmd_equiv(args: argparse.Namespace) -> tuple:
     left = parse(args.left)
     right = parse(args.right)
     both = logic.Iff(left, right)
@@ -143,9 +148,9 @@ def _cmd_equiv(args: argparse.Namespace) -> Outcome:
         "equivalent": counter is None,
     }
     if counter is None:
-        return Outcome("equiv", EXIT_OK, result, text_lines=["equivalentes"])
+        return EXIT_OK, result, None, ["equivalentes"]
     lines = ["no equivalentes", f"contraejemplo: {_valuation_text(counter)}"]
-    return Outcome("equiv", EXIT_INVALID, result, counter, lines)
+    return EXIT_INVALID, result, counter, lines
 
 
 def _rule_json(schema: rules.RuleSchema) -> dict:
@@ -156,15 +161,15 @@ def _rule_json(schema: rules.RuleSchema) -> dict:
     }
 
 
-def _cmd_rules_list(args: argparse.Namespace) -> Outcome:
+def _cmd_rules_list(args: argparse.Namespace) -> tuple:
     from . import rules
 
     result = {"rules": [_rule_json(schema) for schema in rules.registry()]}
     lines = [schema.name for schema in rules.registry()]
-    return Outcome("rules list", EXIT_OK, result, text_lines=lines)
+    return EXIT_OK, result, None, lines
 
 
-def _cmd_rules_show(args: argparse.Namespace) -> Outcome:
+def _cmd_rules_show(args: argparse.Namespace) -> tuple:
     from . import rules
 
     schema = rules.get_rule(args.name)
@@ -173,10 +178,10 @@ def _cmd_rules_show(args: argparse.Namespace) -> Outcome:
         f"patrón: {format_formula(schema.pattern, Style.SPANISH)}",
         "metavariables: " + " ".join(atom.name for atom in schema.metavariables),
     ]
-    return Outcome("rules show", EXIT_OK, _rule_json(schema), text_lines=lines)
+    return EXIT_OK, _rule_json(schema), None, lines
 
 
-def _cmd_rules_verify(args: argparse.Namespace) -> Outcome:
+def _cmd_rules_verify(args: argparse.Namespace) -> tuple:
     from . import rules
 
     schema = rules.get_rule(args.name)
@@ -184,10 +189,10 @@ def _cmd_rules_verify(args: argparse.Namespace) -> Outcome:
     classification = rules.verify_rule(args.name)
     result = {"name": schema.name, "classification": classification.value}
     lines = [_CLASS_SPANISH[classification]]
-    return Outcome("rules verify", EXIT_OK, result, text_lines=lines)
+    return EXIT_OK, result, None, lines
 
 
-def _cmd_entail(args: argparse.Namespace) -> Outcome:
+def _cmd_entail(args: argparse.Namespace) -> tuple:
     from . import rules
 
     premises = tuple(parse(text) for text in args.premise)
@@ -199,11 +204,11 @@ def _cmd_entail(args: argparse.Namespace) -> Outcome:
         "valid": verdict.valid,
     }
     if verdict.valid:
-        return Outcome("entail", EXIT_OK, result, text_lines=["válido"])
+        return EXIT_OK, result, None, ["válido"]
     counter = verdict.countervaluation
     assert counter is not None
     lines = ["inválido", f"contraejemplo: {_valuation_text(counter)}"]
-    return Outcome("entail", EXIT_INVALID, result, counter, lines)
+    return EXIT_INVALID, result, counter, lines
 
 
 def _syllogism_json(syllogism: categorical.Syllogism) -> dict:
@@ -221,7 +226,7 @@ def _describe_syllogism(name: str, syllogism: categorical.Syllogism) -> str:
     )
 
 
-def _cmd_syllogism_list(args: argparse.Namespace) -> Outcome:
+def _cmd_syllogism_list(args: argparse.Namespace) -> tuple:
     from . import categorical
 
     entries = categorical.registry_syllogisms()
@@ -231,20 +236,21 @@ def _cmd_syllogism_list(args: argparse.Namespace) -> Outcome:
         ]
     }
     lines = [_describe_syllogism(name, syllogism) for name, syllogism in entries]
-    return Outcome("syllogism list", EXIT_OK, result, text_lines=lines)
+    return EXIT_OK, result, None, lines
 
 
 def _check_syllogism(
-    command: str, label: str, syllogism: categorical.Syllogism, existential_import: bool
-) -> Outcome:
+    label: str, syllogism: categorical.Syllogism, existential_import: bool
+) -> tuple:
     from . import categorical
 
-    verdict = categorical.valid_syllogism(syllogism, existential_import)
-    # The import models are a subset of all models, so a plain valid
-    # verdict already settles the question with import.
-    with_import = verdict.valid or (
-        not existential_import and categorical.valid_syllogism(syllogism, True).valid
-    )
+    # One mask gives both verdicts: the import models are a subset of all
+    # models, so the counter-models with import are ``counters & _IMPORT``.
+    counters = categorical._counter_models(syllogism)
+    with_import = not counters & categorical._IMPORT
+    if existential_import:
+        counters &= categorical._IMPORT
+    verdict = categorical._verdict(syllogism, counters)
     result = {
         "name": label,
         **_syllogism_json(syllogism),
@@ -253,25 +259,23 @@ def _check_syllogism(
         "valid_with_existential_import": with_import,
     }
     if verdict.valid:
-        return Outcome(command, EXIT_OK, result, text_lines=["válido"])
+        return EXIT_OK, result, None, ["válido"]
     model = verdict.counter_model
     assert model is not None
     lines = ["inválido", f"contramodelo: {_model_text(model)}"]
     if not existential_import and with_import:
         lines.append("nota: válido con import existencial (--existential-import)")
-    return Outcome(command, EXIT_INVALID, result, _model_json(model), lines)
+    return EXIT_INVALID, result, _model_json(model), lines
 
 
-def _cmd_syllogism_check(args: argparse.Namespace) -> Outcome:
+def _cmd_syllogism_check(args: argparse.Namespace) -> tuple:
     from . import categorical
 
     syllogism = categorical.get_syllogism(args.name)
-    return _check_syllogism(
-        "syllogism check", args.name.lower(), syllogism, args.existential_import
-    )
+    return _check_syllogism(args.name.lower(), syllogism, args.existential_import)
 
 
-def _cmd_syllogism_custom(args: argparse.Namespace) -> Outcome:
+def _cmd_syllogism_custom(args: argparse.Namespace) -> tuple:
     from . import categorical
 
     syllogism = categorical.Syllogism(
@@ -279,12 +283,10 @@ def _cmd_syllogism_custom(args: argparse.Namespace) -> Outcome:
         categorical.parse_categorical(args.minor),
         categorical.parse_categorical(args.conclusion),
     )
-    return _check_syllogism(
-        "syllogism custom", "custom", syllogism, args.existential_import
-    )
+    return _check_syllogism("custom", syllogism, args.existential_import)
 
 
-def _cmd_quant_negate(args: argparse.Namespace) -> Outcome:
+def _cmd_quant_negate(args: argparse.Namespace) -> tuple:
     from . import categorical
 
     formula = categorical.parse_monadic(args.formula)
@@ -293,20 +295,18 @@ def _cmd_quant_negate(args: argparse.Namespace) -> Outcome:
         "formula": categorical.format_monadic(formula),
         "negation_nnf": categorical.format_monadic(negated),
     }
-    return Outcome(
-        "quant negate", EXIT_OK, result, text_lines=[categorical.format_monadic(negated)]
-    )
+    return EXIT_OK, result, None, [categorical.format_monadic(negated)]
 
 
-def _cmd_jugs_gcd(args: argparse.Namespace) -> Outcome:
+def _cmd_jugs_gcd(args: argparse.Namespace) -> tuple:
     from . import jugs
 
     value = jugs.gcd(args.n, args.m)
     result = {"n": args.n, "m": args.m, "gcd": value}
-    return Outcome("jugs gcd", EXIT_OK, result, text_lines=[str(value)])
+    return EXIT_OK, result, None, [str(value)]
 
 
-def _cmd_jugs_bezout(args: argparse.Namespace) -> Outcome:
+def _cmd_jugs_bezout(args: argparse.Namespace) -> tuple:
     from . import jugs
 
     certificate = jugs.bezout(args.n, args.m)
@@ -318,19 +318,19 @@ def _cmd_jugs_bezout(args: argparse.Namespace) -> Outcome:
         "b": certificate.b,
     }
     lines = [f"g={certificate.g} a={certificate.a} b={certificate.b}"]
-    return Outcome("jugs bezout", EXIT_OK, result, text_lines=lines)
+    return EXIT_OK, result, None, lines
 
 
-def _cmd_jugs_amounts(args: argparse.Namespace) -> Outcome:
+def _cmd_jugs_amounts(args: argparse.Namespace) -> tuple:
     from . import jugs
 
     amounts = jugs.achievable_amounts(args.n, args.m, args.limit)
     result = {"n": args.n, "m": args.m, "limit": args.limit, "amounts": amounts}
     lines = [" ".join(str(amount) for amount in amounts)] if amounts else []
-    return Outcome("jugs amounts", EXIT_OK, result, text_lines=lines)
+    return EXIT_OK, result, None, lines
 
 
-def _cmd_jugs_plan(args: argparse.Namespace) -> Outcome:
+def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
     from . import jugs
 
     problem = jugs.JugProblem(n=args.n, m=args.m, target=args.target)
@@ -344,7 +344,7 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> Outcome:
             "inalcanzable",
             f"mcd({exc.n}, {exc.m}) = {exc.gcd} no divide {exc.target}",
         ]
-        return Outcome("jugs plan", EXIT_INVALID, result, {"gcd": exc.gcd}, lines)
+        return EXIT_INVALID, result, {"gcd": exc.gcd}, lines
     listed = args.format == "json"
     actions: list[dict] = []
     grouped: list[str] = []
@@ -358,7 +358,7 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> Outcome:
     # Only JSON lists the actions; text prints the runs.
     if listed:
         result["actions"] = actions
-    return Outcome("jugs plan", EXIT_OK, result, text_lines=["; ".join(grouped)])
+    return EXIT_OK, result, None, ["; ".join(grouped)]
 
 
 # --- Argument parsing --------------------------------------------------------
@@ -397,6 +397,69 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _arg(*names: str, **options) -> tuple:
+    """One ``add_argument`` call: its names and its options."""
+    return names, options
+
+
+def _vessels(m: Callable[[str], int] = _positive_int) -> list[tuple]:
+    """The capacities of the two vessels; ``jugs gcd`` alone allows m = 0."""
+    return [_arg("--n", type=_positive_int, required=True), _arg("--m", type=m, required=True)]
+
+
+_NAME = _arg("name")
+
+#: Every parser under the root, in help order: (command path, help,
+#: arguments, handler).  A row without a handler is a group; its
+#: subcommands are the later rows whose path starts with its name.
+_COMMANDS = (
+    ("table", "print the truth table of a formula",
+     [_arg("formula", help="propositional formula, e.g. 'P y Q'")], _cmd_table),
+    ("classify", "classify a formula as tautology, contradiction, or contingent",
+     [_arg("formula")], _cmd_classify),
+    ("equiv", "check two formulas for equivalence", [_arg("left"), _arg("right")], _cmd_equiv),
+    ("rules", "the eight named tautology schemata", [], None),
+    ("rules list", "list rule names", [], _cmd_rules_list),
+    ("rules show", "show a rule's pattern and metavariables", [_NAME], _cmd_rules_show),
+    ("rules verify", "re-classify a rule's pattern", [_NAME], _cmd_rules_verify),
+    ("entail", "check semantic entailment", [
+        _arg("--premise", action="append", default=[], metavar="FORMULA",
+             help="a premise (repeatable; none means: is the conclusion a tautology?)"),
+        _arg("--conclusion", required=True, metavar="FORMULA"),
+    ], _cmd_entail),
+    ("syllogism", "Aristotelian syllogisms over finite models", [], None),
+    ("syllogism list", "list the ten named moods", [], _cmd_syllogism_list),
+    ("syllogism check", "check a named mood for validity",
+     [_NAME, _arg("--existential-import", action="store_true",
+                  help="restrict to models where all three terms denote non-empty sets")],
+     _cmd_syllogism_check),
+    ("syllogism custom",
+     "check a custom syllogism given as all:S:P / no:S:P / some:S:P / some-not:S:P",
+     [_arg("major"), _arg("minor"), _arg("conclusion"),
+      _arg("--existential-import", action="store_true")],
+     _cmd_syllogism_custom),
+    ("quant", "quantified monadic formulas", [], None),
+    ("quant negate", "negate a closed monadic formula into negation normal form",
+     [_arg("formula", help="e.g. 'forall x. P(x) -> Q(x)' or 'exists x. P(x) & ~Q(x)'")],
+     _cmd_quant_negate),
+    ("jugs", "two-vessel measuring in the marked-container model", [], None),
+    ("jugs gcd", "greatest common divisor", _vessels(_nonnegative_int), _cmd_jugs_gcd),
+    ("jugs bezout", "Bézout certificate a·n + b·m = gcd(n, m)", _vessels(), _cmd_jugs_bezout),
+    ("jugs amounts", "all producible amounts up to a limit",
+     [*_vessels(), _arg("--limit", type=_positive_int, required=True)], _cmd_jugs_amounts),
+    ("jugs plan", "synthesize a pour plan for a target amount", [
+        *_vessels(),
+        _arg("--target", type=_positive_int, required=True),
+        # The values of ``jugs.Strategy``, spelt out so that parsing the
+        # command line does not import ``jugs``.
+        _arg("--strategy", choices=("certificate", "shortest"), default="certificate",
+             help="certificate: scaled Bézout identity; shortest: minimal-length plan"),
+    ], _cmd_jugs_plan),
+)
+
+_FORMAT = {"choices": ("text", "json"), "help": "output format (default: text)"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="deduce",
@@ -405,154 +468,31 @@ def build_parser() -> argparse.ArgumentParser:
             "syllogisms over finite models, and two-vessel measuring plans."
         ),
     )
-    root.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
+    root.add_argument("--format", default="text", **_FORMAT)
     # The same flag is accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value given before it.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=argparse.SUPPRESS,
-        help="output format (default: text)",
-    )
-
-    subparsers = root.add_subparsers(dest="command", required=True)
-
-    table = subparsers.add_parser(
-        "table", parents=[common], help="print the truth table of a formula"
-    )
-    table.add_argument("formula", help="propositional formula, e.g. 'P y Q'")
-    table.set_defaults(handler=_cmd_table)
-
-    classify = subparsers.add_parser(
-        "classify",
-        parents=[common],
-        help="classify a formula as tautology, contradiction, or contingent",
-    )
-    classify.add_argument("formula")
-    classify.set_defaults(handler=_cmd_classify)
-
-    equiv = subparsers.add_parser(
-        "equiv", parents=[common], help="check two formulas for equivalence"
-    )
-    equiv.add_argument("left")
-    equiv.add_argument("right")
-    equiv.set_defaults(handler=_cmd_equiv)
-
-    rules_parser = subparsers.add_parser(
-        "rules", help="the eight named tautology schemata"
-    )
-    rules_sub = rules_parser.add_subparsers(dest="subcommand", required=True)
-    rules_list = rules_sub.add_parser("list", parents=[common], help="list rule names")
-    rules_list.set_defaults(handler=_cmd_rules_list)
-    rules_show = rules_sub.add_parser(
-        "show", parents=[common], help="show a rule's pattern and metavariables"
-    )
-    rules_show.add_argument("name")
-    rules_show.set_defaults(handler=_cmd_rules_show)
-    rules_verify = rules_sub.add_parser(
-        "verify", parents=[common], help="re-classify a rule's pattern"
-    )
-    rules_verify.add_argument("name")
-    rules_verify.set_defaults(handler=_cmd_rules_verify)
-
-    entail = subparsers.add_parser(
-        "entail", parents=[common], help="check semantic entailment"
-    )
-    entail.add_argument(
-        "--premise",
-        action="append",
-        default=[],
-        metavar="FORMULA",
-        help="a premise (repeatable; none means: is the conclusion a tautology?)",
-    )
-    entail.add_argument("--conclusion", required=True, metavar="FORMULA")
-    entail.set_defaults(handler=_cmd_entail)
-
-    syllogism = subparsers.add_parser(
-        "syllogism", help="Aristotelian syllogisms over finite models"
-    )
-    syllogism_sub = syllogism.add_subparsers(dest="subcommand", required=True)
-    syllogism_list = syllogism_sub.add_parser(
-        "list", parents=[common], help="list the ten named moods"
-    )
-    syllogism_list.set_defaults(handler=_cmd_syllogism_list)
-    syllogism_check = syllogism_sub.add_parser(
-        "check", parents=[common], help="check a named mood for validity"
-    )
-    syllogism_check.add_argument("name")
-    syllogism_check.add_argument(
-        "--existential-import",
-        action="store_true",
-        help="restrict to models where all three terms denote non-empty sets",
-    )
-    syllogism_check.set_defaults(handler=_cmd_syllogism_check)
-    syllogism_custom = syllogism_sub.add_parser(
-        "custom",
-        parents=[common],
-        help="check a custom syllogism given as all:S:P / no:S:P / some:S:P / some-not:S:P",
-    )
-    syllogism_custom.add_argument("major")
-    syllogism_custom.add_argument("minor")
-    syllogism_custom.add_argument("conclusion")
-    syllogism_custom.add_argument("--existential-import", action="store_true")
-    syllogism_custom.set_defaults(handler=_cmd_syllogism_custom)
-
-    quant = subparsers.add_parser("quant", help="quantified monadic formulas")
-    quant_sub = quant.add_subparsers(dest="subcommand", required=True)
-    quant_negate = quant_sub.add_parser(
-        "negate",
-        parents=[common],
-        help="negate a closed monadic formula into negation normal form",
-    )
-    quant_negate.add_argument(
-        "formula", help="e.g. 'forall x. P(x) -> Q(x)' or 'exists x. P(x) & ~Q(x)'"
-    )
-    quant_negate.set_defaults(handler=_cmd_quant_negate)
-
-    jugs_parser = subparsers.add_parser(
-        "jugs", help="two-vessel measuring in the marked-container model"
-    )
-    jugs_sub = jugs_parser.add_subparsers(dest="subcommand", required=True)
-    jugs_gcd = jugs_sub.add_parser("gcd", parents=[common], help="greatest common divisor")
-    jugs_gcd.add_argument("--n", type=_positive_int, required=True)
-    jugs_gcd.add_argument("--m", type=_nonnegative_int, required=True)
-    jugs_gcd.set_defaults(handler=_cmd_jugs_gcd)
-    jugs_bezout = jugs_sub.add_parser(
-        "bezout", parents=[common], help="Bézout certificate a·n + b·m = gcd(n, m)"
-    )
-    jugs_bezout.add_argument("--n", type=_positive_int, required=True)
-    jugs_bezout.add_argument("--m", type=_positive_int, required=True)
-    jugs_bezout.set_defaults(handler=_cmd_jugs_bezout)
-    jugs_amounts = jugs_sub.add_parser(
-        "amounts", parents=[common], help="all producible amounts up to a limit"
-    )
-    jugs_amounts.add_argument("--n", type=_positive_int, required=True)
-    jugs_amounts.add_argument("--m", type=_positive_int, required=True)
-    jugs_amounts.add_argument("--limit", type=_positive_int, required=True)
-    jugs_amounts.set_defaults(handler=_cmd_jugs_amounts)
-    jugs_plan = jugs_sub.add_parser(
-        "plan", parents=[common], help="synthesize a pour plan for a target amount"
-    )
-    jugs_plan.add_argument("--n", type=_positive_int, required=True)
-    jugs_plan.add_argument("--m", type=_positive_int, required=True)
-    jugs_plan.add_argument("--target", type=_positive_int, required=True)
-    jugs_plan.add_argument(
-        "--strategy",
-        # The values of ``jugs.Strategy``, spelt out so that parsing the
-        # command line does not import ``jugs``.
-        choices=("certificate", "shortest"),
-        default="certificate",
-        help="certificate: scaled Bézout identity; shortest: minimal-length plan",
-    )
-    jugs_plan.set_defaults(handler=_cmd_jugs_plan)
-
+    common.add_argument("--format", default=argparse.SUPPRESS, **_FORMAT)
+    # Group path -> the subparsers its commands are added to.
+    groups = {"": root.add_subparsers(dest="command", required=True)}
+    for path, summary, arguments, handler in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if handler is None:
+            parser = groups[group].add_parser(name, help=summary)
+            groups[path] = parser.add_subparsers(dest="subcommand", required=True)
+            continue
+        parser = groups[group].add_parser(name, parents=[common], help=summary)
+        for names, options in arguments:
+            parser.add_argument(*names, **options)
+        parser.set_defaults(handler=handler)
     return root
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` runs, built on its first call: a parse leaves no
+    state in it."""
+    return build_parser()
 
 
 def _emit(outcome: Outcome, output_format: str) -> None:
@@ -577,11 +517,13 @@ def _emit(outcome: Outcome, output_format: str) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; returns the process exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # The command path the parser matched names the command.
+    command = f"{args.command} {args.subcommand}" if "subcommand" in args else args.command
     try:
-        outcome = args.handler(args)
+        outcome = Outcome(command, *args.handler(args))
     except ParseError as exc:
         sys.stderr.write(
             f"error: {exc.kind.value} at {exc.span.start}..{exc.span.end}: "

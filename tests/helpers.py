@@ -9,11 +9,14 @@ and equality from frozen dataclass twins, entailment is scanned
 premise-by-premise without building the implication formula, syllogism validity is decided by evaluating the three forms on
 each canonical model or by naive enumeration of every model up to a
 universe size, jug reachability is a plain breadth-first closure over
-running totals, and plans are replayed one action at a time.
+running totals, plans are replayed one action at a time, and the
+command-line parser is the argparse tree spelt out one call per parser and
+option.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from collections import deque
 from collections.abc import Sequence
@@ -22,6 +25,7 @@ from random import Random
 
 import hypothesis.strategies as st
 
+from deduce import cli
 from deduce.categorical import (
     CategoricalForm,
     Exists,
@@ -402,3 +406,168 @@ def dataclass_twin(record: Record):
             for value in record._values()
         )
     )
+
+
+# --- Command-line reference: the argparse tree spelt out call by call --------
+
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    """The ``deduce`` parser as one ``add_parser``/``add_argument`` call per
+    parser and option, against which the table-built ``cli.build_parser``
+    must print the same help, usage and errors and parse the same
+    namespaces."""
+    root = argparse.ArgumentParser(
+        prog="deduce",
+        description=(
+            "Deduction toolkit: truth tables, named tautologies, Aristotelian "
+            "syllogisms over finite models, and two-vessel measuring plans."
+        ),
+    )
+    root.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="output format (default: text)",
+    )
+    # The same flag is accepted after the subcommand; SUPPRESS keeps the
+    # subparser from clobbering a value given before it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default=argparse.SUPPRESS,
+        help="output format (default: text)",
+    )
+
+    subparsers = root.add_subparsers(dest="command", required=True)
+
+    table = subparsers.add_parser(
+        "table", parents=[common], help="print the truth table of a formula"
+    )
+    table.add_argument("formula", help="propositional formula, e.g. 'P y Q'")
+    table.set_defaults(handler=cli._cmd_table)
+
+    classify = subparsers.add_parser(
+        "classify",
+        parents=[common],
+        help="classify a formula as tautology, contradiction, or contingent",
+    )
+    classify.add_argument("formula")
+    classify.set_defaults(handler=cli._cmd_classify)
+
+    equiv = subparsers.add_parser(
+        "equiv", parents=[common], help="check two formulas for equivalence"
+    )
+    equiv.add_argument("left")
+    equiv.add_argument("right")
+    equiv.set_defaults(handler=cli._cmd_equiv)
+
+    rules_parser = subparsers.add_parser(
+        "rules", help="the eight named tautology schemata"
+    )
+    rules_sub = rules_parser.add_subparsers(dest="subcommand", required=True)
+    rules_list = rules_sub.add_parser("list", parents=[common], help="list rule names")
+    rules_list.set_defaults(handler=cli._cmd_rules_list)
+    rules_show = rules_sub.add_parser(
+        "show", parents=[common], help="show a rule's pattern and metavariables"
+    )
+    rules_show.add_argument("name")
+    rules_show.set_defaults(handler=cli._cmd_rules_show)
+    rules_verify = rules_sub.add_parser(
+        "verify", parents=[common], help="re-classify a rule's pattern"
+    )
+    rules_verify.add_argument("name")
+    rules_verify.set_defaults(handler=cli._cmd_rules_verify)
+
+    entail = subparsers.add_parser(
+        "entail", parents=[common], help="check semantic entailment"
+    )
+    entail.add_argument(
+        "--premise",
+        action="append",
+        default=[],
+        metavar="FORMULA",
+        help="a premise (repeatable; none means: is the conclusion a tautology?)",
+    )
+    entail.add_argument("--conclusion", required=True, metavar="FORMULA")
+    entail.set_defaults(handler=cli._cmd_entail)
+
+    syllogism = subparsers.add_parser(
+        "syllogism", help="Aristotelian syllogisms over finite models"
+    )
+    syllogism_sub = syllogism.add_subparsers(dest="subcommand", required=True)
+    syllogism_list = syllogism_sub.add_parser(
+        "list", parents=[common], help="list the ten named moods"
+    )
+    syllogism_list.set_defaults(handler=cli._cmd_syllogism_list)
+    syllogism_check = syllogism_sub.add_parser(
+        "check", parents=[common], help="check a named mood for validity"
+    )
+    syllogism_check.add_argument("name")
+    syllogism_check.add_argument(
+        "--existential-import",
+        action="store_true",
+        help="restrict to models where all three terms denote non-empty sets",
+    )
+    syllogism_check.set_defaults(handler=cli._cmd_syllogism_check)
+    syllogism_custom = syllogism_sub.add_parser(
+        "custom",
+        parents=[common],
+        help="check a custom syllogism given as all:S:P / no:S:P / some:S:P / some-not:S:P",
+    )
+    syllogism_custom.add_argument("major")
+    syllogism_custom.add_argument("minor")
+    syllogism_custom.add_argument("conclusion")
+    syllogism_custom.add_argument("--existential-import", action="store_true")
+    syllogism_custom.set_defaults(handler=cli._cmd_syllogism_custom)
+
+    quant = subparsers.add_parser("quant", help="quantified monadic formulas")
+    quant_sub = quant.add_subparsers(dest="subcommand", required=True)
+    quant_negate = quant_sub.add_parser(
+        "negate",
+        parents=[common],
+        help="negate a closed monadic formula into negation normal form",
+    )
+    quant_negate.add_argument(
+        "formula", help="e.g. 'forall x. P(x) -> Q(x)' or 'exists x. P(x) & ~Q(x)'"
+    )
+    quant_negate.set_defaults(handler=cli._cmd_quant_negate)
+
+    jugs_parser = subparsers.add_parser(
+        "jugs", help="two-vessel measuring in the marked-container model"
+    )
+    jugs_sub = jugs_parser.add_subparsers(dest="subcommand", required=True)
+    jugs_gcd = jugs_sub.add_parser("gcd", parents=[common], help="greatest common divisor")
+    jugs_gcd.add_argument("--n", type=cli._positive_int, required=True)
+    jugs_gcd.add_argument("--m", type=cli._nonnegative_int, required=True)
+    jugs_gcd.set_defaults(handler=cli._cmd_jugs_gcd)
+    jugs_bezout = jugs_sub.add_parser(
+        "bezout", parents=[common], help="Bézout certificate a·n + b·m = gcd(n, m)"
+    )
+    jugs_bezout.add_argument("--n", type=cli._positive_int, required=True)
+    jugs_bezout.add_argument("--m", type=cli._positive_int, required=True)
+    jugs_bezout.set_defaults(handler=cli._cmd_jugs_bezout)
+    jugs_amounts = jugs_sub.add_parser(
+        "amounts", parents=[common], help="all producible amounts up to a limit"
+    )
+    jugs_amounts.add_argument("--n", type=cli._positive_int, required=True)
+    jugs_amounts.add_argument("--m", type=cli._positive_int, required=True)
+    jugs_amounts.add_argument("--limit", type=cli._positive_int, required=True)
+    jugs_amounts.set_defaults(handler=cli._cmd_jugs_amounts)
+    jugs_plan = jugs_sub.add_parser(
+        "plan", parents=[common], help="synthesize a pour plan for a target amount"
+    )
+    jugs_plan.add_argument("--n", type=cli._positive_int, required=True)
+    jugs_plan.add_argument("--m", type=cli._positive_int, required=True)
+    jugs_plan.add_argument("--target", type=cli._positive_int, required=True)
+    jugs_plan.add_argument(
+        "--strategy",
+        # The values of ``jugs.Strategy``, spelt out so that parsing the
+        # command line does not import ``jugs``.
+        choices=("certificate", "shortest"),
+        default="certificate",
+        help="certificate: scaled Bézout identity; shortest: minimal-length plan",
+    )
+    jugs_plan.set_defaults(handler=cli._cmd_jugs_plan)
+
+    return root

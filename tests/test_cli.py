@@ -9,19 +9,21 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import deduce
-from deduce import categorical, jugs, logic, rules
+from deduce import categorical, cli, jugs, logic, rules
 from deduce.cli import TABLE_MAX_ATOMS, build_parser, main
 from deduce.logic import MAX_ATOMS, Atom, prop
 from deduce.parser import Style, format_formula
 from helpers import (
     atom_names,
     formula_strategy,
+    reference_build_parser,
     reference_table,
     reference_table_lines,
 )
@@ -619,6 +621,22 @@ class TestErrorsAndDeterminism:
         assert (code, out) == (1, "contingente\ncontraejemplo: P=V Q=F\n")
         assert len(scans) == 1
 
+    def test_syllogism_check_decides_once(self, capsys, monkeypatch):
+        # Both verdicts, with and without import, come from one counter-model
+        # mask: one set of models per form.
+        calls = []
+        form_models = categorical._form_models
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return form_models(*args, **kwargs)
+
+        monkeypatch.setattr(categorical, "_form_models", counted)
+        code, out, _ = run(capsys, "syllogism", "check", "darapti")
+        assert code == 1
+        assert out.endswith("nota: válido con import existencial (--existential-import)\n")
+        assert len(calls) == 3
+
 
 class TestDeepInput:
     """Nesting depth costs no Python frame; these run at the default
@@ -955,3 +973,144 @@ def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (code, "")
+
+
+# --- The table-built parser, reused, against the spelt-out one ---------------
+
+
+def _parse_with(parser: argparse.ArgumentParser, argv: list[str]):
+    """What parsing ``argv`` shows: exit code (None when it parses), stdout,
+    stderr and the namespace's fields."""
+    out, err = io.StringIO(), io.StringIO()
+    fields = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), fields
+
+
+def _parser_paths(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield from _parser_paths(subparser, (*path, name))
+
+
+# An argv each command accepts, every option given.
+_ACCEPTED = {
+    ("table",): ["P y Q"],
+    ("classify",): ["P"],
+    ("equiv",): ["P", "Q"],
+    ("rules", "list"): [],
+    ("rules", "show"): ["modus-ponens"],
+    ("rules", "verify"): ["modus-ponens"],
+    ("entail",): ["--premise", "P", "--premise", "Q", "--conclusion", "P"],
+    ("syllogism", "list"): [],
+    ("syllogism", "check"): ["darapti", "--existential-import"],
+    ("syllogism", "custom"): ["all:M:P", "all:S:M", "all:S:P", "--existential-import"],
+    ("quant", "negate"): ["forall x. P(x)"],
+    ("jugs", "gcd"): ["--n", "3", "--m", "0"],
+    ("jugs", "bezout"): ["--n", "3", "--m", "11"],
+    ("jugs", "amounts"): ["--n", "3", "--m", "6", "--limit", "12"],
+    ("jugs", "plan"): ["--n", "3", "--m", "11", "--target", "1", "--strategy", "shortest"],
+}
+_REQUIRED = {"--conclusion", "--n", "--m", "--limit", "--target"}
+_INTEGER = {"--n", "--m", "--limit", "--target"}
+_PATHS = list(_parser_paths(reference_build_parser()))
+
+
+def _argv_corpus():
+    groups = {path[:-1] for path in _ACCEPTED if len(path) > 1}
+    yield from ([*path, "--help"] for path in _PATHS)
+    yield from ([*path, "-h"] for path in _PATHS)
+    # A missing command or subcommand, and choices that do not exist.
+    yield []
+    yield from ([*group] for group in sorted(groups))
+    yield from ([*group, "frobnicate"] for group in sorted(groups))
+    yield ["frobnicate"]
+    yield ["--format", "xml", "classify", "P"]
+    yield ["classify", "P", "--format", "xml"]
+    yield ["jugs", "plan", "--n", "3", "--m", "11", "--target", "1", "--strategy", "fastest"]
+    yield ["--frobnicate", "classify", "P"]
+    yield ["--form", "json", "jugs", "plan", "--n", "3", "--m", "11", "--t", "1"]
+    for path, args in _ACCEPTED.items():
+        for prefix, suffix in [([], []), (["--format", "json"], []), ([], ["--format", "json"])]:
+            yield [*prefix, *path, *args, *suffix]
+        yield [*path, *args, "--frobnicate"]
+        yield [*path, *args, "extra"]
+        yield [*path, *(arg for arg in args if arg.startswith("-"))]
+        for i, arg in enumerate(args):
+            if arg in _REQUIRED:
+                yield [*path, *args[:i], *args[i + 2 :]]
+                yield [*path, *args[: i + 1]]
+            if arg in _INTEGER:
+                for bad in ["x", "0", "-1", "1.5", "", "9" * 50]:
+                    yield [*path, *args[: i + 1], bad, *args[i + 2 :]]
+
+
+def test_the_reference_tree_has_twenty_parsers():
+    assert len(_PATHS) == 20
+    assert len(_PATHS) == len(set(_PATHS))
+    assert sorted(path for path in _PATHS if path in _ACCEPTED) == sorted(_ACCEPTED)
+
+
+@pytest.mark.parametrize("argv", list(_argv_corpus()), ids=" ".join)
+def test_the_parser_matches_the_spelt_out_reference(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_with(cli._parser(), argv) == _parse_with(reference_build_parser(), argv)
+
+
+def test_main_builds_its_parser_once():
+    assert cli._parser() is cli._parser()
+
+
+_ENTAIL_Q = (
+    '{"command":"entail","counterexample":{"Q":false},'
+    '"result":{"conclusion":"Q","premises":[],"valid":false},"status":"invalid"}\n'
+)
+_DARAPTI = (
+    "inválido\ncontramodelo: universo={} A={} B={} M={}\n"
+    "nota: válido con import existencial (--existential-import)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "first,second,out",
+    [
+        (
+            ["entail", "--premise", "P", "--conclusion", "Q"],
+            ["entail", "--conclusion", "Q", "--format", "json"],
+            _ENTAIL_Q,
+        ),
+        (["--format", "json", "classify", "P"], ["classify", "P"], "contingente\ncontraejemplo: P=F\n"),
+        (
+            ["syllogism", "check", "darapti", "--existential-import"],
+            ["syllogism", "check", "darapti"],
+            _DARAPTI,
+        ),
+    ],
+    ids=["premises", "format", "existential-import"],
+)
+def test_a_run_leaves_nothing_for_the_next(capsys, first, second, out):
+    # Both runs share the one parser ``main`` builds.
+    run(capsys, *first)
+    assert run(capsys, *second) == (1, out, "")
+
+
+@given(_COMMANDS, st.sampled_from([[], ["--format", "json"]]), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_argv_answers_alike_from_the_cached_and_a_fresh_parser(command, flag, after):
+    argv = [*command, *flag] if after else [*flag, *command]
+
+    def answer():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    cached = answer()
+    with mock.patch.object(cli, "_parser", build_parser):
+        assert answer() == cached

@@ -309,3 +309,45 @@ def test_monadic_operations_at_depth():
         assert eval_monadic(foralls, model) is (members == set(range(size)))
         # An even number of negations.
         assert eval_monadic(prefix, model) is (members == set(range(size)))
+
+
+@pytest.mark.parametrize(
+    "build", [_negations, _right_chain, _left_chain], ids=["negations", "right-deep", "left-deep"]
+)
+@_fails_fast_on_recursion
+def test_formulas_pickle_at_depth(build):
+    formula = build(Q)
+    twin = pickle.loads(pickle.dumps(formula))
+    assert type(twin) is type(formula) and twin == formula and twin != build(P)
+    assert hash(twin) == hash(formula)
+
+
+@_fails_fast_on_recursion
+def test_monadic_formulas_pickle_at_depth():
+    formula = PredApp("P", "x")
+    for i in range(DEPTH):
+        formula = (ForAll, Exists)[i % 2]("x", MAnd(PredApp("Q", "x"), MNot(formula)))
+    twin = pickle.loads(pickle.dumps(formula))
+    assert type(twin) is type(formula) and twin == formula and hash(twin) == hash(formula)
+
+
+@given(formula_strategy(), st.integers(0, 2**32))
+def test_pickled_formulas_match_dataclasses(f, seed):
+    g = random_monadic(Random(seed))
+    for formula in (f, g):
+        twin = pickle.loads(pickle.dumps(formula))
+        assert repr(twin) == repr(formula)
+        assert dataclass_twin(twin) == dataclass_twin(formula)
+
+
+def test_a_shared_subtree_pickles_once():
+    formula = P
+    for _ in range(40):
+        formula = And(formula, formula)
+    data = pickle.dumps(formula)
+    assert len(data) < 2_000
+    node = pickle.loads(data)
+    for _ in range(40):
+        assert type(node) is And and node.left is node.right
+        node = node.left
+    assert node == P
