@@ -11,17 +11,24 @@ each canonical model or by naive enumeration of every model up to a
 universe size, jug reachability is a plain breadth-first closure over
 running totals, plans are replayed one action at a time, and the
 command-line parser is the argparse tree spelt out one call per parser and
-option.
+option.  ``contract_digest`` hashes what ``deduce`` prints for a list of argvs,
+so that a committed digest pins the output contract.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import itertools
+import os
+import re
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import make_dataclass
 from random import Random
+from unittest import mock
 
 import hypothesis.strategies as st
 
@@ -571,3 +578,39 @@ def reference_build_parser() -> argparse.ArgumentParser:
     jugs_plan.set_defaults(handler=cli._cmd_jugs_plan)
 
     return root
+
+
+# --- Output contract sweeps ---------------------------------------------------
+
+
+def run_main(argv: Sequence[str]) -> tuple[int, str, str]:
+    """``cli.main(argv)`` in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# The message ``deduce``'s own integer type gives argparse to report.
+_INTEGER_MESSAGE = re.compile(r"expected an integer .*")
+
+
+def contract_digest(argvs: Sequence[Sequence[str]]) -> str:
+    """SHA-256 over (argv, exit code, stdout, stderr) of ``cli.main`` on each
+    of ``argvs``, at ``COLUMNS=80``.
+
+    Only what ``deduce`` writes itself is hashed: argparse's usage lines and
+    messages differ between Python versions, so an argparse report keeps
+    just the integer-argument message ``deduce`` hands it (or nothing).
+    """
+    digest = hashlib.sha256()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in argvs:
+            code, out, err = run_main(argv)
+            if err.startswith("usage: "):
+                own = _INTEGER_MESSAGE.search(err)
+                err = own.group() if own else ""
+            for part in (repr(list(argv)), str(code), out, err):
+                data = part.encode()
+                digest.update(len(data).to_bytes(8, "little") + data)
+    return digest.hexdigest()

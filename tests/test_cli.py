@@ -853,7 +853,9 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(command, output):
     elif output != "text":
         lines = out.getvalue().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["status"] == ("ok" if code == 0 else "invalid")
+        envelope = json.loads(lines[0])
+        assert envelope["status"] == ("ok" if code == 0 else "invalid")
+        assert (envelope["counterexample"] is None) is (code == 0)
 
 
 # Runs one command in a fresh interpreter and prints, on its last line, the
