@@ -176,28 +176,22 @@ def eval_categorical(form: CategoricalForm, model: FiniteModel) -> bool:
     raise TypeError(f"not a categorical kind: {form.kind!r}")
 
 
-_SYLLOGISM_SOURCES: tuple[tuple[str, tuple[str, str, str], tuple[str, str, str], tuple[str, str, str]], ...] = (
-    ("barbara", ("all", "M", "B"), ("all", "A", "M"), ("all", "A", "B")),
-    ("celarent", ("no", "M", "B"), ("all", "A", "M"), ("no", "A", "B")),
-    ("darii", ("all", "M", "B"), ("some", "A", "M"), ("some", "A", "B")),
-    ("ferio", ("no", "M", "B"), ("some", "A", "M"), ("some-not", "A", "B")),
-    ("cesare", ("no", "B", "M"), ("all", "A", "M"), ("no", "A", "B")),
-    ("camestres", ("all", "B", "M"), ("no", "A", "M"), ("no", "A", "B")),
-    ("festino", ("no", "B", "M"), ("some", "A", "M"), ("some-not", "A", "B")),
-    ("baroco", ("all", "B", "M"), ("some-not", "A", "M"), ("some-not", "A", "B")),
-    ("darapti", ("all", "M", "B"), ("all", "M", "A"), ("some", "A", "B")),
-    ("felapton", ("no", "M", "B"), ("all", "M", "A"), ("some-not", "A", "B")),
-)
-
-
-def _form(triple: tuple[str, str, str]) -> CategoricalForm:
-    kind, subject, predicate = triple
-    return CategoricalForm(_KIND_BY_CODE[kind], subject, predicate)
-
-
+# The ten named moods: major, minor and conclusion, spelt as for
+# ``syllogism custom``.
 _SYLLOGISMS: tuple[tuple[str, Syllogism], ...] = tuple(
-    (name, Syllogism(_form(major), _form(minor), _form(conclusion)))
-    for name, major, minor, conclusion in _SYLLOGISM_SOURCES
+    (name, Syllogism(*map(parse_categorical, forms.split())))
+    for name, forms in (
+        ("barbara", "all:M:B all:A:M all:A:B"),
+        ("celarent", "no:M:B all:A:M no:A:B"),
+        ("darii", "all:M:B some:A:M some:A:B"),
+        ("ferio", "no:M:B some:A:M some-not:A:B"),
+        ("cesare", "no:B:M all:A:M no:A:B"),
+        ("camestres", "all:B:M no:A:M no:A:B"),
+        ("festino", "no:B:M some:A:M some-not:A:B"),
+        ("baroco", "all:B:M some-not:A:M some-not:A:B"),
+        ("darapti", "all:M:B all:M:A some:A:B"),
+        ("felapton", "no:M:B all:M:A some-not:A:B"),
+    )
 )
 _SYLLOGISM_BY_NAME = {name: syllogism for name, syllogism in _SYLLOGISMS}
 
@@ -290,12 +284,20 @@ def _counter_models(syllogism: Syllogism) -> int:
     )
 
 
-def _verdict(syllogism: Syllogism, counters: int) -> Verdict:
-    """Valid when ``counters`` is empty, else invalid with its lowest model."""
+def _verdicts(syllogism: Syllogism, existential_import: bool) -> tuple[Verdict, bool]:
+    """The verdict on ``syllogism``, with or without existential import, and
+    whether it is valid with import.  One counter-model mask gives both: the
+    import models are a subset of all models, so the counter-models with
+    import are ``counters & _IMPORT``."""
+    counters = _counter_models(syllogism)
+    with_import = not counters & _IMPORT
+    if existential_import:
+        counters &= _IMPORT
     if not counters:
-        return Verdict(valid=True)
+        return Verdict(valid=True), with_import
     first = (counters & -counters).bit_length() - 1
-    return Verdict(valid=False, counter_model=_model_of(syllogism.term_names(), first))
+    model = _model_of(syllogism.term_names(), first)
+    return Verdict(valid=False, counter_model=model), with_import
 
 
 def valid_syllogism(syllogism: Syllogism, existential_import: bool = False) -> Verdict:
@@ -307,10 +309,7 @@ def valid_syllogism(syllogism: Syllogism, existential_import: bool = False) -> V
     restricts the models to those where all three terms denote non-empty
     sets.
     """
-    counters = _counter_models(syllogism)
-    if existential_import:
-        counters &= _IMPORT
-    return _verdict(syllogism, counters)
+    return _verdicts(syllogism, existential_import)[0]
 
 
 # --- Monadic quantifier language ------------------------------------------

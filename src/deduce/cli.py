@@ -3,6 +3,8 @@
 Exit codes are part of the contract: 0 for success / valid / tautology,
 1 for invalid / contingent / not-achievable (with a counterexample), and
 2 for usage or parse errors (reported on stderr with the offending span).
+A command's answer is its result and its counterexample; exit code 1 and
+JSON status "invalid" mean that the counterexample is not None.
 
 JSON mode always emits a single object:
 ``{"status": ..., "command": ..., "result": ..., "counterexample": ...}``.
@@ -22,7 +24,6 @@ from typing import TYPE_CHECKING
 # ``categorical``, ``jugs``, ``rules`` and ``json`` are imported by the
 # functions that run them, so a command loads only what it uses.
 from . import logic
-from ._record import Record, _setattr
 from .logic import Classification, falsifying_valuation, format_truth_value
 from .parser import ParseError, Style, format_formula, parse
 
@@ -45,30 +46,6 @@ _CLASS_SPANISH = {
 }
 
 
-class Outcome(Record):
-    __slots__ = ("command", "exit_code", "result", "counterexample", "text_lines")
-
-    def __init__(
-        self,
-        command: str,
-        exit_code: int,
-        result: dict,
-        counterexample: dict | None = None,
-        text_lines: list[str] | None = None,
-    ):
-        _setattr(self, "command", command)
-        _setattr(self, "exit_code", exit_code)
-        _setattr(self, "result", result)
-        _setattr(self, "counterexample", counterexample)
-        _setattr(self, "text_lines", [] if text_lines is None else text_lines)
-
-
-def _valuation_text(valuation: dict[str, bool]) -> str:
-    return " ".join(
-        f"{name}={format_truth_value(value)}" for name, value in valuation.items()
-    )
-
-
 def _model_json(model: categorical.FiniteModel) -> dict:
     return {
         "universe_size": model.universe_size,
@@ -89,9 +66,19 @@ def _model_text(model: categorical.FiniteModel) -> str:
 
 # --- Command handlers --------------------------------------------------------
 #
-# A handler returns the fields of its ``Outcome`` after the command's name,
-# which ``main`` reads from the parsed command path: the exit code, the
-# result, and optionally the counterexample and the text lines.
+# A handler returns the command's answer: its result, its counterexample
+# (None unless refuted) and its text lines.  ``main`` reads the command's
+# name from the parsed command path.
+
+
+def _refutable(result: dict, verdict: str, counter: dict[str, bool] | None) -> tuple:
+    """A propositional answer: its ``verdict`` line, then the ``counter``
+    valuation that refutes it, if there is one."""
+    lines = [verdict]
+    if counter is not None:
+        values = (f"{name}={format_truth_value(value)}" for name, value in counter.items())
+        lines.append("contraejemplo: " + " ".join(values))
+    return result, counter, lines
 
 
 def _cmd_table(args: argparse.Namespace) -> tuple:
@@ -110,7 +97,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple:
         result["rows"] = [
             {"valuation": row.valuation, "value": row.value} for row in table.rows
         ]
-        return EXIT_OK, result
+        return result, None, []
     # Every body cell is one letter, so each column is as wide as its header.
     # A column's two padded cells are (F, V), indexed by a row's value; each
     # valuation holds the columns in table order.
@@ -120,7 +107,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple:
         "".join(map(getitem, cells, row.valuation.values())) + format_truth_value(row.value)
         for row in table.rows
     ]
-    return EXIT_OK, result, None, lines
+    return result, None, lines
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple:
@@ -130,27 +117,19 @@ def _cmd_classify(args: argparse.Namespace) -> tuple:
         "formula": format_formula(formula),
         "classification": classification.value,
     }
-    lines = [_CLASS_SPANISH[classification]]
-    if classification is Classification.TAUTOLOGY:
-        return EXIT_OK, result, None, lines
-    lines.append(f"contraejemplo: {_valuation_text(counter)}")
-    return EXIT_INVALID, result, counter, lines
+    return _refutable(result, _CLASS_SPANISH[classification], counter)
 
 
 def _cmd_equiv(args: argparse.Namespace) -> tuple:
     left = parse(args.left)
     right = parse(args.right)
-    both = logic.Iff(left, right)
-    counter = falsifying_valuation(both)
+    counter = falsifying_valuation(logic.Iff(left, right))
     result = {
         "left": format_formula(left),
         "right": format_formula(right),
         "equivalent": counter is None,
     }
-    if counter is None:
-        return EXIT_OK, result, None, ["equivalentes"]
-    lines = ["no equivalentes", f"contraejemplo: {_valuation_text(counter)}"]
-    return EXIT_INVALID, result, counter, lines
+    return _refutable(result, "equivalentes" if counter is None else "no equivalentes", counter)
 
 
 def _rule_json(schema: rules.RuleSchema) -> dict:
@@ -166,7 +145,7 @@ def _cmd_rules_list(args: argparse.Namespace) -> tuple:
 
     result = {"rules": [_rule_json(schema) for schema in rules.registry()]}
     lines = [schema.name for schema in rules.registry()]
-    return EXIT_OK, result, None, lines
+    return result, None, lines
 
 
 def _cmd_rules_show(args: argparse.Namespace) -> tuple:
@@ -178,7 +157,7 @@ def _cmd_rules_show(args: argparse.Namespace) -> tuple:
         f"patrón: {format_formula(schema.pattern, Style.SPANISH)}",
         "metavariables: " + " ".join(atom.name for atom in schema.metavariables),
     ]
-    return EXIT_OK, _rule_json(schema), None, lines
+    return _rule_json(schema), None, lines
 
 
 def _cmd_rules_verify(args: argparse.Namespace) -> tuple:
@@ -188,8 +167,7 @@ def _cmd_rules_verify(args: argparse.Namespace) -> tuple:
     # The registry refuses, at import, any pattern that is not a tautology.
     classification = rules.verify_rule(args.name)
     result = {"name": schema.name, "classification": classification.value}
-    lines = [_CLASS_SPANISH[classification]]
-    return EXIT_OK, result, None, lines
+    return result, None, [_CLASS_SPANISH[classification]]
 
 
 def _cmd_entail(args: argparse.Namespace) -> tuple:
@@ -203,12 +181,8 @@ def _cmd_entail(args: argparse.Namespace) -> tuple:
         "conclusion": format_formula(conclusion),
         "valid": verdict.valid,
     }
-    if verdict.valid:
-        return EXIT_OK, result, None, ["válido"]
-    counter = verdict.countervaluation
-    assert counter is not None
-    lines = ["inválido", f"contraejemplo: {_valuation_text(counter)}"]
-    return EXIT_INVALID, result, counter, lines
+    word = "válido" if verdict.valid else "inválido"
+    return _refutable(result, word, verdict.countervaluation)
 
 
 def _syllogism_json(syllogism: categorical.Syllogism) -> dict:
@@ -236,7 +210,7 @@ def _cmd_syllogism_list(args: argparse.Namespace) -> tuple:
         ]
     }
     lines = [_describe_syllogism(name, syllogism) for name, syllogism in entries]
-    return EXIT_OK, result, None, lines
+    return result, None, lines
 
 
 def _check_syllogism(
@@ -244,13 +218,7 @@ def _check_syllogism(
 ) -> tuple:
     from . import categorical
 
-    # One mask gives both verdicts: the import models are a subset of all
-    # models, so the counter-models with import are ``counters & _IMPORT``.
-    counters = categorical._counter_models(syllogism)
-    with_import = not counters & categorical._IMPORT
-    if existential_import:
-        counters &= categorical._IMPORT
-    verdict = categorical._verdict(syllogism, counters)
+    verdict, with_import = categorical._verdicts(syllogism, existential_import)
     result = {
         "name": label,
         **_syllogism_json(syllogism),
@@ -259,13 +227,13 @@ def _check_syllogism(
         "valid_with_existential_import": with_import,
     }
     if verdict.valid:
-        return EXIT_OK, result, None, ["válido"]
+        return result, None, ["válido"]
     model = verdict.counter_model
     assert model is not None
     lines = ["inválido", f"contramodelo: {_model_text(model)}"]
     if not existential_import and with_import:
         lines.append("nota: válido con import existencial (--existential-import)")
-    return EXIT_INVALID, result, _model_json(model), lines
+    return result, _model_json(model), lines
 
 
 def _cmd_syllogism_check(args: argparse.Namespace) -> tuple:
@@ -278,12 +246,8 @@ def _cmd_syllogism_check(args: argparse.Namespace) -> tuple:
 def _cmd_syllogism_custom(args: argparse.Namespace) -> tuple:
     from . import categorical
 
-    syllogism = categorical.Syllogism(
-        categorical.parse_categorical(args.major),
-        categorical.parse_categorical(args.minor),
-        categorical.parse_categorical(args.conclusion),
-    )
-    return _check_syllogism("custom", syllogism, args.existential_import)
+    forms = map(categorical.parse_categorical, (args.major, args.minor, args.conclusion))
+    return _check_syllogism("custom", categorical.Syllogism(*forms), args.existential_import)
 
 
 def _cmd_quant_negate(args: argparse.Namespace) -> tuple:
@@ -295,7 +259,7 @@ def _cmd_quant_negate(args: argparse.Namespace) -> tuple:
         "formula": categorical.format_monadic(formula),
         "negation_nnf": categorical.format_monadic(negated),
     }
-    return EXIT_OK, result, None, [categorical.format_monadic(negated)]
+    return result, None, [categorical.format_monadic(negated)]
 
 
 def _cmd_jugs_gcd(args: argparse.Namespace) -> tuple:
@@ -303,7 +267,7 @@ def _cmd_jugs_gcd(args: argparse.Namespace) -> tuple:
 
     value = jugs.gcd(args.n, args.m)
     result = {"n": args.n, "m": args.m, "gcd": value}
-    return EXIT_OK, result, None, [str(value)]
+    return result, None, [str(value)]
 
 
 def _cmd_jugs_bezout(args: argparse.Namespace) -> tuple:
@@ -317,8 +281,7 @@ def _cmd_jugs_bezout(args: argparse.Namespace) -> tuple:
         "a": certificate.a,
         "b": certificate.b,
     }
-    lines = [f"g={certificate.g} a={certificate.a} b={certificate.b}"]
-    return EXIT_OK, result, None, lines
+    return result, None, [f"g={certificate.g} a={certificate.a} b={certificate.b}"]
 
 
 def _cmd_jugs_amounts(args: argparse.Namespace) -> tuple:
@@ -326,8 +289,7 @@ def _cmd_jugs_amounts(args: argparse.Namespace) -> tuple:
 
     amounts = jugs.achievable_amounts(args.n, args.m, args.limit)
     result = {"n": args.n, "m": args.m, "limit": args.limit, "amounts": amounts}
-    lines = [" ".join(str(amount) for amount in amounts)] if amounts else []
-    return EXIT_OK, result, None, lines
+    return result, None, [" ".join(map(str, amounts))] if amounts else []
 
 
 def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
@@ -344,7 +306,7 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
             "inalcanzable",
             f"mcd({exc.n}, {exc.m}) = {exc.gcd} no divide {exc.target}",
         ]
-        return EXIT_INVALID, result, {"gcd": exc.gcd}, lines
+        return result, {"gcd": exc.gcd}, lines
     listed = args.format == "json"
     actions: list[dict] = []
     grouped: list[str] = []
@@ -358,7 +320,7 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
     # Only JSON lists the actions; text prints the runs.
     if listed:
         result["actions"] = actions
-    return EXIT_OK, result, None, ["; ".join(grouped)]
+    return result, None, ["; ".join(grouped)]
 
 
 # --- Argument parsing --------------------------------------------------------
@@ -495,22 +457,24 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit(outcome: Outcome, output_format: str) -> None:
+def _emit(
+    output_format: str, command: str, result: dict, counterexample: dict | None, lines: list[str]
+) -> None:
     if output_format == "json":
         import json
 
         envelope = {
-            "status": "ok" if outcome.exit_code == EXIT_OK else "invalid",
-            "command": outcome.command,
-            "result": outcome.result,
-            "counterexample": outcome.counterexample,
+            "status": "ok" if counterexample is None else "invalid",
+            "command": command,
+            "result": result,
+            "counterexample": counterexample,
         }
         sys.stdout.write(
             json.dumps(envelope, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
             + "\n"
         )
     else:
-        for line in outcome.text_lines:
+        for line in lines:
             sys.stdout.write(line + "\n")
 
 
@@ -523,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The command path the parser matched names the command.
     command = f"{args.command} {args.subcommand}" if "subcommand" in args else args.command
     try:
-        outcome = Outcome(command, *args.handler(args))
+        result, counterexample, lines = args.handler(args)
     except ParseError as exc:
         sys.stderr.write(
             f"error: {exc.kind.value} at {exc.span.start}..{exc.span.end}: "
@@ -534,14 +498,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     try:
-        _emit(outcome, args.format)
+        _emit(args.format, command, result, counterexample, lines)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  The answer stands; send whatever is
         # still buffered to devnull so that the flush at exit cannot fail
         # too (see "Note on SIGPIPE" in the ``signal`` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return outcome.exit_code
+    return EXIT_OK if counterexample is None else EXIT_INVALID
 
 
 def console_main() -> None:

@@ -17,6 +17,7 @@ common factor changes nothing.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections.abc import Iterable
 from enum import Enum
@@ -186,34 +187,20 @@ class Strategy(Enum):
 
 
 def gcd(n: int, m: int) -> int:
-    """Greatest common divisor by the Euclidean algorithm; n ≥ 1, m ≥ 0."""
+    """Greatest common divisor; n ≥ 1, m ≥ 0."""
     _check_range(n, "n")
     _check_range(m, "m", minimum=0)
-    while m:
-        n, m = m, n % m
-    return n
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int]:
-    # Returns (g, x) with x·a + y·b = g for some integer y, a ≥ 1, b ≥ 0.
-    old_r, r = a, b
-    old_x, x = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-    return old_r, old_x
+    return math.gcd(n, m)
 
 
 def bezout(n: int, m: int) -> BezoutCertificate:
-    """Extended Euclid with the canonical representative for the coefficient
-    of n: 0 ≤ a < m/g.  When m/g = 1 that interval forces a = 0 and the
-    whole weight falls on b."""
+    """The certificate whose coefficient of n is its canonical
+    representative 0 ≤ a < m/g: the inverse of n/g modulo m/g.  When
+    m/g = 1 that inverse is 0 and the whole weight falls on b."""
     _check_range(n, "n")
     _check_range(m, "m")
-    g, x = _extended_gcd(n, m)
-    period = m // g
-    a = x % period
+    g = math.gcd(n, m)
+    a = pow(n // g, -1, m // g)
     b = (g - a * n) // m
     return BezoutCertificate(g=g, a=a, b=b)
 

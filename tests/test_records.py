@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 
 import deduce
-from deduce import cli, rules
+from deduce import rules
 from deduce._record import Record
 from deduce.categorical import (
     CategoricalForm,
@@ -79,7 +79,6 @@ RECORDS = [
     rules.get_rule("modus-ponens"),
     rules.Entailment((P,), Q),
     rules.entail([P], Q),
-    cli.Outcome("classify", 0, {"classification": "tautology"}, None, ["tautología"]),
 ]
 
 
