@@ -12,7 +12,8 @@ in the models that inhabit one of its regions, a universal in the rest.
 ``major & minor & ~conclusion`` holds the counter-models, and its lowest
 bit is the first counter-model of the canonical enumeration.  The same
 module carries a small monadic quantifier language with negation rewriting
-into negation normal form.
+into negation normal form; ``predicates`` and ``free_variables`` read one
+walk that collects a formula's predicate names and free variables together.
 """
 
 from __future__ import annotations
@@ -228,12 +229,16 @@ def canonical_models(
     Each of the eight membership regions appears zero or one times; region
     ``r`` contains the predicate ``names[i]`` exactly when bit ``i`` of ``r``
     is set.  With ``existential_import`` only models where every extension
-    is non-empty are produced.
+    is non-empty are produced.  Raises ``ValueError`` unless ``names`` are
+    three distinct names.
     """
-    for mask in range(256):
-        model = _model_of(names, mask)
-        if not existential_import or all(model.extensions.values()):
-            yield model
+    if len(names) != 3 or len(set(names)) != 3:
+        raise ValueError(f"expected three distinct predicate names, got {names!r}")
+    return (
+        _model_of(names, mask)
+        for mask in range(256)
+        if not existential_import or _IMPORT >> mask & 1
+    )
 
 
 # A model set is an int whose bit ``m`` stands for the canonical model
@@ -377,7 +382,10 @@ _BINARY_NODES = (MAnd, MOr, MImplies)
 _QUANTIFIER_NODES = (ForAll, Exists)
 
 
-def free_variables(formula: MonadicFormula) -> frozenset[str]:
+def _symbols(formula: MonadicFormula) -> tuple[set[str], set[str]]:
+    """The predicate names and the free variables of ``formula``, from one
+    walk with an explicit stack (no recursion limit on nesting depth)."""
+    names: set[str] = set()
     free: set[str] = set()
     bound: dict[str, int] = {}
     # Work items are formulas to visit, or a bound variable's name where
@@ -389,6 +397,7 @@ def free_variables(formula: MonadicFormula) -> frozenset[str]:
         if kind is str:
             bound[node] -= 1
         elif kind is PredApp:
+            names.add(node.pred)
             if not bound.get(node.var):
                 free.add(node.var)
         elif kind is MNot:
@@ -402,32 +411,20 @@ def free_variables(formula: MonadicFormula) -> frozenset[str]:
             pending.append(node.body)
         else:
             raise TypeError(f"not a monadic formula: {node!r}")
-    return frozenset(free)
+    return names, free
+
+
+def free_variables(formula: MonadicFormula) -> frozenset[str]:
+    return frozenset(_symbols(formula)[1])
 
 
 def predicates(formula: MonadicFormula) -> tuple[str, ...]:
     """All predicate names occurring in the formula, sorted."""
-    names: set[str] = set()
-    pending: list[MonadicFormula] = [formula]
-    while pending:
-        node = pending.pop()
-        kind = type(node)
-        if kind is PredApp:
-            names.add(node.pred)
-        elif kind is MNot:
-            pending.append(node.inner)
-        elif kind in _BINARY_NODES:
-            pending.append(node.right)
-            pending.append(node.left)
-        elif kind in _QUANTIFIER_NODES:
-            pending.append(node.body)
-        else:
-            raise TypeError(f"not a monadic formula: {node!r}")
-    return tuple(sorted(names))
+    return tuple(sorted(_symbols(formula)[0]))
 
 
 def _require_closed(formula: MonadicFormula) -> None:
-    free = free_variables(formula)
+    free = _symbols(formula)[1]
     if free:
         raise ValueError(
             f"formula must be closed; free variables: {', '.join(sorted(free))}"

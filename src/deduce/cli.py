@@ -370,6 +370,10 @@ def _vessels(m: Callable[[str], int] = _positive_int) -> list[tuple]:
 
 
 _NAME = _arg("name")
+_EXISTENTIAL_IMPORT = _arg(
+    "--existential-import", action="store_true",
+    help="restrict to models where all three terms denote non-empty sets",
+)
 
 #: Every parser under the root, in help order: (command path, help,
 #: arguments, handler).  A row without a handler is a group; its
@@ -392,13 +396,12 @@ _COMMANDS = (
     ("syllogism", "Aristotelian syllogisms over finite models", [], None),
     ("syllogism list", "list the ten named moods", [], _cmd_syllogism_list),
     ("syllogism check", "check a named mood for validity",
-     [_NAME, _arg("--existential-import", action="store_true",
-                  help="restrict to models where all three terms denote non-empty sets")],
+     [_NAME, _EXISTENTIAL_IMPORT],
      _cmd_syllogism_check),
     ("syllogism custom",
      "check a custom syllogism given as all:S:P / no:S:P / some:S:P / some-not:S:P",
      [_arg("major"), _arg("minor"), _arg("conclusion"),
-      _arg("--existential-import", action="store_true")],
+      _EXISTENTIAL_IMPORT],
      _cmd_syllogism_custom),
     ("quant", "quantified monadic formulas", [], None),
     ("quant negate", "negate a closed monadic formula into negation normal form",

@@ -73,6 +73,9 @@ class PlanTooLong(ValueError):
 def _check_range(
     value: int, name: str, maximum: int = MAX_CAPACITY, minimum: int = 1
 ) -> None:
+    # ``bool`` is an ``int`` subclass, but True is no vessel size.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if not minimum <= value <= maximum:
         raise ValueError(
             f"{name} must be between {minimum} and {maximum}, got {_quoted(value)}"

@@ -11,7 +11,10 @@ classroom V/F notation and ``parse_truth_value`` accepts V/F and 1/0.
 postorder program, and each run of the program applies ``^ & |`` to big
 integers whose bit ``r`` is the value at canonical row ``r``, deciding a
 block of up to 2^12 rows in one pass (``evaluate``: one row).  Scans stop
-at the first block that settles the answer.
+at the first block that settles the answer.  ``atoms`` reads the same
+compiled form, and ``substitute`` runs its program on nodes, so the
+compiler is the only walk over a formula outside the parser, the printer
+and the node records.
 """
 
 from __future__ import annotations
@@ -178,6 +181,7 @@ class TruthTable(Record):
 # a negative entry applies a connective to the top of the stack.
 _NOT, _OR, _AND, _IMPLIES, _IFF = -1, -2, -3, -4, -5
 _BINARY = {Or: _OR, And: _AND, Implies: _IMPLIES, Iff: _IFF}
+_CONNECTIVES = {op: kind for kind, op in _BINARY.items()}
 
 #: log2 of the rows one pass of a program decides.  Without a cap, one
 #: vector over all 2^n rows makes every connective cost O(2^n) bits even
@@ -278,8 +282,11 @@ def _scan(
     program, found = _compile(formula)
     columns = tuple(over) if over is not None else tuple(sorted(found))
     n = len(columns)
-    _check_limit(n)
     position = {atom.name: i for i, atom in enumerate(columns)}
+    if len(position) < n:
+        repeated = next(a for i, a in enumerate(columns) if position[a.name] != i)
+        raise ValueError(f"over repeats atom {repeated.name!r}")
+    _check_limit(n)
     for atom in found:
         if atom.name not in position:
             raise MissingAtom(atom.name)
@@ -309,7 +316,8 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
 
     ``over`` widens the table to an explicit atom tuple (a superset of the
     formula's own atoms, in the order given); by default the formula's atoms
-    in alphabetical order are used.
+    in alphabetical order are used.  Raises ``ValueError`` if ``over``
+    repeats an atom.
     """
     columns, full, vectors = _scan(formula, over)
     width = full.bit_length()
@@ -388,32 +396,18 @@ def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
     Atoms absent from the mapping are left unchanged; images are inserted
     as-is and never rewritten again.
     """
-    out: list[Formula] = []
-    # Work items are ``(formula, True)`` to visit, and ``(connective, False)``
-    # to rebuild a node of that class from the last results.
-    pending: list = [(formula, True)]
-    while pending:
-        node, visit = pending.pop()
-        if not visit:
-            if node is Not:
-                out[-1] = Not(out[-1])
-            else:
-                right = out.pop()
-                out[-1] = node(out[-1], right)
-            continue
-        kind = type(node)
-        if kind is Atomic:
-            out.append(mapping.get(node.atom.name, node))
-        elif kind is Not:
-            pending.append((Not, False))
-            pending.append((node.inner, True))
-        elif kind in _BINARY:
-            pending.append((kind, False))
-            pending.append((node.right, True))
-            pending.append((node.left, True))
+    program, found = _compile(formula)
+    images = [mapping.get(atom.name, Atomic(atom)) for atom in found]
+    stack: list[Formula] = []
+    for op in program:
+        if op >= 0:
+            stack.append(images[op])
+        elif op == _NOT:
+            stack[-1] = Not(stack[-1])
         else:
-            raise TypeError(f"not a formula: {node!r}")
-    return out[0]
+            right = stack.pop()
+            stack[-1] = _CONNECTIVES[op](stack[-1], right)
+    return stack[0]
 
 
 def format_truth_value(value: bool) -> str:

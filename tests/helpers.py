@@ -525,7 +525,11 @@ def reference_build_parser() -> argparse.ArgumentParser:
     syllogism_custom.add_argument("major")
     syllogism_custom.add_argument("minor")
     syllogism_custom.add_argument("conclusion")
-    syllogism_custom.add_argument("--existential-import", action="store_true")
+    syllogism_custom.add_argument(
+        "--existential-import",
+        action="store_true",
+        help="restrict to models where all three terms denote non-empty sets",
+    )
     syllogism_custom.set_defaults(handler=cli._cmd_syllogism_custom)
 
     quant = subparsers.add_parser("quant", help="quantified monadic formulas")

@@ -34,6 +34,7 @@ from deduce.categorical import (
     registry_syllogisms,
     valid_syllogism,
 )
+from deduce.categorical import _IMPORT
 from deduce.parser import ErrorKind, ParseError
 from helpers import (
     all_models,
@@ -189,6 +190,20 @@ class TestValidSyllogism:
 
     def test_canonical_enumeration_is_256_models(self):
         assert sum(1 for _ in canonical_models(("A", "B", "M"))) == 256
+
+    def test_existential_import_keeps_the_models_with_nonempty_extensions(self):
+        names = ("A", "B", "M")
+        expected = [m for m in canonical_models(names) if all(m.extensions.values())]
+        kept = list(canonical_models(names, existential_import=True))
+        assert kept == expected
+        assert len(kept) == 218 == _IMPORT.bit_count()
+
+    @pytest.mark.parametrize(
+        "names", [("A", "B"), ("A", "A", "B"), ("A", "B", "C", "D")]
+    )
+    def test_canonical_models_need_three_distinct_predicate_names(self, names):
+        with pytest.raises(ValueError):
+            canonical_models(names)
 
     def test_canonical_agrees_with_naive_enumeration(self):
         models = all_models(("A", "B", "M"), 4)

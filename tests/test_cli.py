@@ -1065,6 +1065,17 @@ def test_the_parser_matches_the_spelt_out_reference(argv, monkeypatch):
     assert _parse_with(cli._parser(), argv) == _parse_with(reference_build_parser(), argv)
 
 
+@pytest.mark.parametrize("command", ["check", "custom"])
+def test_both_syllogism_commands_describe_existential_import(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    assert cli.main(["syllogism", command, "--help"]) == 0
+    words = " ".join(capsys.readouterr().out.split())
+    assert (
+        "--existential-import restrict to models where all three terms denote "
+        "non-empty sets" in words
+    )
+
+
 def test_main_builds_its_parser_once():
     assert cli._parser() is cli._parser()
 

@@ -352,6 +352,33 @@ class TestSimulate:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None], ids=repr)
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda value: JugProblem(value, 2, 3), "n"),
+            (lambda value: JugProblem(2, value, 3), "m"),
+            (lambda value: JugProblem(2, 3, value), "target"),
+            (lambda value: gcd(value, 2), "n"),
+            (lambda value: gcd(2, value), "m"),
+            (lambda value: bezout(value, 2), "n"),
+            (lambda value: bezout(2, value), "m"),
+            (lambda value: achievable_amounts(value, 2, 5), "n"),
+            (lambda value: achievable_amounts(2, value, 5), "m"),
+            (lambda value: achievable_amounts(2, 3, value), "limit"),
+            (lambda value: simulate(PourPlan([]), value, 2), "n"),
+            (lambda value: simulate(PourPlan([]), 2, value), "m"),
+        ],
+        ids=[
+            "problem-n", "problem-m", "problem-target", "gcd-n", "gcd-m", "bezout-n",
+            "bezout-m", "amounts-n", "amounts-m", "amounts-limit", "simulate-n",
+            "simulate-m",
+        ],
+    )
+    def test_refuses_values_that_are_not_integers(self, call, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+            call(value)
+
     @pytest.mark.parametrize("n,m,target", [(0, 5, 1), (5, 0, 1), (5, 5, 0), (-1, 2, 3)])
     def test_problem_rejects_nonpositive_values(self, n, m, target):
         with pytest.raises(ValueError):

@@ -164,6 +164,10 @@ class TestTruthTable:
         assert len(table.rows) == 4
         assert [row.value for row in table.rows] == [True, True, False, False]
 
+    def test_repeated_atom_in_the_columns(self):
+        with pytest.raises(ValueError, match="'P'"):
+            truth_table(P, over=(Atom("P"), Atom("Q"), Atom("P")))
+
     def test_too_many_atoms(self):
         wide = prop("A1")
         for i in range(2, MAX_ATOMS + 2):
