@@ -35,6 +35,9 @@ class UnknownPredicate(LookupError):
         super().__init__(f"model has no extension for predicate {name!r}")
         self.name = name
 
+    def __reduce__(self):
+        return type(self), (self.name,)
+
 
 class UnknownSyllogism(LookupError):
     """No syllogism with the requested name exists in the registry."""
@@ -42,6 +45,9 @@ class UnknownSyllogism(LookupError):
     def __init__(self, name: str):
         super().__init__(f"unknown syllogism {name!r}")
         self.name = name
+
+    def __reduce__(self):
+        return type(self), (self.name,)
 
 
 class FormKind(Enum):
@@ -546,6 +552,7 @@ _MONADIC = _Grammar(
     negation=MNot,
     leaf=PredApp,
     build_leaf=PredApp,
+    name=str,
     leaf_text=lambda node: f"{node.pred}({node.var})",
     quantifiers={"forall": ForAll, "exists": Exists},
     styles={Style.ASCII: {"not": "~", "and": "&", "or": "|", "implies": "->"}},

@@ -44,6 +44,9 @@ class PlanViolation(ValueError):
         self.index = index
         self.reason = reason
 
+    def __reduce__(self):
+        return type(self), (self.index, self.reason)
+
 
 class NotAchievable(ValueError):
     """The target is not a multiple of gcd(n, m), so no plan exists."""
@@ -58,6 +61,9 @@ class NotAchievable(ValueError):
         self.target = target
         self.gcd = g
 
+    def __reduce__(self):
+        return type(self), (self.n, self.m, self.target, self.gcd)
+
 
 class PlanTooLong(ValueError):
     """The plan would exceed ``MAX_PLAN_LENGTH`` actions; refused before any
@@ -68,6 +74,9 @@ class PlanTooLong(ValueError):
             f"the plan needs {length} actions; the limit is {MAX_PLAN_LENGTH}"
         )
         self.length = length
+
+    def __reduce__(self):
+        return type(self), (self.length,)
 
 
 def _check_range(

@@ -41,6 +41,9 @@ class MissingAtom(LookupError):
         super().__init__(f"valuation does not assign atom {name!r}")
         self.name = name
 
+    def __reduce__(self):
+        return type(self), (self.name,)
+
 
 class TooManyAtoms(ValueError):
     """A query would enumerate more atoms than ``MAX_ATOMS`` allows."""
@@ -49,6 +52,9 @@ class TooManyAtoms(ValueError):
         super().__init__(f"formula has {count} atoms; the limit is {limit}")
         self.count = count
         self.limit = limit
+
+    def __reduce__(self):
+        return type(self), (self.count, self.limit)
 
 
 class Atom(Record):

@@ -12,15 +12,24 @@ One grammar core serves this language and the monadic one of
 ``categorical``: a ``_Grammar`` table drives one tokenizer, one
 operator-precedence parser (Dijkstra's shunting-yard) and one printer.
 They keep explicit stacks, so nesting depth is bounded only by memory.
+
+The tokenizer is one compiled pattern per grammar, run by ``findall``;
+tokens carry no offsets, and the offending token's span is recomputed by
+scanning the text again only when an error is reported.  Each distinct
+name is classified and made into an atom once per parse; every leaf is
+still a node of its own.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Mapping
 from enum import Enum
+from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
-from .logic import And, Atomic, Formula, Iff, Implies, Not, Or, prop
+from .logic import And, Atom, Atomic, Formula, Iff, Implies, Not, Or
 
 
 class SourceSpan(NamedTuple):
@@ -46,6 +55,9 @@ class ParseError(ValueError):
         self.span = span
         self.message = message
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.span, self.message)
+
 
 class Style(Enum):
     ASCII = "ascii"
@@ -55,10 +67,10 @@ class Style(Enum):
 
 # --- Grammar core ------------------------------------------------------------
 #
-# A token is a tuple ``(kind, text, start, end)``: a kind of ``_SPELLINGS``,
-# "name" (an uppercase-initial ASCII word), "var" (a lowercase ASCII word,
-# in a grammar with variables) or "end", a sentinel closing every token
-# list whose span is the end of the input.
+# A token is a pair ``(kind, text)``: a kind of ``_SPELLINGS``, "name" (an
+# uppercase-initial ASCII word), "var" (a lowercase ASCII word, in a grammar
+# with variables) or "end", a sentinel closing every token list whose span
+# is the end of the input.
 
 # Every spelling of each token kind.  The words are reserved; names start
 # uppercase so they can never clash.
@@ -88,9 +100,10 @@ class _Grammar:
     """One language's table for the shared tokenizer, parser and printer.
 
     ``binary`` maps the grammar's connectives to their constructors.
-    ``leaf`` nodes are built by ``build_leaf`` from a name, or from a name
-    and a variable in a grammar with ``quantifiers`` (keyword ->
-    constructor of ``(variable, body)``), and printed by ``leaf_text``.
+    ``leaf`` nodes are built by ``build_leaf`` from ``name(word)``, made
+    once per distinct word in a parse, or from that and a variable in a
+    grammar with ``quantifiers`` (keyword -> constructor of ``(variable,
+    body)``), and printed by ``leaf_text``.
     ``styles`` spells the connectives for printing.  Symbols of a kind the
     grammar does not use are unknown characters to it.
     """
@@ -101,6 +114,7 @@ class _Grammar:
         negation: type,
         leaf: type,
         build_leaf: Callable,
+        name: Callable[[str], object],
         leaf_text: Callable[[object], str],
         quantifiers: Mapping[str, type],
         styles: Mapping[Style, Mapping[str, str]],
@@ -114,9 +128,11 @@ class _Grammar:
             ((s, kind) for kind in kinds for s in _SPELLINGS[kind] if not s.isalnum()),
             key=lambda pair: -len(pair[0]),
         )
+        self.kinds = {**_WORDS, **dict(self.symbols)}
         self.variables = bool(quantifiers)
         self.negation = negation
         self.build_leaf = build_leaf
+        self.name = name
         self.quantifiers = quantifiers
         self.noun = noun
         # A binary operator first applies every pending frame above its
@@ -140,67 +156,63 @@ class _Grammar:
             for word, ctor in quantifiers.items():
                 nodes[ctor] = ("scope", 0, word + " ", 0, None)
 
+    @cached_property
+    def pattern(self) -> re.Pattern:
+        """The tokenizer, compiled on the first parse rather than at import.
 
-def _tokenize(text: str, grammar: _Grammar) -> list[tuple[str, str, int, int]]:
-    tokens: list[tuple[str, str, int, int]] = []
-    symbols = grammar.symbols
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isalnum():
-            j = i + 1
-            while j < n and text[j].isalnum():
-                j += 1
-            word = text[i:j]
-            kind = _WORDS.get(word)
-            if kind is None and word.isascii():
-                if word[0].isupper():
-                    kind = "name"
-                elif grammar.variables and word[0].islower():
-                    kind = "var"
-            if kind is None:
-                raise ParseError(
-                    ErrorKind.UNKNOWN_TOKEN, SourceSpan(i, j), f"unknown word {word!r}"
-                )
-            tokens.append((kind, word, i, j))
-            i = j
-            continue
-        for symbol, kind in symbols:
-            if text.startswith(symbol, i):
-                tokens.append((kind, symbol, i, i + len(symbol)))
-                i += len(symbol)
-                break
-        else:
-            raise ParseError(
-                ErrorKind.UNKNOWN_TOKEN, SourceSpan(i, i + 1), f"unknown character {ch!r}"
-            )
-    tokens.append(("end", "", n, n))
+        A token is a run of letters and digits (exactly ``str.isalnum``), a
+        symbol, or any other character but a space, which is unknown.
+        """
+        symbols = "|".join(re.escape(symbol) for symbol, _ in self.symbols)
+        return re.compile(rf"[^\W_]+|{symbols}|\S")
+
+
+def _tokenize(text: str, grammar: _Grammar) -> list[tuple[str, str]]:
+    words = grammar.pattern.findall(text)
+    kinds = grammar.kinds
+    # Names and variables are classified once per distinct word.
+    found = {word: _classify(word, grammar) for word in set(words).difference(kinds)}
+    unknown = {word for word, kind in found.items() if kind is None}
+    if unknown:
+        index = next(i for i, word in enumerate(words) if word in unknown)
+        noun = "word" if words[index].isalnum() else "character"
+        raise _Fault(index, ErrorKind.UNKNOWN_TOKEN, f"unknown {noun} {words[index]!r}")
+    tokens = list(zip(map({**kinds, **found}.__getitem__, words), words))
+    tokens.append(("end", ""))
     return tokens
 
 
-def _expected(token: tuple[str, str, int, int], wanted: str) -> ParseError:
-    kind, text, start, end = token
+def _classify(word: str, grammar: _Grammar) -> str | None:
+    if word.isascii():
+        if word[0].isupper():
+            return "name"
+        if grammar.variables and word[0].islower():
+            return "var"
+    return None
+
+
+class _Fault(Exception):
+    """A parse error at a token index: ``(index, kind, message)``.
+    ``_parse`` turns it into a ``ParseError`` with the token's span."""
+
+
+def _expected(tokens: list, pos: int, wanted: str) -> _Fault:
+    kind, text = tokens[pos]
     if kind == "end":
-        return ParseError(ErrorKind.UNEXPECTED_END, SourceSpan(start, end), f"expected {wanted}")
-    return ParseError(
-        ErrorKind.UNKNOWN_TOKEN, SourceSpan(start, end), f"expected {wanted}, found {text!r}"
-    )
+        return _Fault(pos, ErrorKind.UNEXPECTED_END, f"expected {wanted}")
+    return _Fault(pos, ErrorKind.UNKNOWN_TOKEN, f"expected {wanted}, found {text!r}")
 
 
-def _unclosed(token: tuple[str, str, int, int]) -> ParseError:
-    kind, text, start, end = token
+def _unclosed(tokens: list, pos: int) -> _Fault:
+    kind, text = tokens[pos]
     message = "missing ')'" if kind == "end" else f"expected ')', found {text!r}"
-    return ParseError(ErrorKind.UNBALANCED_PAREN, SourceSpan(start, end), message)
+    return _Fault(pos, ErrorKind.UNBALANCED_PAREN, message)
 
 
 def _variable(tokens: list, pos: int, grammar: _Grammar) -> str:
     token = tokens[pos]
     if token[0] != "var" or token[1] in grammar.quantifiers:
-        raise _expected(token, "a variable")
+        raise _expected(tokens, pos, "a variable")
     return token[1]
 
 
@@ -218,7 +230,18 @@ def _reduce(frames: list, operands: list, floor: int) -> None:
 
 
 def _parse(text: str, grammar: _Grammar):
-    """Parse ``text`` in ``grammar``; raises ``ParseError`` on the first fault.
+    """Parse ``text`` in ``grammar``; raises ``ParseError`` on the first fault."""
+    try:
+        return _read(_tokenize(text, grammar), grammar)
+    except _Fault as fault:
+        index, kind, message = fault.args
+        spans = (match.span() for match in grammar.pattern.finditer(text))
+        span = SourceSpan(*next(islice(spans, index, None), (len(text), len(text))))
+        raise ParseError(kind, span, message) from None
+
+
+def _read(tokens: list, grammar: _Grammar):
+    """Build the tree of ``tokens``, or raise ``_Fault`` at the first fault.
 
     Tokens are read once, left to right, alternating between the place of
     an operand (prefixes, then a leaf) and the place of an operator.  Frames
@@ -226,10 +249,10 @@ def _parse(text: str, grammar: _Grammar):
     negation (argument ``None``), a quantifier (the variable) or an open
     parenthesis.
     """
-    tokens = _tokenize(text, grammar)
     binary, quantifiers = grammar.binary, grammar.quantifiers
     frames: list = [(_BOTTOM, None, None)]
     operands: list = []
+    names: dict = {}
     opened = 0
     pos = 0
     while True:
@@ -245,28 +268,29 @@ def _parse(text: str, grammar: _Grammar):
                 var = _variable(tokens, pos + 1, grammar)
                 pos += 2
                 if tokens[pos][0] != ".":
-                    raise _expected(tokens[pos], "'.'")
+                    raise _expected(tokens, pos, "'.'")
                 frames.append((_SCOPE, quantifiers[token[1]], var))
             else:
                 break
             pos += 1
         if kind == "name":
+            name = names.get(token[1])
+            if name is None:
+                name = names[token[1]] = grammar.name(token[1])
             if grammar.variables:
                 if tokens[pos + 1][0] != "(":
-                    raise _expected(tokens[pos + 1], "'('")
+                    raise _expected(tokens, pos + 1, "'('")
                 var = _variable(tokens, pos + 2, grammar)
                 pos += 3
                 if tokens[pos][0] != ")":
-                    raise _unclosed(tokens[pos])
-                operands.append(grammar.build_leaf(token[1], var))
+                    raise _unclosed(tokens, pos)
+                operands.append(grammar.build_leaf(name, var))
             else:
-                operands.append(grammar.build_leaf(token[1]))
+                operands.append(grammar.build_leaf(name))
         elif kind == ")":
-            raise ParseError(
-                ErrorKind.UNBALANCED_PAREN, SourceSpan(token[2], token[3]), "unmatched ')'"
-            )
+            raise _Fault(pos, ErrorKind.UNBALANCED_PAREN, "unmatched ')'")
         else:
-            raise _expected(token, "a formula")
+            raise _expected(tokens, pos, "a formula")
         while True:
             pos += 1
             token = tokens[pos]
@@ -284,11 +308,11 @@ def _parse(text: str, grammar: _Grammar):
                 frames.pop()
                 opened -= 1
             elif opened:
-                raise _unclosed(token)
+                raise _unclosed(tokens, pos)
             elif kind != "end":
-                raise ParseError(
+                raise _Fault(
+                    pos,
                     ErrorKind.TRAILING_INPUT,
-                    SourceSpan(token[2], token[3]),
                     f"unexpected input {token[1]!r} after a complete formula",
                 )
             else:
@@ -339,7 +363,8 @@ _PROPOSITIONAL = _Grammar(
     binary={"and": And, "or": Or, "implies": Implies, "iff": Iff},
     negation=Not,
     leaf=Atomic,
-    build_leaf=prop,
+    build_leaf=Atomic,
+    name=Atom,
     leaf_text=lambda node: node.atom.name,
     quantifiers={},
     styles={

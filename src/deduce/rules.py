@@ -34,6 +34,9 @@ class UnknownRule(LookupError):
         super().__init__(f"unknown rule {name!r}")
         self.name = name
 
+    def __reduce__(self):
+        return type(self), (self.name,)
+
 
 class RuleSchema(Record):
     __slots__ = ("name", "metavariables", "pattern")

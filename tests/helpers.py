@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library code paths they are checking:
 propositional answers come from one call per canonical row of
 ``reference_evaluate`` (the recursive walk that ``evaluate`` replaced),
-monadic ones from the recursive ``reference_eval_monadic``, the text of a
+monadic ones from the recursive ``reference_eval_monadic``, parses from
+the character-at-a-time ``reference_parse``, the text of a
 truth table from a grid whose columns are measured cell by cell, record reprs
 and equality from frozen dataclass twins, entailment is scanned
 premise-by-premise without building the implication formula, syllogism validity is decided by evaluating the three forms on
@@ -64,7 +65,19 @@ from deduce.logic import (
     Or,
     prop,
 )
-from deduce.parser import Style, format_formula
+from deduce.parser import (
+    _BINARY as _BINARY_FRAME,
+    _BOTTOM,
+    _NOT_PREC,
+    _PAREN,
+    _SCOPE,
+    _WORDS,
+    ErrorKind,
+    ParseError,
+    SourceSpan,
+    Style,
+    format_formula,
+)
 
 # --- Random propositional formulas ------------------------------------------
 
@@ -392,6 +405,162 @@ def reference_simulate(actions: Sequence[Action], n: int, m: int) -> int:
         else:
             raise TypeError(f"not a plan action: {action!r}")
     return total
+
+
+# --- Parser reference: the tokenizer that reads one character at a time ------
+#
+# The shared parser as it was before its tokenizer became one compiled
+# pattern per grammar: tokens carry their offsets, symbols are tried with
+# ``str.startswith``, longest first, and every leaf builds its own name.
+
+
+def _reference_tokenize(text: str, grammar) -> list[tuple[str, str, int, int]]:
+    tokens: list[tuple[str, str, int, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isalnum():
+            j = i + 1
+            while j < n and text[j].isalnum():
+                j += 1
+            word = text[i:j]
+            kind = _WORDS.get(word)
+            if kind is None and word.isascii():
+                if word[0].isupper():
+                    kind = "name"
+                elif grammar.variables and word[0].islower():
+                    kind = "var"
+            if kind is None:
+                raise ParseError(
+                    ErrorKind.UNKNOWN_TOKEN, SourceSpan(i, j), f"unknown word {word!r}"
+                )
+            tokens.append((kind, word, i, j))
+            i = j
+            continue
+        for symbol, kind in grammar.symbols:
+            if text.startswith(symbol, i):
+                tokens.append((kind, symbol, i, i + len(symbol)))
+                i += len(symbol)
+                break
+        else:
+            raise ParseError(
+                ErrorKind.UNKNOWN_TOKEN, SourceSpan(i, i + 1), f"unknown character {ch!r}"
+            )
+    tokens.append(("end", "", n, n))
+    return tokens
+
+
+def _reference_expected(token: tuple[str, str, int, int], wanted: str) -> ParseError:
+    kind, text, start, end = token
+    if kind == "end":
+        return ParseError(ErrorKind.UNEXPECTED_END, SourceSpan(start, end), f"expected {wanted}")
+    return ParseError(
+        ErrorKind.UNKNOWN_TOKEN, SourceSpan(start, end), f"expected {wanted}, found {text!r}"
+    )
+
+
+def _reference_unclosed(token: tuple[str, str, int, int]) -> ParseError:
+    kind, text, start, end = token
+    message = "missing ')'" if kind == "end" else f"expected ')', found {text!r}"
+    return ParseError(ErrorKind.UNBALANCED_PAREN, SourceSpan(start, end), message)
+
+
+def _reference_variable(tokens: list, pos: int, grammar) -> str:
+    token = tokens[pos]
+    if token[0] != "var" or token[1] in grammar.quantifiers:
+        raise _reference_expected(token, "a variable")
+    return token[1]
+
+
+def _reference_reduce(frames: list, operands: list, floor: int) -> None:
+    while frames[-1][0] > floor:
+        _, ctor, arg = frames.pop()
+        if arg is _BINARY_FRAME:
+            right = operands.pop()
+            operands[-1] = ctor(operands[-1], right)
+        elif arg is None:
+            operands[-1] = ctor(operands[-1])
+        else:
+            operands[-1] = ctor(arg, operands[-1])
+
+
+def reference_parse(text: str, grammar):
+    """``text`` parsed in ``grammar`` (``parser._PROPOSITIONAL`` or
+    ``categorical._MONADIC``) by the character-at-a-time reference: the same
+    tree, or a ``ParseError`` of the same kind, span and message, as the
+    library parser must give."""
+    tokens = _reference_tokenize(text, grammar)
+    binary, quantifiers = grammar.binary, grammar.quantifiers
+    frames: list = [(_BOTTOM, None, None)]
+    operands: list = []
+    opened = 0
+    pos = 0
+    while True:
+        while True:
+            token = tokens[pos]
+            kind = token[0]
+            if kind == "not":
+                frames.append((_NOT_PREC, grammar.negation, None))
+            elif kind == "(":
+                frames.append((_PAREN, None, None))
+                opened += 1
+            elif kind == "var" and token[1] in quantifiers:
+                var = _reference_variable(tokens, pos + 1, grammar)
+                pos += 2
+                if tokens[pos][0] != ".":
+                    raise _reference_expected(tokens[pos], "'.'")
+                frames.append((_SCOPE, quantifiers[token[1]], var))
+            else:
+                break
+            pos += 1
+        if kind == "name":
+            if grammar.variables:
+                if tokens[pos + 1][0] != "(":
+                    raise _reference_expected(tokens[pos + 1], "'('")
+                var = _reference_variable(tokens, pos + 2, grammar)
+                pos += 3
+                if tokens[pos][0] != ")":
+                    raise _reference_unclosed(tokens[pos])
+                operands.append(grammar.build_leaf(grammar.name(token[1]), var))
+            else:
+                operands.append(grammar.build_leaf(grammar.name(token[1])))
+        elif kind == ")":
+            raise ParseError(
+                ErrorKind.UNBALANCED_PAREN, SourceSpan(token[2], token[3]), "unmatched ')'"
+            )
+        else:
+            raise _reference_expected(token, "a formula")
+        while True:
+            pos += 1
+            token = tokens[pos]
+            kind = token[0]
+            operator = binary.get(kind)
+            if operator is not None:
+                threshold, prec, ctor = operator
+                if frames[-1][0] > threshold:
+                    _reference_reduce(frames, operands, threshold)
+                frames.append((prec, ctor, _BINARY_FRAME))
+                pos += 1
+                break
+            if kind == ")" and opened:
+                _reference_reduce(frames, operands, _PAREN)
+                frames.pop()
+                opened -= 1
+            elif opened:
+                raise _reference_unclosed(token)
+            elif kind != "end":
+                raise ParseError(
+                    ErrorKind.TRAILING_INPUT,
+                    SourceSpan(token[2], token[3]),
+                    f"unexpected input {token[1]!r} after a complete formula",
+                )
+            else:
+                _reference_reduce(frames, operands, _BOTTOM)
+                return operands[0]
 
 
 # --- Record reference: frozen dataclasses of the same names and fields -------

@@ -1,9 +1,23 @@
+import re
+import sys
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from deduce.categorical import _MONADIC, format_monadic
 from deduce.logic import And, Iff, Implies, Not, Or, prop
-from deduce.parser import ErrorKind, ParseError, Style, format_formula, parse
-from helpers import formula_strategy
+from deduce.parser import (
+    _PROPOSITIONAL,
+    _SPELLINGS,
+    ErrorKind,
+    ParseError,
+    Style,
+    _parse,
+    format_formula,
+    parse,
+)
+from helpers import formula_strategy, random_monadic, reference_parse
 
 P, Q, R, S = prop("P"), prop("Q"), prop("R"), prop("S")
 
@@ -59,6 +73,11 @@ class TestParse:
     )
     def test_operator_aliases(self, text, expected):
         assert parse(text) == expected
+
+    def test_every_leaf_is_a_node_of_its_own(self):
+        # The parse is a tree even where a name repeats.
+        formula = parse("P y P")
+        assert formula.left == formula.right and formula.left is not formula.right
 
     def test_multi_character_atoms(self):
         assert parse("Llueve ⇒ PastoMojado") == Implies(
@@ -278,3 +297,71 @@ def test_deep_chains_keep_their_associativity():
         assert isinstance(node, Implies) and node.left == P
         node = node.right
     assert node == P
+
+
+# --- The compiled tokenizer against the character-at-a-time reference -------
+
+# Every spelling, names, lowercase words and quantifier keywords, words that
+# start with a digit or hold '_' or non-ASCII letters, Unicode spaces and
+# stray characters; pieces join without separators, so words run together.
+_PIECES = (
+    *(spelling for spellings in _SPELLINGS.values() for spelling in spellings),
+    "P", "Q", "Llueve", "A1", "x", "z", "w", "forall", "exists", "1P", "2",
+    "_", "P_1", "Ñ", "é", " ", "\u00a0", "\u2003", "\t", "\x1c", "?", "#",
+    "<", "-", "=", ".", "P(x)", "forall x. ", "exists z.",
+)
+_GRAMMARS = {"propositional": _PROPOSITIONAL, "monadic": _MONADIC}
+
+
+def _outcome(parse_in, text, grammar):
+    try:
+        return parse_in(text, grammar)
+    except ParseError as error:
+        return (error.kind, error.span, error.message, str(error))
+
+
+def _spliced(formula_text, pieces, at):
+    # Well-formed text with stray pieces spliced in, so that both the
+    # success path and errors deep inside a formula are drawn.
+    cut = at % (len(formula_text) + 1)
+    return formula_text[:cut] + "".join(pieces) + formula_text[cut:]
+
+
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=24).map("".join),
+    st.builds(
+        _spliced,
+        st.builds(format_formula, formula_strategy(), st.sampled_from(Style)),
+        st.lists(st.sampled_from(_PIECES), max_size=2),
+        st.integers(min_value=0),
+    ),
+    st.builds(
+        _spliced,
+        st.builds(format_monadic, st.builds(random_monadic, st.randoms(use_true_random=False))),
+        st.lists(st.sampled_from(_PIECES), max_size=2),
+        st.integers(min_value=0),
+    ),
+)
+
+
+@pytest.mark.parametrize("grammar", _GRAMMARS)
+@given(text=_TEXTS)
+@settings(max_examples=400)
+def test_parse_agrees_with_the_reference(grammar, text):
+    grammar = _GRAMMARS[grammar]
+    assert _outcome(_parse, text, grammar) == _outcome(reference_parse, text, grammar)
+
+
+@pytest.mark.parametrize("name", ["negations", "parentheses", "conjunctions"])
+def test_deep_input_agrees_with_the_reference(name):
+    text = DEEP[name][0]
+    assert _parse(text, _PROPOSITIONAL) == reference_parse(text, _PROPOSITIONAL)
+
+
+def test_character_classes_match_the_str_predicates():
+    # The token pattern reads a word as a run of ``[^\W_]`` and skips ``\s``;
+    # the reference reads them with ``str.isalnum`` and ``str.isspace``.
+    # They agree on every code point, on the Python running the test.
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"[^\W_]", everything) == [ch for ch in everything if ch.isalnum()]
+    assert re.findall(r"\s", everything) == [ch for ch in everything if ch.isspace()]
