@@ -20,9 +20,11 @@ and the node records.
 from __future__ import annotations
 
 import re
+from collections import deque
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
-from itertools import product
+from itertools import chain, product, repeat
+from operator import eq
 
 from ._record import Node, Record, _setattr
 
@@ -194,6 +196,10 @@ _CONNECTIVES = {op: kind for kind, op in _BINARY.items()}
 #: when the first few rows already decide the answer.
 _BLOCK_BITS = 12
 
+#: Up to this many trailing columns of a table get their valuation dicts
+#: built once; ``truth_table`` joins each row's leading columns to one.
+_SUFFIX_COLUMNS = 5
+
 
 def _compile(formula: Formula) -> tuple[list[int], list[Atom]]:
     """The postorder program of ``formula`` and its atoms in first-occurrence
@@ -287,6 +293,9 @@ def _scan(
     """
     program, found = _compile(formula)
     columns = tuple(over) if over is not None else tuple(sorted(found))
+    strays = [] if over is None else [a for a in columns if not isinstance(a, Atom)]
+    if strays:
+        raise TypeError(f"over must hold atoms, got {strays[0]!r}")
     n = len(columns)
     position = {atom.name: i for i, atom in enumerate(columns)}
     if len(position) < n:
@@ -323,17 +332,27 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     ``over`` widens the table to an explicit atom tuple (a superset of the
     formula's own atoms, in the order given); by default the formula's atoms
     in alphabetical order are used.  Raises ``ValueError`` if ``over``
-    repeats an atom.
+    repeats an atom and ``TypeError`` if it holds anything but atoms.
     """
     columns, full, vectors = _scan(formula, over)
     width = full.bit_length()
     values = "".join(format(vector, f"0{width}b")[::-1] for vector in vectors)
     names = [atom.name for atom in columns]
     # ``product`` yields the canonical order: first column slowest, V before F.
-    rows = tuple(
-        TableRow(dict(zip(names, bits)), value == "1")
-        for bits, value in zip(product((True, False), repeat=len(names)), values)
+    # Each row's valuation is a new ``prefix | suffix`` dict: the 2^low dicts
+    # of the fastest-cycling columns are built once, each prefix once.
+    low = min(len(names), _SUFFIX_COLUMNS)
+    head, tail = names[: len(names) - low], names[len(names) - low :]
+    suffixes = [dict(zip(tail, bits)) for bits in product((True, False), repeat=low)]
+    valuations = chain.from_iterable(
+        map(dict(zip(head, bits)).__or__, suffixes)
+        for bits in product((True, False), repeat=len(head))
     )
+    # The rows are filled field by field in C loops: a slot descriptor's
+    # ``__set__`` writes past ``Record.__setattr__``, as ``_setattr`` does.
+    rows = tuple(map(TableRow.__new__, repeat(TableRow, len(values))))
+    deque(map(TableRow.valuation.__set__, rows, valuations), 0)
+    deque(map(TableRow.value.__set__, rows, map(eq, values, repeat("1"))), 0)
     return TruthTable(columns, rows)
 
 

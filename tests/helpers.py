@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library code paths they are checking:
 propositional answers come from one call per canonical row of
 ``reference_evaluate`` (the recursive walk that ``evaluate`` replaced),
-monadic ones from the recursive ``reference_eval_monadic``, parses from
+monadic ones from the recursive ``reference_eval_monadic``, table rows
+from the row-at-a-time ``reference_truth_table``, parses from
 the character-at-a-time ``reference_parse``, the text of a
 truth table from a grid whose columns are measured cell by cell, record reprs
 and equality from frozen dataclass twins, entailment is scanned
@@ -63,6 +64,9 @@ from deduce.logic import (
     Not,
     MissingAtom,
     Or,
+    TableRow,
+    TruthTable,
+    _scan,
     prop,
 )
 from deduce.parser import (
@@ -154,6 +158,22 @@ def canonical_valuations(names):
 
 def reference_table(formula: Formula, names) -> list[tuple[dict[str, bool], bool]]:
     return [(v, reference_evaluate(formula, v)) for v in canonical_valuations(names)]
+
+
+def reference_truth_table(formula: Formula, over=None) -> TruthTable:
+    """``logic.truth_table`` with rows built one at a time: a ``dict`` of
+    all the columns and a constructed ``TableRow`` per canonical row.  The
+    values come from the engine's own scan, so this checks how rows are
+    built, not what the formula evaluates to."""
+    columns, full, vectors = _scan(formula, over)
+    width = full.bit_length()
+    values = "".join(format(vector, f"0{width}b")[::-1] for vector in vectors)
+    names = [atom.name for atom in columns]
+    rows = tuple(
+        TableRow(dict(zip(names, bits)), value == "1")
+        for bits, value in zip(itertools.product((True, False), repeat=len(names)), values)
+    )
+    return TruthTable(columns, rows)
 
 
 def reference_table_lines(formula: Formula) -> list[str]:

@@ -3,8 +3,13 @@
 Every check runs at the engine's own block size and at blocks of two and
 four rows, so that formulas of a few atoms already span many blocks and
 the constant (high) columns are exercised as well as the periodic ones.
+Table rows are checked against the row-at-a-time builder with the shared
+suffix of each valuation one column wide, the engine's own width, and
+wider than any table, so that both edges of the split are exercised.
 """
 
+import copy
+import pickle
 from functools import reduce
 from unittest import mock
 
@@ -20,6 +25,7 @@ from deduce.logic import (
     MissingAtom,
     Not,
     Or,
+    TableRow,
     classify,
     equivalent,
     falsifying_valuation,
@@ -34,6 +40,7 @@ from helpers import (
     reference_equivalent,
     reference_falsifying,
     reference_table,
+    reference_truth_table,
     scan_entails,
 )
 
@@ -42,6 +49,13 @@ BLOCK_BITS = pytest.mark.parametrize("bits", [logic._BLOCK_BITS, 2, 1])
 
 def blocks_of(bits: int):
     return mock.patch.object(logic, "_BLOCK_BITS", bits)
+
+
+SUFFIX_COLUMNS = pytest.mark.parametrize("suffix", [1, logic._SUFFIX_COLUMNS, 16])
+
+
+def suffix_of(columns: int):
+    return mock.patch.object(logic, "_SUFFIX_COLUMNS", columns)
 
 
 class TestAgainstRowByRow:
@@ -162,3 +176,73 @@ class TestIncompleteOver:
         # P ∨ (P ∧ Q) never needs Q's value, but Q is still not a column.
         with pytest.raises(MissingAtom):
             truth_table(Or(prop("P"), And(prop("P"), prop("Q"))), over=(Atom("P"),))
+
+
+COLUMNS = tuple(f"C{i:02}" for i in range(13))
+
+
+@st.composite
+def tables(draw):
+    """A formula over some of the first 1-13 ``COLUMNS`` and the ``over``
+    for its table: those columns in random order, or ``None``."""
+    width = draw(st.integers(1, len(COLUMNS)))
+    used = draw(st.integers(1, width))
+    formula = draw(formula_strategy(names=COLUMNS[:used], max_leaves=8))
+    if draw(st.booleans()):
+        return formula, None
+    return formula, [Atom(name) for name in draw(st.permutations(COLUMNS[:width]))]
+
+
+class TestTableRows:
+    @SUFFIX_COLUMNS
+    @given(tables())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_row_at_a_time_builder(self, suffix, table):
+        formula, over = table
+        with suffix_of(suffix):
+            got = truth_table(formula, over)
+        want = reference_truth_table(formula, over)
+        assert got.atoms == want.atoms
+        assert len(got.rows) == len(want.rows)
+        for row, expected in zip(got.rows, want.rows):
+            assert list(row.valuation.items()) == list(expected.valuation.items())
+            assert row.value is expected.value
+
+    @SUFFIX_COLUMNS
+    def test_every_row_owns_its_valuation(self, suffix):
+        formula = reduce(And, [prop(name) for name in COLUMNS[:7]])
+        with suffix_of(suffix):
+            rows = truth_table(formula).rows
+            want = reference_truth_table(formula).rows
+            assert len({id(row.valuation) for row in rows}) == len(rows)
+            for row in rows[::5]:
+                row.valuation["C00"] = not row.valuation["C00"]
+                row.valuation["Z"] = True
+            assert [row for i, row in enumerate(rows) if i % 5] == [
+                row for i, row in enumerate(want) if i % 5
+            ]
+            assert truth_table(formula).rows == want
+
+    def test_a_built_row_refuses_assignment(self):
+        row = truth_table(And(prop("P"), prop("Q"))).rows[1]
+        for name in ("valuation", "value"):
+            with pytest.raises(AttributeError):
+                setattr(row, name, None)
+            with pytest.raises(AttributeError):
+                delattr(row, name)
+        assert (row.valuation, row.value) == ({"P": True, "Q": False}, False)
+
+    @SUFFIX_COLUMNS
+    def test_a_built_row_is_a_constructed_row(self, suffix):
+        formula = Or(prop("P"), And(prop("Q"), Not(prop("R"))))
+        over = [Atom(name) for name in ("S", "R", "P", "T", "Q", "U")]
+        with suffix_of(suffix):
+            rows = truth_table(formula, over).rows
+        for row in rows:
+            twin = TableRow(dict(row.valuation), row.value)
+            assert row == twin
+            assert repr(row) == repr(twin)
+            assert pickle.dumps(row) == pickle.dumps(twin)
+            assert pickle.loads(pickle.dumps(row)) == twin
+            duplicate = copy.copy(row)
+            assert type(duplicate) is TableRow and duplicate == twin

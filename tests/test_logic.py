@@ -1,4 +1,5 @@
 import itertools
+import re
 from functools import reduce
 from random import Random
 
@@ -167,6 +168,11 @@ class TestTruthTable:
     def test_repeated_atom_in_the_columns(self):
         with pytest.raises(ValueError, match="'P'"):
             truth_table(P, over=(Atom("P"), Atom("Q"), Atom("P")))
+
+    @pytest.mark.parametrize("entry", ["P", None, prop("Q"), "Q"])
+    def test_columns_must_be_atoms(self, entry):
+        with pytest.raises(TypeError, match=re.escape(f"over must hold atoms, got {entry!r}")):
+            truth_table(P, over=[Atom("P"), entry])
 
     def test_too_many_atoms(self):
         wide = prop("A1")
