@@ -24,7 +24,7 @@ from functools import reduce
 from operator import and_, or_
 
 from ._record import Node, Record, _setattr
-from .logic import _ATOM_NAME
+from .logic import _ATOM_NAME, _MASKS
 from .parser import Style, _format, _Grammar, _parse
 
 
@@ -249,12 +249,10 @@ def canonical_models(
 
 # A model set is an int whose bit ``m`` stands for the canonical model
 # ``_model_of(names, m)``.  ``_INHABITED[r]`` holds the models that inhabit
-# region ``r``: the ``m`` with bit ``r`` set, a period of ``2 << r`` bits.
+# region ``r``: the ``m`` with bit ``r`` set, the complement of the engine's
+# periodic column ``_MASKS[r]`` within 256 bits.
 _ALL = (1 << 256) - 1
-_INHABITED = tuple(
-    _ALL // ((1 << (2 << r)) - 1) * (((1 << (1 << r)) - 1) << (1 << r))
-    for r in range(8)
-)
+_INHABITED = tuple(_ALL ^ (_MASKS[r] & _ALL) for r in range(8))
 
 
 def _union(regions: Iterable[int]) -> int:

@@ -10,8 +10,9 @@ classroom V/F notation and ``parse_truth_value`` accepts V/F and 1/0.
 (Knuth, TAOCP Vol. 4A, 7.1.1-7.1.2): a formula is compiled once into a
 postorder program, and each run of the program applies ``^ & |`` to big
 integers whose bit ``r`` is the value at canonical row ``r``, deciding a
-block of up to 2^12 rows in one pass (``evaluate``: one row).  Scans stop
-at the first block that settles the answer.  ``atoms`` reads the same
+block of up to 2^12 rows in one pass (``evaluate``: one row).  A block's
+periodic columns are slices of one table of masks built at import.  Scans
+stop at the first block that settles the answer.  ``atoms`` reads the same
 compiled form, and ``substitute`` runs its program on nodes, so the
 compiler is the only walk over a formula outside the parser, the printer
 and the node records.
@@ -28,9 +29,9 @@ from operator import eq
 
 from ._record import Node, Record, _setattr
 
-#: Hard ceiling on distinct atoms per classification query.  2^24 rows is
-#: 4096 blocks of the bit-parallel scan (about 0.1 s for a 24-atom chain
-#: tautology on a 2.1 GHz core); anything larger is refused.
+#: Hard ceiling on distinct atoms per classification query.  A 24-atom scan
+#: is 4096 blocks, about 0.7-1 ms per program step on a 2-CPU VM: it bounds
+#: the rows, not the formula's length.  Anything larger is refused.
 MAX_ATOMS = 24
 
 _ATOM_NAME = re.compile(r"[A-Z][A-Za-z0-9]*\Z")
@@ -196,6 +197,19 @@ _CONNECTIVES = {op: kind for kind, op in _BINARY.items()}
 #: when the first few rows already decide the answer.
 _BLOCK_BITS = 12
 
+
+def _mask(shift: int) -> int:
+    """Bit ``r`` set where bit ``shift`` of ``r`` is 0, by doubling a run."""
+    mask = (1 << (1 << shift)) - 1
+    for k in range(shift + 1, _BLOCK_BITS):
+        mask |= mask << (1 << k)
+    return mask
+
+
+#: The periodic columns of the widest block (Knuth's magic masks, TAOCP 7.1.3).
+#: Each period divides a narrower block's width: its column is ``mask & full``.
+_MASKS = tuple(map(_mask, range(_BLOCK_BITS)))
+
 #: Up to this many trailing columns of a table get their valuation dicts
 #: built once; ``truth_table`` joins each row's leading columns to one.
 _SUFFIX_COLUMNS = 5
@@ -312,8 +326,7 @@ def _scan(
     for slot, atom in enumerate(found):
         shift = n - 1 - position[atom.name]
         if shift < bits:
-            period = (1 << (2 << shift)) - 1
-            vectors[slot] = full // period * ((1 << (1 << shift)) - 1)
+            vectors[slot] = _MASKS[shift] & full
         else:
             constant.append((slot, shift - bits))
 

@@ -1,8 +1,10 @@
 """The blocked truth-vector engine against one ``evaluate`` call per row.
 
-Every check runs at the engine's own block size and at blocks of two and
-four rows, so that formulas of a few atoms already span many blocks and
-the constant (high) columns are exercised as well as the periodic ones.
+Every check runs at the engine's own block size, at blocks of 128 rows and
+at blocks of two and four rows, so that formulas of a few atoms already
+span many blocks, the constant (high) columns are exercised as well as the
+periodic ones, and the periodic columns are cut from the widest block's
+masks at a width between the extremes.
 Table rows are checked against the row-at-a-time builder with the shared
 suffix of each valuation one column wide, the engine's own width, and
 wider than any table, so that both edges of the split are exercised.
@@ -44,7 +46,7 @@ from helpers import (
     scan_entails,
 )
 
-BLOCK_BITS = pytest.mark.parametrize("bits", [logic._BLOCK_BITS, 2, 1])
+BLOCK_BITS = pytest.mark.parametrize("bits", [logic._BLOCK_BITS, 7, 2, 1])
 
 
 def blocks_of(bits: int):
@@ -56,6 +58,17 @@ SUFFIX_COLUMNS = pytest.mark.parametrize("suffix", [1, logic._SUFFIX_COLUMNS, 16
 
 def suffix_of(columns: int):
     return mock.patch.object(logic, "_SUFFIX_COLUMNS", columns)
+
+
+@pytest.mark.parametrize("bits", range(logic._BLOCK_BITS + 1))
+def test_masks_cut_to_a_block_are_its_periodic_columns(bits):
+    # The division formula the table replaced: runs of 1 << shift ones
+    # repeated every 2 << shift bits across the block.
+    full = (1 << (1 << bits)) - 1
+    for shift in range(bits):
+        period = (1 << (2 << shift)) - 1
+        ones = (1 << (1 << shift)) - 1
+        assert logic._MASKS[shift] & full == full // period * ones
 
 
 class TestAgainstRowByRow:
@@ -143,7 +156,9 @@ def clause_false_at(row: int, names: list[str]):
 
 # Blocks of 2^(n-1) rows put the second half of the table, where the first
 # false row lies, in the second block; 12 is the engine's own block size.
-@pytest.mark.parametrize("n,bits", [(11, 10), (11, 12), (12, 11), (12, 12), (13, 12)])
+@pytest.mark.parametrize(
+    "n,bits", [(8, 7), (11, 10), (11, 12), (12, 11), (12, 12), (13, 12)]
+)
 def test_first_false_row_in_the_second_block(n, bits):
     names = [f"A{i:02}" for i in range(n)]
     first, later = (1 << (n - 1)) + 5, (1 << n) - 3
