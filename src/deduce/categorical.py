@@ -549,7 +549,6 @@ _MONADIC = _Grammar(
     binary={"and": MAnd, "or": MOr, "implies": MImplies},
     negation=MNot,
     leaf=PredApp,
-    build_leaf=PredApp,
     name=str,
     leaf_text=lambda node: f"{node.pred}({node.var})",
     quantifiers={"forall": ForAll, "exists": Exists},

@@ -11,11 +11,12 @@ classroom V/F notation and ``parse_truth_value`` accepts V/F and 1/0.
 postorder program, and each run of the program applies ``^ & |`` to big
 integers whose bit ``r`` is the value at canonical row ``r``, deciding a
 block of up to 2^12 rows in one pass (``evaluate``: one row).  A block's
-periodic columns are slices of one table of masks built at import.  Scans
-stop at the first block that settles the answer.  ``atoms`` reads the same
-compiled form, and ``substitute`` runs its program on nodes, so the
-compiler is the only walk over a formula outside the parser, the printer
-and the node records.
+periodic columns are slices of one table of masks built at import.  One
+search for the first false row answers ``falsifying_valuation`` and
+``equivalent`` and stops there; ``classify`` reads on past it only until it
+meets a true row.  ``atoms`` reads the same compiled form, and
+``substitute`` runs its program on nodes, so the compiler is the only walk
+over a formula outside the parser, the printer and the node records.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import re
 from collections import deque
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
+from functools import total_ordering
 from itertools import chain, product, repeat
 from operator import eq
 
@@ -60,6 +62,7 @@ class TooManyAtoms(ValueError):
         return type(self), (self.count, self.limit)
 
 
+@total_ordering
 class Atom(Record):
     """A named proposition letter: an uppercase letter then letters/digits.
     Atoms order by name."""
@@ -76,15 +79,6 @@ class Atom(Record):
 
     def __lt__(self, other: Atom) -> bool:
         return self.name < other.name if type(other) is Atom else NotImplemented
-
-    def __le__(self, other: Atom) -> bool:
-        return self.name <= other.name if type(other) is Atom else NotImplemented
-
-    def __gt__(self, other: Atom) -> bool:
-        return self.name > other.name if type(other) is Atom else NotImplemented
-
-    def __ge__(self, other: Atom) -> bool:
-        return self.name >= other.name if type(other) is Atom else NotImplemented
 
 
 class Formula(Node):
@@ -250,11 +244,6 @@ def atoms(formula: Formula) -> tuple[Atom, ...]:
     return tuple(sorted(_compile(formula)[1]))
 
 
-def _check_limit(count: int) -> None:
-    if count > MAX_ATOMS:
-        raise TooManyAtoms(count)
-
-
 def _run(program: list[int], vectors: list[int], full: int) -> int:
     stack: list[int] = []
     push, pop = stack.append, stack.pop
@@ -315,7 +304,8 @@ def _scan(
     if len(position) < n:
         repeated = next(a for i, a in enumerate(columns) if position[a.name] != i)
         raise ValueError(f"over repeats atom {repeated.name!r}")
-    _check_limit(n)
+    if n > MAX_ATOMS:
+        raise TooManyAtoms(n)
     for atom in found:
         if atom.name not in position:
             raise MissingAtom(atom.name)
@@ -369,45 +359,31 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     return TruthTable(columns, rows)
 
 
-def _false_row(full: int, block: int, vector: int) -> int:
-    """The canonical index of the first false row of ``block``'s truth vector."""
-    false_rows = full ^ vector
-    return block * full.bit_length() + (false_rows & -false_rows).bit_length() - 1
-
-
-def _valuation(columns: tuple[Atom, ...], row: int) -> dict[str, bool]:
-    """The values of ``columns`` at canonical ``row``: column ``i`` of ``n``
-    is true where bit ``n - 1 - i`` of the row number is 0."""
-    last = len(columns) - 1
-    return {atom.name: not row >> (last - i) & 1 for i, atom in enumerate(columns)}
-
-
-def _first_false_row(formula: Formula) -> tuple[tuple[Atom, ...], int | None]:
-    """The columns of ``_scan`` and the canonical index of the first row
-    where ``formula`` is false, or ``None`` if it is true at every row."""
+def _first_false(formula: Formula) -> tuple[dict[str, bool] | None, bool, Iterator[int]]:
+    """The first valuation (canonical row order) making ``formula`` false,
+    or ``None``; whether a true row came before it or in its block; and the
+    blocks of the scan not yet read.  Column ``i`` of ``n`` is true where
+    bit ``n - 1 - i`` of the row number is 0."""
     columns, full, vectors = _scan(formula)
+    last = len(columns) - 1
     for block, vector in enumerate(vectors):
         if vector != full:
-            return columns, _false_row(full, block, vector)
-    return columns, None
+            false_rows = full ^ vector
+            row = block * full.bit_length() + (false_rows & -false_rows).bit_length() - 1
+            counter = {atom.name: not row >> (last - i) & 1 for i, atom in enumerate(columns)}
+            return counter, block > 0 or vector != 0, vectors
+    return None, True, vectors
 
 
 def _decide(formula: Formula) -> tuple[Classification, dict[str, bool] | None]:
-    """The classification of ``formula`` and its first falsifying valuation
-    (canonical row order), from one scan that stops once a true and a false
-    row have both been seen.  The first false row lies in the first block
-    with a false row, which that stop never skips."""
-    columns, full, vectors = _scan(formula)
-    seen_true = False
-    counter = None
-    for block, vector in enumerate(vectors):
-        seen_true = seen_true or vector != 0
-        if counter is None and vector != full:
-            counter = _valuation(columns, _false_row(full, block, vector))
-        if seen_true and counter is not None:
-            return Classification.CONTINGENT, counter
+    """The classification of ``formula`` and its first falsifying valuation,
+    from one scan that reads past the first false row only until it meets
+    a true one."""
+    counter, seen_true, rest = _first_false(formula)
     if counter is None:
         return Classification.TAUTOLOGY, None
+    if seen_true or any(rest):
+        return Classification.CONTINGENT, counter
     return Classification.CONTRADICTION, counter
 
 
@@ -419,13 +395,12 @@ def classify(formula: Formula) -> Classification:
 
 def falsifying_valuation(formula: Formula) -> dict[str, bool] | None:
     """First valuation (canonical row order) making ``formula`` false, if any."""
-    columns, row = _first_false_row(formula)
-    return None if row is None else _valuation(columns, row)
+    return _first_false(formula)[0]
 
 
 def equivalent(f: Formula, g: Formula) -> bool:
     """Whether ``f`` and ``g`` are equivalent: their biconditional is a tautology."""
-    return _first_false_row(Iff(f, g))[1] is None
+    return _first_false(Iff(f, g))[0] is None
 
 
 def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:

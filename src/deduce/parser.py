@@ -100,10 +100,10 @@ class _Grammar:
     """One language's table for the shared tokenizer, parser and printer.
 
     ``binary`` maps the grammar's connectives to their constructors.
-    ``leaf`` nodes are built by ``build_leaf`` from ``name(word)``, made
-    once per distinct word in a parse, or from that and a variable in a
-    grammar with ``quantifiers`` (keyword -> constructor of ``(variable,
-    body)``), and printed by ``leaf_text``.
+    The ``leaf`` constructor takes ``name(word)``, made once per distinct
+    word in a parse, and also a variable in a grammar with ``quantifiers``
+    (keyword -> constructor of ``(variable, body)``); ``leaf_text`` prints
+    its nodes.
     ``styles`` spells the connectives for printing.  Symbols of a kind the
     grammar does not use are unknown characters to it.
     """
@@ -113,7 +113,6 @@ class _Grammar:
         binary: Mapping[str, type],
         negation: type,
         leaf: type,
-        build_leaf: Callable,
         name: Callable[[str], object],
         leaf_text: Callable[[object], str],
         quantifiers: Mapping[str, type],
@@ -131,7 +130,7 @@ class _Grammar:
         self.kinds = {**_WORDS, **dict(self.symbols)}
         self.variables = bool(quantifiers)
         self.negation = negation
-        self.build_leaf = build_leaf
+        self.leaf = leaf
         self.name = name
         self.quantifiers = quantifiers
         self.noun = noun
@@ -284,9 +283,9 @@ def _read(tokens: list, grammar: _Grammar):
                 pos += 3
                 if tokens[pos][0] != ")":
                     raise _unclosed(tokens, pos)
-                operands.append(grammar.build_leaf(name, var))
+                operands.append(grammar.leaf(name, var))
             else:
-                operands.append(grammar.build_leaf(name))
+                operands.append(grammar.leaf(name))
         elif kind == ")":
             raise _Fault(pos, ErrorKind.UNBALANCED_PAREN, "unmatched ')'")
         else:
@@ -363,7 +362,6 @@ _PROPOSITIONAL = _Grammar(
     binary={"and": And, "or": Or, "implies": Implies, "iff": Iff},
     negation=Not,
     leaf=Atomic,
-    build_leaf=Atomic,
     name=Atom,
     leaf_text=lambda node: node.atom.name,
     quantifiers={},

@@ -545,9 +545,9 @@ def reference_parse(text: str, grammar):
                 pos += 3
                 if tokens[pos][0] != ")":
                     raise _reference_unclosed(tokens[pos])
-                operands.append(grammar.build_leaf(grammar.name(token[1]), var))
+                operands.append(grammar.leaf(grammar.name(token[1]), var))
             else:
-                operands.append(grammar.build_leaf(grammar.name(token[1])))
+                operands.append(grammar.leaf(grammar.name(token[1])))
         elif kind == ")":
             raise ParseError(
                 ErrorKind.UNBALANCED_PAREN, SourceSpan(token[2], token[3]), "unmatched ')'"

@@ -160,12 +160,15 @@ class TestValidSyllogism:
         syllogism = get_syllogism(name)
         verdict = valid_syllogism(syllogism)
         assert not verdict.valid
+        assert bool(verdict) is False
         counter = verdict.counter_model
         assert counter.extensions["M"] == frozenset()
         assert eval_categorical(syllogism.major, counter)
         assert eval_categorical(syllogism.minor, counter)
         assert not eval_categorical(syllogism.conclusion, counter)
-        assert valid_syllogism(syllogism, existential_import=True).valid
+        verdict = valid_syllogism(syllogism, existential_import=True)
+        assert verdict.valid
+        assert bool(verdict) is True
 
     @pytest.mark.parametrize("name", [name for name, _ in registry_syllogisms()])
     def test_all_ten_hold_with_import(self, name):

@@ -179,6 +179,20 @@ def test_first_false_row_in_the_second_block(n, bits):
     values = [row.value for row in table.rows]
     assert values == [value for _, value in reference_table(formula, names)]
     assert [i for i, value in enumerate(values) if not value] == [first, later]
+    # A00 is the slowest column: true throughout the first half of the rows,
+    # which is the first block wherever n > bits.  ``classify`` reads on
+    # past the first false row until it meets a true one.
+    head, tail = prop(names[0]), reduce(Or, map(prop, names[1:]))
+    row_0 = dict.fromkeys(names, True)
+    late = And(Not(head), tail)  # false at row 0, true only in the second half
+    early = And(head, Or(tail, Not(prop(names[1]))))  # true in the first half only
+    with blocks_of(bits):
+        assert logic._decide(late) == (Classification.CONTINGENT, row_0)
+        assert classify(late) is Classification.CONTINGENT
+        assert logic._decide(And(late, head)) == (Classification.CONTRADICTION, row_0)
+        assert classify(And(late, head)) is Classification.CONTRADICTION
+        assert logic._decide(early) == (Classification.CONTINGENT, {**row_0, names[0]: False})
+        assert classify(early) is Classification.CONTINGENT
 
 
 class TestIncompleteOver:

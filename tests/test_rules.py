@@ -112,6 +112,7 @@ class TestEntails:
             [parse("Llueve ⇒ Mojado"), parse("Llueve")], parse("Mojado")
         )
         assert verdict.valid
+        assert bool(verdict) is True
         assert verdict.countervaluation is None
 
     def test_affirming_the_consequent_is_invalid(self):
@@ -119,6 +120,7 @@ class TestEntails:
             [parse("Llueve ⇒ Mojado"), parse("Mojado")], parse("Llueve")
         )
         assert not verdict.valid
+        assert bool(verdict) is False
         assert verdict.countervaluation == {"Llueve": False, "Mojado": True}
 
     def test_chained_implications_are_valid(self):
