@@ -13,9 +13,10 @@ One grammar core serves this language and the monadic one of
 operator-precedence parser (Dijkstra's shunting-yard) and one printer.
 They keep explicit stacks, so nesting depth is bounded only by memory.
 
-The tokenizer is one compiled pattern per grammar, run by ``findall``;
-tokens carry no offsets, and the offending token's span is recomputed by
-scanning the text again only when an error is reported.  Each distinct
+The tokenizer puts spaces around every symbol with ``str.replace`` and
+splits the text with ``str.split``; tokens carry no offsets.  A compiled
+pattern per grammar reads the text again only when a parse fails: for the
+first unknown token, and for the span of the offending one.  Each distinct
 name is classified and made into an atom once per parse; every leaf is
 still a node of its own.
 """
@@ -67,10 +68,10 @@ class Style(Enum):
 
 # --- Grammar core ------------------------------------------------------------
 #
-# A token is a pair ``(kind, text)``: a kind of ``_SPELLINGS``, "name" (an
-# uppercase-initial ASCII word), "var" (a lowercase ASCII word, in a grammar
-# with variables) or "end", a sentinel closing every token list whose span
-# is the end of the input.
+# A token is a kind and a word, kept in two parallel lists.  The kind is one
+# of ``_SPELLINGS``, "name" (an uppercase-initial ASCII word), "var" (a
+# lowercase ASCII word, in a grammar with variables) or "end", a sentinel
+# closing both lists whose span is the end of the input.
 
 # Every spelling of each token kind.  The words are reserved; names start
 # uppercase so they can never clash.
@@ -128,6 +129,14 @@ class _Grammar:
             key=lambda pair: -len(pair[0]),
         )
         self.kinds = {**_WORDS, **dict(self.symbols)}
+        # Spaces around every symbol, shortest first.  A longer symbol is
+        # then found as its shorter ones already padded: "<->" as "< -> ".
+        self.padding = []
+        for symbol, _ in reversed(self.symbols):
+            padded = symbol
+            for old, new in self.padding:
+                padded = padded.replace(old, new)
+            self.padding.append((padded, f" {symbol} "))
         self.variables = bool(quantifiers)
         self.negation = negation
         self.leaf = leaf
@@ -157,32 +166,36 @@ class _Grammar:
 
     @cached_property
     def pattern(self) -> re.Pattern:
-        """The tokenizer, compiled on the first parse rather than at import.
+        """The token pattern, compiled on the first failed parse.
 
         A token is a run of letters and digits (exactly ``str.isalnum``), a
-        symbol, or any other character but a space, which is unknown.
+        symbol, or any other character but a space, which is unknown.  It
+        reads every text as the padded split does, up to the first unknown
+        token, so it serves only to find that token and a fault's span.
         """
         symbols = "|".join(re.escape(symbol) for symbol, _ in self.symbols)
         return re.compile(rf"[^\W_]+|{symbols}|\S")
 
 
-def _tokenize(text: str, grammar: _Grammar) -> list[tuple[str, str]]:
-    words = grammar.pattern.findall(text)
-    kinds = grammar.kinds
+def _tokenize(text: str, grammar: _Grammar) -> tuple[list[str], list[str]]:
+    """The kinds and the words of the tokens of ``text``, both closed by the
+    "end" sentinel; raises ``_Fault`` at the first unknown token."""
+    padded = text
+    for symbol, spaced in grammar.padding:
+        padded = padded.replace(symbol, spaced)
+    words = padded.split()
     # Names and variables are classified once per distinct word.
-    found = {word: _classify(word, grammar) for word in set(words).difference(kinds)}
-    unknown = {word for word, kind in found.items() if kind is None}
-    if unknown:
-        index = next(i for i, word in enumerate(words) if word in unknown)
-        noun = "word" if words[index].isalnum() else "character"
-        raise _Fault(index, ErrorKind.UNKNOWN_TOKEN, f"unknown {noun} {words[index]!r}")
-    tokens = list(zip(map({**kinds, **found}.__getitem__, words), words))
-    tokens.append(("end", ""))
-    return tokens
+    found = {word: _classify(word, grammar) for word in set(words).difference(grammar.kinds)}
+    if None in found.values():
+        raise _unknown(text, grammar)
+    kinds = list(map({**grammar.kinds, **found}.__getitem__, words))
+    kinds.append("end")
+    words.append("")
+    return kinds, words
 
 
 def _classify(word: str, grammar: _Grammar) -> str | None:
-    if word.isascii():
+    if word.isascii() and word.isalnum():
         if word[0].isupper():
             return "name"
         if grammar.variables and word[0].islower():
@@ -190,29 +203,40 @@ def _classify(word: str, grammar: _Grammar) -> str | None:
     return None
 
 
+def _unknown(text: str, grammar: _Grammar) -> _Fault:
+    # The first unknown token as the token pattern reads it.  The split
+    # finds a piece that is no token only where the pattern reads a word
+    # that is neither a name nor a variable, or a character no symbol holds.
+    words = grammar.pattern.findall(text)
+    index = next(
+        i
+        for i, word in enumerate(words)
+        if word not in grammar.kinds and _classify(word, grammar) is None
+    )
+    noun = "word" if words[index].isalnum() else "character"
+    return _Fault(index, ErrorKind.UNKNOWN_TOKEN, f"unknown {noun} {words[index]!r}")
+
+
 class _Fault(Exception):
     """A parse error at a token index: ``(index, kind, message)``.
     ``_parse`` turns it into a ``ParseError`` with the token's span."""
 
 
-def _expected(tokens: list, pos: int, wanted: str) -> _Fault:
-    kind, text = tokens[pos]
-    if kind == "end":
+def _expected(kinds: list, words: list, pos: int, wanted: str) -> _Fault:
+    if kinds[pos] == "end":
         return _Fault(pos, ErrorKind.UNEXPECTED_END, f"expected {wanted}")
-    return _Fault(pos, ErrorKind.UNKNOWN_TOKEN, f"expected {wanted}, found {text!r}")
+    return _Fault(pos, ErrorKind.UNKNOWN_TOKEN, f"expected {wanted}, found {words[pos]!r}")
 
 
-def _unclosed(tokens: list, pos: int) -> _Fault:
-    kind, text = tokens[pos]
-    message = "missing ')'" if kind == "end" else f"expected ')', found {text!r}"
+def _unclosed(kinds: list, words: list, pos: int) -> _Fault:
+    message = "missing ')'" if kinds[pos] == "end" else f"expected ')', found {words[pos]!r}"
     return _Fault(pos, ErrorKind.UNBALANCED_PAREN, message)
 
 
-def _variable(tokens: list, pos: int, grammar: _Grammar) -> str:
-    token = tokens[pos]
-    if token[0] != "var" or token[1] in grammar.quantifiers:
-        raise _expected(tokens, pos, "a variable")
-    return token[1]
+def _variable(kinds: list, words: list, pos: int, grammar: _Grammar) -> str:
+    if kinds[pos] != "var" or words[pos] in grammar.quantifiers:
+        raise _expected(kinds, words, pos, "a variable")
+    return words[pos]
 
 
 def _reduce(frames: list, operands: list, floor: int) -> None:
@@ -231,7 +255,7 @@ def _reduce(frames: list, operands: list, floor: int) -> None:
 def _parse(text: str, grammar: _Grammar):
     """Parse ``text`` in ``grammar``; raises ``ParseError`` on the first fault."""
     try:
-        return _read(_tokenize(text, grammar), grammar)
+        return _read(*_tokenize(text, grammar), grammar)
     except _Fault as fault:
         index, kind, message = fault.args
         spans = (match.span() for match in grammar.pattern.finditer(text))
@@ -239,8 +263,8 @@ def _parse(text: str, grammar: _Grammar):
         raise ParseError(kind, span, message) from None
 
 
-def _read(tokens: list, grammar: _Grammar):
-    """Build the tree of ``tokens``, or raise ``_Fault`` at the first fault.
+def _read(kinds: list, words: list, grammar: _Grammar):
+    """Build the tree of the tokens, or raise ``_Fault`` at the first fault.
 
     Tokens are read once, left to right, alternating between the place of
     an operand (prefixes, then a leaf) and the place of an operator.  Frames
@@ -256,44 +280,44 @@ def _read(tokens: list, grammar: _Grammar):
     pos = 0
     while True:
         while True:
-            token = tokens[pos]
-            kind = token[0]
+            kind = kinds[pos]
             if kind == "not":
                 frames.append((_NOT_PREC, grammar.negation, None))
             elif kind == "(":
                 frames.append((_PAREN, None, None))
                 opened += 1
-            elif kind == "var" and token[1] in quantifiers:
-                var = _variable(tokens, pos + 1, grammar)
+            elif kind == "var" and words[pos] in quantifiers:
+                quantifier = quantifiers[words[pos]]
+                var = _variable(kinds, words, pos + 1, grammar)
                 pos += 2
-                if tokens[pos][0] != ".":
-                    raise _expected(tokens, pos, "'.'")
-                frames.append((_SCOPE, quantifiers[token[1]], var))
+                if kinds[pos] != ".":
+                    raise _expected(kinds, words, pos, "'.'")
+                frames.append((_SCOPE, quantifier, var))
             else:
                 break
             pos += 1
         if kind == "name":
-            name = names.get(token[1])
+            word = words[pos]
+            name = names.get(word)
             if name is None:
-                name = names[token[1]] = grammar.name(token[1])
+                name = names[word] = grammar.name(word)
             if grammar.variables:
-                if tokens[pos + 1][0] != "(":
-                    raise _expected(tokens, pos + 1, "'('")
-                var = _variable(tokens, pos + 2, grammar)
+                if kinds[pos + 1] != "(":
+                    raise _expected(kinds, words, pos + 1, "'('")
+                var = _variable(kinds, words, pos + 2, grammar)
                 pos += 3
-                if tokens[pos][0] != ")":
-                    raise _unclosed(tokens, pos)
+                if kinds[pos] != ")":
+                    raise _unclosed(kinds, words, pos)
                 operands.append(grammar.leaf(name, var))
             else:
                 operands.append(grammar.leaf(name))
         elif kind == ")":
             raise _Fault(pos, ErrorKind.UNBALANCED_PAREN, "unmatched ')'")
         else:
-            raise _expected(tokens, pos, "a formula")
+            raise _expected(kinds, words, pos, "a formula")
         while True:
             pos += 1
-            token = tokens[pos]
-            kind = token[0]
+            kind = kinds[pos]
             operator = binary.get(kind)
             if operator is not None:
                 threshold, prec, ctor = operator
@@ -307,12 +331,12 @@ def _read(tokens: list, grammar: _Grammar):
                 frames.pop()
                 opened -= 1
             elif opened:
-                raise _unclosed(tokens, pos)
+                raise _unclosed(kinds, words, pos)
             elif kind != "end":
                 raise _Fault(
                     pos,
                     ErrorKind.TRAILING_INPUT,
-                    f"unexpected input {token[1]!r} after a complete formula",
+                    f"unexpected input {words[pos]!r} after a complete formula",
                 )
             else:
                 _reduce(frames, operands, _BOTTOM)

@@ -5,7 +5,8 @@ propositional answers come from one call per canonical row of
 ``reference_evaluate`` (the recursive walk that ``evaluate`` replaced),
 monadic ones from the recursive ``reference_eval_monadic``, table rows
 from the row-at-a-time ``reference_truth_table``, parses from
-the character-at-a-time ``reference_parse``, the text of a
+the character-at-a-time ``reference_parse``, token lists from the token
+pattern read by ``findall`` in ``pattern_tokenize``, the text of a
 truth table from a grid whose columns are measured cell by cell, record reprs
 and equality from frozen dataclass twins, entailment is scanned
 premise-by-premise without building the implication formula, syllogism validity is decided by evaluating the three forms on
@@ -76,6 +77,7 @@ from deduce.parser import (
     _PAREN,
     _SCOPE,
     _WORDS,
+    _Fault,
     ErrorKind,
     ParseError,
     SourceSpan,
@@ -581,6 +583,27 @@ def reference_parse(text: str, grammar):
             else:
                 _reference_reduce(frames, operands, _BOTTOM)
                 return operands[0]
+
+
+def pattern_tokenize(text: str, grammar) -> tuple[list[str], list[str]]:
+    """The kinds and the words of the tokens of ``text`` as
+    ``grammar.pattern.findall`` reads them, both closed by the "end"
+    sentinel, or the ``parser._Fault`` at the first unknown token: the
+    answer the library's split tokenizer must give."""
+    words = grammar.pattern.findall(text)
+    kinds = []
+    for index, word in enumerate(words):
+        kind = grammar.kinds.get(word)
+        if kind is None and word.isascii() and word.isalnum():
+            if word[0].isupper():
+                kind = "name"
+            elif grammar.variables and word[0].islower():
+                kind = "var"
+        if kind is None:
+            noun = "word" if word.isalnum() else "character"
+            raise _Fault(index, ErrorKind.UNKNOWN_TOKEN, f"unknown {noun} {word!r}")
+        kinds.append(kind)
+    return [*kinds, "end"], [*words, ""]
 
 
 # --- Record reference: frozen dataclasses of the same names and fields -------

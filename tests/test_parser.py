@@ -1,5 +1,7 @@
+import copy
 import re
 import sys
+from itertools import product
 
 import hypothesis.strategies as st
 import pytest
@@ -13,11 +15,13 @@ from deduce.parser import (
     ErrorKind,
     ParseError,
     Style,
+    _Fault,
     _parse,
+    _tokenize,
     format_formula,
     parse,
 )
-from helpers import formula_strategy, random_monadic, reference_parse
+from helpers import formula_strategy, pattern_tokenize, random_monadic, reference_parse
 
 P, Q, R, S = prop("P"), prop("Q"), prop("R"), prop("S")
 
@@ -365,3 +369,48 @@ def test_character_classes_match_the_str_predicates():
     everything = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"[^\W_]", everything) == [ch for ch in everything if ch.isalnum()]
     assert re.findall(r"\s", everything) == [ch for ch in everything if ch.isspace()]
+    # ``str.split()``, in the split tokenizer, removes exactly what ``\s`` matches.
+    assert "".join(everything.split()) == re.sub(r"\s", "", everything)
+
+
+# --- The split tokenizer against the token pattern ---------------------------
+
+# Every character of a symbol, and one or two of each other kind: words
+# ASCII and not, the underscore, an unknown character, ASCII and Unicode
+# spaces.  Every string of up to three of them covers each symbol glued
+# to, split from or cut off by its neighbours.
+_ALPHABET = sorted(
+    {ch for spellings in _SPELLINGS.values() for s in spellings if not s.isalnum() for ch in s}
+    | set("<-=>._? \t\u3000PxyóÑ1")
+)
+
+
+def _tokens_or_fault(tokenize, text, grammar):
+    try:
+        return tokenize(text, grammar)
+    except _Fault as fault:
+        return fault.args
+
+
+@pytest.mark.parametrize("grammar", _GRAMMARS)
+def test_the_split_tokenizer_agrees_with_the_pattern_on_every_short_text(grammar):
+    grammar = _GRAMMARS[grammar]
+    for size in range(4):
+        for text in map("".join, product(_ALPHABET, repeat=size)):
+            split = _tokens_or_fault(_tokenize, text, grammar)
+            assert split == _tokens_or_fault(pattern_tokenize, text, grammar), text
+
+
+@pytest.mark.parametrize(
+    ("grammar", "valid"),
+    [("propositional", "¬(P -> Q) <-> R y S"), ("monadic", "forall x. ~(P(x) -> Q(x))")],
+)
+@pytest.mark.parametrize("invalid", ["P ?", "P y", "(P"])
+def test_the_token_pattern_is_compiled_only_when_a_parse_fails(grammar, valid, invalid):
+    grammar = copy.copy(_GRAMMARS[grammar])
+    grammar.__dict__.pop("pattern", None)
+    _parse(valid, grammar)
+    assert "pattern" not in grammar.__dict__
+    with pytest.raises(ParseError):
+        _parse(invalid, grammar)
+    assert "pattern" in grammar.__dict__
