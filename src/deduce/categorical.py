@@ -78,6 +78,9 @@ class CategoricalForm(Record):
     __slots__ = ("kind", "subject", "predicate")
 
     def __init__(self, kind: FormKind, subject: str, predicate: str):
+        # Any other kind would read as "some-not" in the model search.
+        if not isinstance(kind, FormKind):
+            raise TypeError(f"kind must be a FormKind, got {type(kind).__name__}")
         for name in (subject, predicate):
             if not _ATOM_NAME.match(name):
                 raise ValueError(f"invalid predicate name {name!r}")

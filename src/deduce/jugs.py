@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain, groupby, repeat
 
@@ -150,7 +150,9 @@ Action = AddJug | RemoveJug
 
 class PourPlan(Record):
     """A sequence of actions stored as its maximal runs, ``(action, count)``
-    pairs; ``actions`` expands them again on each read."""
+    pairs.  A plan is the iterable of its actions, sized by ``len``, so
+    ``actions``, which is ``tuple(plan)`` expanded again on each read, is
+    allocated once at its exact length."""
 
     __slots__ = ("runs",)
 
@@ -170,27 +172,13 @@ class PourPlan(Record):
 
     @property
     def actions(self) -> tuple[Action, ...]:
-        return tuple(_Expansion(self.runs))
+        return tuple(self)
 
-    def __len__(self) -> int:
-        return sum(count for _, count in self.runs)
-
-
-class _Expansion:
-    """The actions of some runs, iterable and sized: ``tuple()`` of it
-    allocates its result once, at its exact length, where an unsized
-    iterator would grow it by a chain of reallocations."""
-
-    __slots__ = ("runs",)
-
-    def __init__(self, runs: tuple[tuple[Action, int], ...]):
-        self.runs = runs
-
-    def __len__(self) -> int:
-        return sum(count for _, count in self.runs)
-
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Action]:
         return chain.from_iterable(repeat(*run) for run in self.runs)
+
+    def __len__(self) -> int:
+        return sum(count for _, count in self.runs)
 
 
 class Strategy(Enum):
@@ -219,7 +207,7 @@ def bezout(n: int, m: int) -> BezoutCertificate:
 
 def is_achievable(problem: JugProblem) -> bool:
     """Whether the target is a positive multiple of gcd(n, m)."""
-    return problem.target % gcd(problem.n, problem.m) == 0
+    return problem.target % math.gcd(problem.n, problem.m) == 0
 
 
 def achievable_amounts(n: int, m: int, limit: int) -> list[int]:
@@ -227,25 +215,8 @@ def achievable_amounts(n: int, m: int, limit: int) -> list[int]:
     _check_range(n, "n")
     _check_range(m, "m")
     _check_range(limit, "limit", MAX_LIMIT)
-    g = gcd(n, m)
+    g = math.gcd(n, m)
     return list(range(g, limit + 1, g))
-
-
-def _emit(n: int, m: int, x: int, y: int) -> PourPlan:
-    # All additions come first, so the total peaks at their sum and never
-    # goes negative: before each removal it is the target plus that removal
-    # and the ones still to come.  At most one of x, y is negative (the
-    # target is positive), so the plan has at most two runs, and they differ:
-    # with n = m the period m/g is 1, so both strategies take x = 0.
-    length = abs(x) + abs(y)
-    if length > MAX_PLAN_LENGTH:
-        raise PlanTooLong(length)
-    return PourPlan._of_runs(
-        (AddJug(n), max(x, 0)),
-        (AddJug(m), max(y, 0)),
-        (RemoveJug(n), max(-x, 0)),
-        (RemoveJug(m), max(-y, 0)),
-    )
 
 
 def plan(problem: JugProblem, strategy: Strategy = Strategy.CERTIFICATE) -> PourPlan:
@@ -280,7 +251,20 @@ def plan(problem: JugProblem, strategy: Strategy = Strategy.CERTIFICATE) -> Pour
     else:
         x = x0 % step_x
         y = (target - x * n) // m
-    return _emit(n, m, x, y)
+    # All additions come first, so the total peaks at their sum and never
+    # goes negative: before each removal it is the target plus that removal
+    # and the ones still to come.  At most one of x, y is negative (the
+    # target is positive), so the plan has at most two runs, and they differ:
+    # with n = m the period m/g is 1, so both strategies take x = 0.
+    length = abs(x) + abs(y)
+    if length > MAX_PLAN_LENGTH:
+        raise PlanTooLong(length)
+    return PourPlan._of_runs(
+        (AddJug(n), max(x, 0)),
+        (AddJug(m), max(y, 0)),
+        (RemoveJug(n), max(-x, 0)),
+        (RemoveJug(m), max(-y, 0)),
+    )
 
 
 def simulate(pour_plan: PourPlan, n: int, m: int) -> int:

@@ -80,6 +80,12 @@ class TestCategoricalForms:
         m = model(2, A={0})
         assert eval_categorical(CategoricalForm(ALL, "A", "A"), m)
 
+    @pytest.mark.parametrize("kind", ["all", "no", "some", "some-not", None])
+    def test_a_kind_that_is_not_a_form_kind_is_refused(self, kind):
+        message = f"kind must be a FormKind, got {type(kind).__name__}"
+        with pytest.raises(TypeError, match=message):
+            CategoricalForm(kind, "A", "B")
+
     def test_unknown_predicate(self):
         with pytest.raises(UnknownPredicate):
             eval_categorical(CategoricalForm(ALL, "S", "P"), model(1, S={0}))

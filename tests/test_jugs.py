@@ -249,6 +249,8 @@ class TestPlan:
                         continue
                     pour_plan = plan(problem, strategy)
                     assert pour_plan.runs == PourPlan(pour_plan.actions).runs
+                    assert PourPlan(pour_plan).runs == pour_plan.runs
+                    assert list(pour_plan) == list(pour_plan.actions)
                     assert len(pour_plan.runs) <= 2
                     assert len(pour_plan) == len(pour_plan.actions)
 
@@ -266,13 +268,16 @@ class TestPlan:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_actions_are_allocated_once_at_their_length(self):
+    @pytest.mark.parametrize(
+        "expand", [lambda pour_plan: pour_plan.actions, tuple], ids=["actions", "tuple"]
+    )
+    def test_actions_are_allocated_once_at_their_length(self, expand):
         # A tuple grown from an unsized iterator passes through a chain of
         # reallocations, which overshoots the final 8 bytes per action.
         pour_plan = PourPlan._of_runs((AddJug(3), 600_000), (RemoveJug(5), 400_000))
         tracemalloc.start()
         try:
-            actions = pour_plan.actions
+            actions = expand(pour_plan)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
