@@ -387,6 +387,9 @@ class Exists(_Quantifier):
 
 _BINARY_NODES = (MAnd, MOr, MImplies)
 _QUANTIFIER_NODES = (ForAll, Exists)
+#: Ends a quantifier's scope on ``_symbols``'s work stack, above the bound
+#: variable's name; no field of a formula is this object.
+_SCOPE_END = object()
 
 
 def _symbols(formula: MonadicFormula) -> tuple[set[str], set[str]]:
@@ -395,14 +398,14 @@ def _symbols(formula: MonadicFormula) -> tuple[set[str], set[str]]:
     names: set[str] = set()
     free: set[str] = set()
     bound: dict[str, int] = {}
-    # Work items are formulas to visit, or a bound variable's name where
-    # its quantifier's scope ends.
+    # Work items are formulas to visit, or ``_SCOPE_END`` above a bound
+    # variable's name where its quantifier's scope ends.
     pending: list = [formula]
     while pending:
         node = pending.pop()
         kind = type(node)
-        if kind is str:
-            bound[node] -= 1
+        if node is _SCOPE_END:
+            bound[pending.pop()] -= 1
         elif kind is PredApp:
             names.add(node.pred)
             if not bound.get(node.var):
@@ -415,6 +418,7 @@ def _symbols(formula: MonadicFormula) -> tuple[set[str], set[str]]:
         elif kind in _QUANTIFIER_NODES:
             bound[node.var] = bound.get(node.var, 0) + 1
             pending.append(node.var)
+            pending.append(_SCOPE_END)
             pending.append(node.body)
         else:
             raise TypeError(f"not a monadic formula: {node!r}")
@@ -510,8 +514,8 @@ def _nnf(formula: MonadicFormula, negated: bool) -> MonadicFormula:
     ``negated``, by one walk that carries the polarity.
 
     Work items are ``(formula, negated)`` to visit, ``(constructor, None)``
-    to join the last two results, and ``(constructor, variable)`` to bind
-    the last result.
+    to join the last two results, and ``(constructor, quantifier)`` to bind
+    the last result to the quantifier's variable, whatever that holds.
     """
     out: list[MonadicFormula] = []
     pending: list = [(formula, negated)]
@@ -521,8 +525,8 @@ def _nnf(formula: MonadicFormula, negated: bool) -> MonadicFormula:
             right = out.pop()
             out[-1] = node(out[-1], right)
             continue
-        if type(arg) is str:
-            out[-1] = node(arg, out[-1])
+        if type(arg) in _QUANTIFIER_NODES:
+            out[-1] = node(arg.var, out[-1])
             continue
         kind = type(node)
         if kind is PredApp:
@@ -534,7 +538,7 @@ def _nnf(formula: MonadicFormula, negated: bool) -> MonadicFormula:
             pending.append((node.right, arg))
             pending.append((node.left, not arg if kind is MImplies else arg))
         elif kind in _QUANTIFIER_NODES:
-            pending.append((_NNF[kind][arg], node.var))
+            pending.append((_NNF[kind][arg], node))
             pending.append((node.body, arg))
         else:
             raise TypeError(f"not a monadic formula: {node!r}")

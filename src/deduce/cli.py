@@ -17,7 +17,6 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 from functools import cache
-from itertools import repeat
 from operator import getitem
 from typing import TYPE_CHECKING
 
@@ -307,19 +306,18 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
             f"mcd({exc.n}, {exc.m}) = {exc.gcd} no divide {exc.target}",
         ]
         return result, {"gcd": exc.gcd}, lines
-    listed = args.format == "json"
-    actions: list[dict] = []
+    runs: list[tuple[dict, int]] = []
     grouped: list[str] = []
     for action, count in pour_plan.runs:
         word = "add" if isinstance(action, jugs.AddJug) else "remove"
         grouped.append(f"{word} {action.capacity}" + (f" ×{count}" if count > 1 else ""))
-        if listed:
-            # One shared entry per run: a long plan lists the same few objects.
-            actions.extend(repeat({"action": word, "capacity": action.capacity}, count))
+        runs.append(({"action": word, "capacity": action.capacity}, count))
     result = {**base, "achievable": True, "length": len(pour_plan)}
-    # Only JSON lists the actions; text prints the runs.
-    if listed:
-        result["actions"] = actions
+    # Only JSON lists the actions, so only JSON is refused a plan past
+    # ``jugs.MAX_PLAN_LENGTH``; text prints the runs.  One shared entry per
+    # run: a long plan lists the same few objects.
+    if args.format == "json":
+        result["actions"] = list(jugs._expand(runs))
     return result, None, ["; ".join(grouped)]
 
 

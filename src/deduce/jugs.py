@@ -9,7 +9,9 @@ much.  Exactly the positive multiples of gcd(n, m) are producible, and a
 Bézout identity turns that fact into a concrete plan: every plan is a
 solution x·n + y·m = target, read as |x| pours of one vessel and |y| of the
 other, so both planning strategies are a choice of one point on that line.
-A plan is stored as its runs of equal actions; its length and replay cost O(runs).
+A plan is stored as its runs of equal actions; its length and replay cost
+O(runs), so every target up to ``MAX_TARGET`` is planned.  Only expanding a
+plan into its actions is capped, at ``MAX_PLAN_LENGTH``.
 
 Amounts are exact integers in abstract units; scaling all quantities by a
 common factor changes nothing.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import chain, groupby, repeat
 
@@ -66,8 +68,8 @@ class NotAchievable(ValueError):
 
 
 class PlanTooLong(ValueError):
-    """The plan would exceed ``MAX_PLAN_LENGTH`` actions; refused before any
-    action is built."""
+    """Expanding a plan would make more than ``MAX_PLAN_LENGTH`` actions;
+    refused before any action is built."""
 
     def __init__(self, length: int):
         super().__init__(
@@ -152,7 +154,9 @@ class PourPlan(Record):
     """A sequence of actions stored as its maximal runs, ``(action, count)``
     pairs.  A plan is the iterable of its actions, sized by ``len``, so
     ``actions``, which is ``tuple(plan)`` expanded again on each read, is
-    allocated once at its exact length."""
+    allocated once at its exact length.  Iterating a plan of more than
+    ``MAX_PLAN_LENGTH`` actions, and so ``actions``, ``list(plan)`` and
+    ``PourPlan(plan)``, raises ``PlanTooLong`` before any action is made."""
 
     __slots__ = ("runs",)
 
@@ -175,10 +179,22 @@ class PourPlan(Record):
         return tuple(self)
 
     def __iter__(self) -> Iterator[Action]:
-        return chain.from_iterable(repeat(*run) for run in self.runs)
+        return _expand(self.runs)
 
     def __len__(self) -> int:
         return sum(count for _, count in self.runs)
+
+
+def _expand(runs: Sequence[tuple[object, int]]) -> Iterator:
+    """The items of ``(item, count)`` runs, each ``count`` times in turn.
+
+    This is the one place where runs are expanded: it raises ``PlanTooLong``
+    before making any item when the counts sum past ``MAX_PLAN_LENGTH``.
+    """
+    length = sum(count for _, count in runs)
+    if length > MAX_PLAN_LENGTH:
+        raise PlanTooLong(length)
+    return chain.from_iterable(repeat(*run) for run in runs)
 
 
 class Strategy(Enum):
@@ -228,12 +244,15 @@ def plan(problem: JugProblem, strategy: Strategy = Strategy.CERTIFICATE) -> Pour
     minimises the plan length |x| + |y|, which is convex in t, so the
     minimum lies at the floor or ceiling of one of the two roots; ties go
     to fewer removals, then to the smaller x.  Either plan is emitted as
-    its additions (of n, then of m) followed by its removals.
+    its additions (of n, then of m) followed by its removals, as at most two
+    runs, so a plan of any target is made in constant time and space.
 
-    Raises ``NotAchievable`` when gcd(n, m) does not divide the target and
-    ``PlanTooLong`` when the plan would have more than ``MAX_PLAN_LENGTH``
-    actions.
+    Raises ``TypeError`` when ``strategy`` is not a ``Strategy`` and
+    ``NotAchievable`` when gcd(n, m) does not divide the target.
     """
+    # Any other value would read as the certificate strategy.
+    if not isinstance(strategy, Strategy):
+        raise TypeError(f"strategy must be a Strategy, got {type(strategy).__name__}")
     n, m, target = problem.n, problem.m, problem.target
     cert = bezout(n, m)
     if target % cert.g:
@@ -256,9 +275,6 @@ def plan(problem: JugProblem, strategy: Strategy = Strategy.CERTIFICATE) -> Pour
     # and the ones still to come.  At most one of x, y is negative (the
     # target is positive), so the plan has at most two runs, and they differ:
     # with n = m the period m/g is 1, so both strategies take x = 0.
-    length = abs(x) + abs(y)
-    if length > MAX_PLAN_LENGTH:
-        raise PlanTooLong(length)
     return PourPlan._of_runs(
         (AddJug(n), max(x, 0)),
         (AddJug(m), max(y, 0)),

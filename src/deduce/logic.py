@@ -8,7 +8,7 @@ classroom V/F notation and ``parse_truth_value`` accepts V/F and 1/0.
 ``evaluate``, ``classify``, ``falsifying_valuation``, ``equivalent`` and
 ``truth_table`` share one engine that holds truth tables as bit strings
 (Knuth, TAOCP Vol. 4A, 7.1.1-7.1.2): a formula is compiled once into a
-postorder program, and each run of the program applies ``^ & |`` to big
+stack program, and each run of the program applies ``^ & |`` to big
 integers whose bit ``r`` is the value at canonical row ``r``, deciding a
 block of up to 2^12 rows in one pass (``evaluate``: one row).  A block's
 periodic columns are slices of one table of masks built at import.  One
@@ -179,9 +179,11 @@ class TruthTable(Record):
         _setattr(self, "rows", rows)
 
 
-# A compiled program is a postorder list of ints: an entry ``i >= 0`` pushes
-# the truth vector of the formula's ``i``-th atom (first-occurrence order),
-# a negative entry applies a connective to the top of the stack.
+# A compiled program is a list of ints: an entry ``i >= 0`` pushes the
+# truth vector of the formula's ``i``-th atom (first-occurrence order), a
+# negative entry applies a connective to the top of the stack.  It is the
+# formula's preorder reversed, so a connective finds its left operand on top
+# of the stack and its right one below it.
 _NOT, _OR, _AND, _IMPLIES, _IFF = -1, -2, -3, -4, -5
 _BINARY = {Or: _OR, And: _AND, Implies: _IMPLIES, Iff: _IFF}
 _CONNECTIVES = {op: kind for kind, op in _BINARY.items()}
@@ -210,8 +212,10 @@ _SUFFIX_COLUMNS = 5
 
 
 def _compile(formula: Formula) -> tuple[list[int], list[Atom]]:
-    """The postorder program of ``formula`` and its atoms in first-occurrence
-    order, from one iterative walk (no recursion limit on nesting depth)."""
+    """The program of ``formula`` and its atoms in first-occurrence order,
+    from one iterative walk (no recursion limit on nesting depth).  The walk
+    emits each node as it meets it, so its work stack holds nothing but the
+    fields of nodes, and a field that is no formula is refused."""
     program: list[int] = []
     found: list[Atom] = []
     slots: dict[str, int] = {}
@@ -219,23 +223,22 @@ def _compile(formula: Formula) -> tuple[list[int], list[Atom]]:
     while pending:
         node = pending.pop()
         kind = type(node)
-        if kind is int:
-            program.append(node)
-        elif kind is Atomic:
+        if kind is Atomic:
             slot = slots.get(node.atom.name)
             if slot is None:
                 slot = slots[node.atom.name] = len(found)
                 found.append(node.atom)
             program.append(slot)
         elif kind is Not:
-            pending.append(_NOT)
+            program.append(_NOT)
             pending.append(node.inner)
         elif kind in _BINARY:
-            pending.append(_BINARY[kind])
+            program.append(_BINARY[kind])
             pending.append(node.right)
             pending.append(node.left)
         else:
             raise TypeError(f"not a formula: {node!r}")
+    program.reverse()
     return program, found
 
 
@@ -253,15 +256,15 @@ def _run(program: list[int], vectors: list[int], full: int) -> int:
         elif op == _NOT:
             stack[-1] ^= full
         else:
-            right = pop()
+            left = pop()
             if op == _AND:
-                stack[-1] &= right
+                stack[-1] &= left
             elif op == _OR:
-                stack[-1] |= right
+                stack[-1] |= left
             elif op == _IMPLIES:
-                stack[-1] = (stack[-1] ^ full) | right
+                stack[-1] |= left ^ full
             else:
-                stack[-1] ^= right ^ full
+                stack[-1] ^= left ^ full
     return stack[0]
 
 
@@ -418,8 +421,8 @@ def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
         elif op == _NOT:
             stack[-1] = Not(stack[-1])
         else:
-            right = stack.pop()
-            stack[-1] = _CONNECTIVES[op](stack[-1], right)
+            left = stack.pop()
+            stack[-1] = _CONNECTIVES[op](left, stack[-1])
     return stack[0]
 
 

@@ -147,9 +147,7 @@ def entails(entailment: Entailment) -> Verdict:
     if entailment.premises:
         formula = Implies(reduce(And, entailment.premises), formula)
     counter = falsifying_valuation(formula)
-    if counter is None:
-        return Verdict(valid=True)
-    return Verdict(valid=False, countervaluation=counter)
+    return Verdict(valid=counter is None, countervaluation=counter)
 
 
 def entail(premises: Sequence[Formula], conclusion: Formula) -> Verdict:

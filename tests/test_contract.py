@@ -202,7 +202,8 @@ FAMILIES: dict[str, list[list[str]]] = {
                {"--n": _CAPACITY, "--m": _CAPACITY, "--target": _ends(1, jugs.MAX_TARGET)}),
         ["jugs", "plan", "--n", str(jugs.MAX_CAPACITY), "--m", str(jugs.MAX_CAPACITY - 1),
          "--target", "1"],
-        # One action past the plan length limit; refused before any is built.
+        # One action past the plan length limit: text prints its one run, and
+        # JSON, which would list the actions, is refused before any is built.
         ["jugs", "plan", "--n", "1", "--m", "1", "--target", str(jugs.MAX_PLAN_LENGTH + 1)],
     ],
 }
@@ -229,7 +230,7 @@ DIGESTS = {
     "jugs gcd": "d664bfda89663275d3ef161d9736316e042bda6c8d663f132edb636404b88acb",
     "jugs bezout": "a02c444fbd2d1555dd579a3e8786721e6a129f93dc194e35b49f3b6400accd56",
     "jugs amounts": "03c43783becdcdcc7823347b3a6def6e82ed7fbc7cc0f6d0d5be08700d621494",
-    "jugs plan": "02bb0cdbce53ee0f05e48bd822f73d59a8436c80e48af7f933f5968e88559352",
+    "jugs plan": "bc32ac434da9cf4df475225e5bfca4e5987c47406e2f9435848f10362eb2f7be",
     "jugs plan at the length limit": "3ebae1a504e0cfe40f2f89646f171042f54f38a77c3ceb0c1b94f3f82c64c15d",
 }
 

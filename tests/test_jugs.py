@@ -196,11 +196,28 @@ class TestPlan:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_refuses_plans_over_the_length_limit(self, strategy):
-        with pytest.raises(PlanTooLong) as excinfo:
-            plan(JugProblem(1, 1, 50_000_000), strategy)
-        assert excinfo.value.length == 50_000_000
-        assert "50000000" in str(excinfo.value)
-        assert str(MAX_PLAN_LENGTH) in str(excinfo.value)
+        # The plan is made; only expanding it is refused, before any action
+        # is built.
+        tracemalloc.start()
+        try:
+            pour_plan = plan(JugProblem(1, 1, 50_000_000), strategy)
+            assert len(pour_plan) == 50_000_000
+            for expand in (lambda p: p.actions, list, tuple, PourPlan):
+                with pytest.raises(PlanTooLong) as excinfo:
+                    expand(pour_plan)
+                assert excinfo.value.length == 50_000_000
+                assert "50000000" in str(excinfo.value)
+                assert str(MAX_PLAN_LENGTH) in str(excinfo.value)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("strategy", ["shortest", "certificate", None])
+    def test_refuses_a_strategy_that_is_not_a_strategy(self, strategy):
+        # A value of a strategy is no strategy; None is not the default.
+        with pytest.raises(TypeError, match="^strategy must be a Strategy, got "):
+            plan(JugProblem(100, 1, 99), strategy)
 
     def test_shortest_uses_one_vessel_far_beyond_a_search_ceiling(self):
         # The target is ~2·10^7 units, yet the plan is twenty pours.

@@ -7,6 +7,7 @@ import functools
 import pickle
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -26,11 +27,15 @@ from deduce.categorical import (
     MNot,
     MOr,
     PredApp,
+    eval_categorical,
     eval_monadic,
+    free_variables,
     get_syllogism,
+    negate_quantifiers,
+    predicates,
     valid_syllogism,
 )
-from deduce.jugs import AddJug, JugProblem, RemoveJug, bezout, plan
+from deduce.jugs import AddJug, JugProblem, PourPlan, RemoveJug, bezout, plan, simulate
 from deduce.logic import (
     And,
     Atom,
@@ -39,8 +44,11 @@ from deduce.logic import (
     Not,
     Or,
     TableRow,
+    atoms,
+    classify,
     evaluate,
     prop,
+    substitute,
     truth_table,
 )
 from deduce.parser import format_formula, parse
@@ -350,3 +358,48 @@ def test_a_shared_subtree_pickles_once():
         assert type(node) is And and node.left is node.right
         node = node.left
     assert node == P
+
+
+# Each walker over a tree, handed a field value that is no node of it.  The
+# values include what a walker could keep on its own work stack: an opcode
+# (an int) and a bound variable's name (a str).
+_WALKS = {
+    "classify": lambda value: classify(And(P, value)),
+    "atoms": lambda value: atoms(Or(value, P)),
+    "evaluate": lambda value: evaluate(Not(value), {"P": True}),
+    "substitute": lambda value: substitute(Implies(value, P), {}),
+    "format_formula": lambda value: format_formula(Iff(P, value)),
+    "predicates": lambda value: predicates(MAnd(PredApp("P", "x"), value)),
+    "free_variables": lambda value: free_variables(
+        ForAll("x", MAnd(PredApp("P", "x"), value))
+    ),
+    "negate_quantifiers": lambda value: negate_quantifiers(MNot(value)),
+    "eval_monadic": lambda value: eval_monadic(
+        Exists("x", MOr(PredApp("A", "x"), value)), _MODEL
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, "x", None], ids=repr)
+@pytest.mark.parametrize("walk", _WALKS.values(), ids=_WALKS)
+def test_every_walker_refuses_a_field_that_is_no_node(walk, value):
+    with pytest.raises(TypeError, match=f"^not a (monadic )?formula: {value!r}$"):
+        walk(value)
+
+
+@pytest.mark.parametrize("var", [None, 0, True, "x"], ids=repr)
+def test_negation_binds_a_quantifier_variable_whatever_it_holds(var):
+    # The rewrite keeps a quantifier on its work stack, never its variable,
+    # so no variable can read as a work item of its own.
+    formula = ForAll(var, MOr(PredApp("P", var), Exists(var, PredApp("Q", var))))
+    negated = MAnd(MNot(PredApp("P", var)), ForAll(var, MNot(PredApp("Q", var))))
+    assert negate_quantifiers(formula) == Exists(var, negated)
+
+
+def test_duck_typed_records_are_refused():
+    # Each has every field the function reads, but is not of its type.
+    with pytest.raises(TypeError, match="^not a plan action: "):
+        simulate(PourPlan([SimpleNamespace(capacity=3)]), 3, 5)
+    form = SimpleNamespace(kind="all", subject="A", predicate="B")
+    with pytest.raises(TypeError, match="^not a categorical kind: 'all'$"):
+        eval_categorical(form, _MODEL)
