@@ -17,7 +17,7 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 from functools import cache
-from operator import getitem
+from operator import add
 from typing import TYPE_CHECKING
 
 # ``categorical``, ``jugs``, ``rules`` and ``json`` are imported by the
@@ -37,6 +37,9 @@ EXIT_USAGE = 2
 #: front (exit 2) rather than built.  The library ``truth_table`` keeps
 #: ``logic.MAX_ATOMS``.
 TABLE_MAX_ATOMS = 16
+
+#: A table's value string ("1"/"0") read as the V/F letters of its rows.
+_LETTERS = str.maketrans("10", "VF")
 
 _CLASS_SPANISH = {
     Classification.TAUTOLOGY: "tautología",
@@ -80,6 +83,15 @@ def _refutable(result: dict, verdict: str, counter: dict[str, bool] | None) -> t
     return result, counter, lines
 
 
+def _doubled(columns: list[tuple[str, str]]) -> list[str]:
+    """Each canonical row's cells, joined, from each column's (V, F) cells:
+    the doubling that ``logic.truth_table`` runs on valuations."""
+    rows = [""]
+    for true, false in reversed(columns):
+        rows = [*map(true.__add__, rows), *map(false.__add__, rows)]
+    return rows
+
+
 def _cmd_table(args: argparse.Namespace) -> tuple:
     formula = parse(args.formula)
     count = len(logic.atoms(formula))
@@ -88,24 +100,26 @@ def _cmd_table(args: argparse.Namespace) -> tuple:
             f"table of {count} atoms has {1 << count} rows; the limit is "
             f"{TABLE_MAX_ATOMS} atoms ({1 << TABLE_MAX_ATOMS} rows)"
         )
-    table = logic.truth_table(formula)
-    names = [atom.name for atom in table.atoms]
+    columns, values = logic._values(formula, None)
+    names = [atom.name for atom in columns]
     result = {"formula": format_formula(formula), "atoms": names}
-    # Only JSON lists the rows; text prints them.
+    # Only JSON lists the rows; text prints them.  Both are rendered from
+    # per-column cells and the value string, with no valuation dicts.
     if args.format == "json":
-        result["rows"] = [
-            {"valuation": row.valuation, "value": row.value} for row in table.rows
+        # ``sort_keys`` order: columns are sorted, and "valuation" < "value".
+        # Atom names are alphanumeric, so no fragment needs escaping.
+        heads = ['{"valuation":{'] + [","] * (len(names) - 1)
+        fragments = [
+            (f'{head}"{name}":true', f'{head}"{name}":false') for head, name in zip(heads, names)
         ]
+        ends = {"1": '},"value":true}', "0": '},"value":false}'}
+        rows = map(add, _doubled(fragments), map(ends.__getitem__, values))
+        result["rows"] = _Rendered("[" + ",".join(rows) + "]")
         return result, None, []
     # Every body cell is one letter, so each column is as wide as its header.
-    # A column's two padded cells are (F, V), indexed by a row's value; each
-    # valuation holds the columns in table order.
-    cells = [("F".ljust(len(name)) + "  ", "V".ljust(len(name)) + "  ") for name in names]
+    cells = [("V".ljust(len(name)) + "  ", "F".ljust(len(name)) + "  ") for name in names]
     lines = ["  ".join(names + [format_formula(formula, Style.SPANISH)])]
-    lines += [
-        "".join(map(getitem, cells, row.valuation.values())) + format_truth_value(row.value)
-        for row in table.rows
-    ]
+    lines += map(add, _doubled(cells), values.translate(_LETTERS))
     return result, None, lines
 
 
@@ -458,6 +472,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+class _Rendered:
+    """A value of an answer given as its JSON text, which ``_emit`` writes
+    in its place as is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def _emit(
     output_format: str, command: str, result: dict, counterexample: dict | None, lines: list[str]
 ) -> None:
@@ -470,10 +494,24 @@ def _emit(
             "result": result,
             "counterexample": counterexample,
         }
-        sys.stdout.write(
-            json.dumps(envelope, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-            + "\n"
+        # ``json`` writes a NUL string in place of each rendered value, and
+        # the value's text goes where it stands.  No other string of an
+        # answer holds a NUL: each is a name or a formula ``deduce`` prints.
+        rendered: list[str] = []
+
+        def placeholder(value: _Rendered) -> str:
+            rendered.append(value.text)
+            return "\0"
+
+        text = json.dumps(
+            envelope, sort_keys=True, ensure_ascii=True, separators=(",", ":"),
+            default=placeholder,
         )
+        pieces = text.split('"\\u0000"')
+        for piece, value in zip(pieces, rendered):
+            sys.stdout.write(piece)
+            sys.stdout.write(value)
+        sys.stdout.write(pieces[-1] + "\n")
     else:
         for line in lines:
             sys.stdout.write(line + "\n")

@@ -10,7 +10,8 @@ classroom V/F notation and ``parse_truth_value`` accepts V/F and 1/0.
 (Knuth, TAOCP Vol. 4A, 7.1.1-7.1.2): a formula is compiled once into a
 stack program, and each run of the program applies ``^ & |`` to big
 integers whose bit ``r`` is the value at canonical row ``r``, deciding a
-block of up to 2^12 rows in one pass (``evaluate``: one row).  A block's
+block of up to 2^12 rows in one pass (``evaluate``: one row); a table's
+valuations are built by doubling the canonical row order.  A block's
 periodic columns are slices of one table of masks built at import.  One
 search for the first false row answers ``falsifying_valuation`` and
 ``equivalent`` and stops there; ``classify`` reads on past it only until it
@@ -26,7 +27,7 @@ from collections import deque
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from functools import total_ordering
-from itertools import chain, product, repeat
+from itertools import repeat
 from operator import eq
 
 from ._record import Node, Record, _setattr
@@ -206,10 +207,6 @@ def _mask(shift: int) -> int:
 #: Each period divides a narrower block's width: its column is ``mask & full``.
 _MASKS = tuple(map(_mask, range(_BLOCK_BITS)))
 
-#: Up to this many trailing columns of a table get their valuation dicts
-#: built once; ``truth_table`` joins each row's leading columns to one.
-_SUFFIX_COLUMNS = 5
-
 
 def _compile(formula: Formula) -> tuple[list[int], list[Atom]]:
     """The program of ``formula`` and its atoms in first-occurrence order,
@@ -332,6 +329,14 @@ def _scan(
     return columns, full, blocks()
 
 
+def _values(formula: Formula, over: Sequence[Atom] | None) -> tuple[tuple[Atom, ...], str]:
+    """The columns of ``formula``'s table (see ``truth_table``) and its value
+    string: character ``r`` is ``"1"`` where canonical row ``r`` is true."""
+    columns, full, vectors = _scan(formula, over)
+    width = full.bit_length()
+    return columns, "".join(format(vector, f"0{width}b")[::-1] for vector in vectors)
+
+
 def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTable:
     """Build the canonical truth table of ``formula``.
 
@@ -340,20 +345,14 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     in alphabetical order are used.  Raises ``ValueError`` if ``over``
     repeats an atom and ``TypeError`` if it holds anything but atoms.
     """
-    columns, full, vectors = _scan(formula, over)
-    width = full.bit_length()
-    values = "".join(format(vector, f"0{width}b")[::-1] for vector in vectors)
-    names = [atom.name for atom in columns]
-    # ``product`` yields the canonical order: first column slowest, V before F.
-    # Each row's valuation is a new ``prefix | suffix`` dict: the 2^low dicts
-    # of the fastest-cycling columns are built once, each prefix once.
-    low = min(len(names), _SUFFIX_COLUMNS)
-    head, tail = names[: len(names) - low], names[len(names) - low :]
-    suffixes = [dict(zip(tail, bits)) for bits in product((True, False), repeat=low)]
-    valuations = chain.from_iterable(
-        map(dict(zip(head, bits)).__or__, suffixes)
-        for bits in product((True, False), repeat=len(head))
-    )
+    columns, values = _values(formula, over)
+    # Canonical order by doubling: from the all-V row, each column, last to
+    # first, appends copies of the rows so far with itself set F in each.
+    valuations = [dict.fromkeys([atom.name for atom in columns], True)]
+    for atom in reversed(columns):
+        copies = list(map(dict.copy, valuations))
+        deque(map(dict.__setitem__, copies, repeat(atom.name), repeat(False)), 0)
+        valuations += copies
     # The rows are filled field by field in C loops: a slot descriptor's
     # ``__set__`` writes past ``Record.__setattr__``, as ``_setattr`` does.
     rows = tuple(map(TableRow.__new__, repeat(TableRow, len(values))))

@@ -7,7 +7,8 @@ monadic ones from the recursive ``reference_eval_monadic``, table rows
 from the row-at-a-time ``reference_truth_table``, parses from
 the character-at-a-time ``reference_parse``, token lists from the token
 pattern read by ``findall`` in ``pattern_tokenize``, the text of a
-truth table from a grid whose columns are measured cell by cell, record reprs
+truth table from a grid whose columns are measured cell by cell, its JSON
+from ``json.dumps`` of one dict per row, record reprs
 and equality from frozen dataclass twins, entailment is scanned
 premise-by-premise without building the implication formula, syllogism validity is decided by evaluating the three forms on
 each canonical model or by naive enumeration of every model up to a
@@ -25,16 +26,19 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import os
 import re
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import make_dataclass
+from pathlib import Path
 from random import Random
 from unittest import mock
 
 import hypothesis.strategies as st
 
+import deduce
 from deduce import cli
 from deduce.categorical import (
     CategoricalForm,
@@ -191,6 +195,19 @@ def reference_table_lines(formula: Formula) -> list[str]:
         "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
         for line in grid
     ]
+
+
+def reference_table_json(formula: Formula) -> str:
+    """The stdout of ``deduce table --format json``: the envelope, with a
+    dict per row of ``reference_truth_table``, dumped by ``json``."""
+    table = reference_truth_table(formula)
+    result = {
+        "formula": format_formula(formula),
+        "atoms": [atom.name for atom in table.atoms],
+        "rows": [{"valuation": row.valuation, "value": row.value} for row in table.rows],
+    }
+    envelope = {"status": "ok", "command": "table", "result": result, "counterexample": None}
+    return json.dumps(envelope, sort_keys=True, ensure_ascii=True, separators=(",", ":")) + "\n"
 
 
 def reference_classify(formula: Formula) -> Classification:
@@ -797,6 +814,14 @@ def reference_build_parser() -> argparse.ArgumentParser:
 
 
 # --- Output contract sweeps ---------------------------------------------------
+
+
+def child_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on the path, for
+    a child interpreter that runs ``deduce``."""
+    src = str(Path(deduce.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def run_main(argv: Sequence[str]) -> tuple[int, str, str]:

@@ -8,24 +8,25 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import deduce
 from deduce import categorical, cli, jugs, logic, rules
 from deduce.cli import TABLE_MAX_ATOMS, build_parser, main
 from deduce.logic import MAX_ATOMS, Atom, prop
 from deduce.parser import Style, format_formula
 from helpers import (
     atom_names,
+    child_env,
     formula_strategy,
     reference_build_parser,
     reference_table,
+    reference_table_json,
     reference_table_lines,
+    run_main,
 )
 
 EXPECTED_TABLE = """\
@@ -91,16 +92,20 @@ _TABLE_NAMES = ("P", "Q", "Llueve", "X12", "Sol", "Nieva", "Z", "R2", "Hace", "T
 _BINARIES = (logic.Or, logic.And, logic.Implies, logic.Iff)
 
 
+# Names whose string order differs from their numeric order: P10 < P2.
+_NUMBERED_NAMES = ("P1", "P2", "P10", "P11")
+
+
 @st.composite
-def _table_cases(draw):
-    """A formula over exactly 1-8 atoms, a style to write it in, and a
-    wider column order for ``truth_table(..., over=...)``."""
-    names = draw(st.lists(st.sampled_from(_TABLE_NAMES), min_size=1, max_size=8, unique=True))
+def _table_cases(draw, pool=_TABLE_NAMES, max_atoms=8):
+    """A formula over exactly 1-``max_atoms`` atoms of ``pool``, a style to
+    write it in, and a wider column order for ``truth_table(..., over=...)``."""
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_atoms, unique=True))
     formula = draw(formula_strategy(names, max_leaves=10))
     for name in names:
         if name not in atom_names(formula):
             formula = draw(st.sampled_from(_BINARIES))(formula, prop(name))
-    extra = [name for name in _TABLE_NAMES if name not in names][:2]
+    extra = [name for name in pool if name not in names][:2]
     over = draw(st.permutations(names + extra))
     return formula, draw(st.sampled_from(list(Style))), over
 
@@ -121,8 +126,9 @@ class TestTable:
 
     def test_refuses_an_oversized_table_before_building_rows(self, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("truth_table called")
+            raise AssertionError("the table was scanned")
 
+        monkeypatch.setattr(logic, "_values", unreachable)
         monkeypatch.setattr(logic, "truth_table", unreachable)
         wide = " ó ".join(f"A{i}" for i in range(TABLE_MAX_ATOMS + 1))
         code, out, err = run(capsys, "table", wide)
@@ -169,6 +175,19 @@ class TestTable:
         assert [(row.valuation, row.value) for row in table.rows] == reference_table(
             formula, over
         )
+
+    @given(_table_cases(_TABLE_NAMES + _NUMBERED_NAMES, max_atoms=10))
+    @settings(max_examples=60, deadline=None)
+    def test_output_matches_the_row_by_row_oracles(self, case):
+        # Text against the measured grid, and JSON byte for byte against
+        # ``json.dumps`` of one dict per row.
+        formula, style, _ = case
+        text = format_formula(formula, style)
+        want = "\n".join(reference_table_lines(formula)) + "\n"
+        assert run_main(["table", text]) == (0, want, "")
+        want = reference_table_json(formula)
+        code, out, err = run_main(["table", text, "--format", "json"])
+        assert (code, out.encode(), err) == (0, want.encode(), "")
 
 
 _TOO_WIDE = " ó ".join(f"A{i}" for i in range(MAX_ATOMS + 1))
@@ -876,19 +895,12 @@ _LAZY = {"deduce.categorical", "deduce.jugs", "deduce.rules", "json"}
 _NEVER = {"dataclasses", "inspect"}
 
 
-def _child_env() -> dict[str, str]:
-    """The environment with this checkout's ``src`` first on the path."""
-    src = str(Path(deduce.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-
-
 def _modules_loaded(*argv: str) -> set[str]:
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         timeout=60,
     )
     assert done.returncode in (0, 1), done.stderr
@@ -937,7 +949,7 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", _BARE_IMPORT_PROBE],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -961,7 +973,7 @@ def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
     # The read end is closed before the child starts, so every write to its
     # stdout fails, whatever the timing.  Buffered, the first failure comes
     # at a flush; unbuffered, at the first write.
-    env = _child_env()
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
