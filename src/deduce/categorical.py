@@ -25,7 +25,7 @@ from operator import and_, or_
 
 from ._record import Node, Record, _setattr
 from .logic import _ATOM_NAME, _MASKS
-from .parser import Style, _format, _Grammar, _parse
+from .parser import Style, _classify, _format, _Grammar, _parse
 
 
 class UnknownPredicate(LookupError):
@@ -334,12 +334,24 @@ class MonadicFormula(Node):
     __slots__ = ()
 
 
+def _checked_variable(var: str) -> str:
+    """``var``, if the monadic parser reads it as a variable."""
+    if not isinstance(var, str):
+        raise TypeError(f"variable must be a str, got {type(var).__name__}")
+    grammar = _MONADIC
+    if _classify(var, grammar) != "var" or var in grammar.kinds or var in grammar.quantifiers:
+        raise ValueError(f"invalid variable {var!r}")
+    return var
+
+
 class PredApp(MonadicFormula):
     __slots__ = ("pred", "var")
 
     def __init__(self, pred: str, var: str):
+        if not _ATOM_NAME.match(pred):
+            raise ValueError(f"invalid predicate name {pred!r}")
         _setattr(self, "pred", pred)
-        _setattr(self, "var", var)
+        _setattr(self, "var", _checked_variable(var))
 
 
 class MNot(MonadicFormula):
@@ -373,7 +385,7 @@ class _Quantifier(MonadicFormula):
     __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: MonadicFormula):
-        _setattr(self, "var", var)
+        _setattr(self, "var", _checked_variable(var))
         _setattr(self, "body", body)
 
 

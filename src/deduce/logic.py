@@ -111,6 +111,8 @@ class Atomic(Formula):
     __slots__ = ("atom",)
 
     def __init__(self, atom: Atom):
+        if not isinstance(atom, Atom):
+            raise TypeError(f"atom must be an Atom, got {type(atom).__name__}")
         _setattr(self, "atom", atom)
 
 

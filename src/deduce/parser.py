@@ -17,8 +17,10 @@ The tokenizer puts spaces around every symbol with ``str.replace`` and
 splits the text with ``str.split``; tokens carry no offsets.  A compiled
 pattern per grammar reads the text again only when a parse fails: for the
 first unknown token, and for the span of the offending one.  Each distinct
-name is classified and made into an atom once per parse; every leaf is
-still a node of its own.
+name is classified once per parse, and a parse makes one node per distinct
+leaf: every ``P`` of a formula, or every ``P(x)``, is the same node.  Nodes
+are immutable, and ``==``, ``hash``, ``copy`` and ``pickle`` keep a shared
+subtree shared.
 """
 
 from __future__ import annotations
@@ -94,17 +96,15 @@ _NOT_PREC = 4
 # Parser frames below every binary operator: a quantifier scope only ends
 # at a closing parenthesis or the end, and a parenthesis only at its match.
 _SCOPE, _PAREN, _BOTTOM = -1, -2, -3
-_BINARY = object()  # the argument in a binary operator's frame
 
 
 class _Grammar:
     """One language's table for the shared tokenizer, parser and printer.
 
     ``binary`` maps the grammar's connectives to their constructors.
-    The ``leaf`` constructor takes ``name(word)``, made once per distinct
-    word in a parse, and also a variable in a grammar with ``quantifiers``
-    (keyword -> constructor of ``(variable, body)``); ``leaf_text`` prints
-    its nodes.
+    The ``leaf`` constructor takes ``name(word)``, and also a variable in a
+    grammar with ``quantifiers`` (keyword -> constructor of ``(variable,
+    body)``); ``leaf_text`` prints its nodes.
     ``styles`` spells the connectives for printing.  Symbols of a kind the
     grammar does not use are unknown characters to it.
     """
@@ -239,19 +239,6 @@ def _variable(kinds: list, words: list, pos: int, grammar: _Grammar) -> str:
     return words[pos]
 
 
-def _reduce(frames: list, operands: list, floor: int) -> None:
-    """Apply the pending operators above ``floor`` to the operand stack."""
-    while frames[-1][0] > floor:
-        _, ctor, arg = frames.pop()
-        if arg is _BINARY:
-            right = operands.pop()
-            operands[-1] = ctor(operands[-1], right)
-        elif arg is None:
-            operands[-1] = ctor(operands[-1])
-        else:
-            operands[-1] = ctor(arg, operands[-1])
-
-
 def _parse(text: str, grammar: _Grammar):
     """Parse ``text`` in ``grammar``; raises ``ParseError`` on the first fault."""
     try:
@@ -268,14 +255,15 @@ def _read(kinds: list, words: list, grammar: _Grammar):
 
     Tokens are read once, left to right, alternating between the place of
     an operand (prefixes, then a leaf) and the place of an operator.  Frames
-    are ``(precedence, constructor, argument)``: a binary operator, the
-    negation (argument ``None``), a quantifier (the variable) or an open
-    parenthesis.
+    are ``(precedence, constructor, argument)``: a binary operator (its left
+    operand), the negation (argument ``None``), a quantifier (the variable)
+    or an open parenthesis.  After each operand, the frames above a floor
+    (the operator's threshold, the parenthesis or the bottom) apply to it in
+    turn.  A leaf node is made once per distinct leaf and shared.
     """
     binary, quantifiers = grammar.binary, grammar.quantifiers
     frames: list = [(_BOTTOM, None, None)]
-    operands: list = []
-    names: dict = {}
+    leaves: dict = {}
     opened = 0
     pos = 0
     while True:
@@ -297,20 +285,20 @@ def _read(kinds: list, words: list, grammar: _Grammar):
                 break
             pos += 1
         if kind == "name":
-            word = words[pos]
-            name = names.get(word)
-            if name is None:
-                name = names[word] = grammar.name(word)
+            # Keyed by the name, or by the name and the variable.
+            key = word = words[pos]
             if grammar.variables:
                 if kinds[pos + 1] != "(":
                     raise _expected(kinds, words, pos + 1, "'('")
-                var = _variable(kinds, words, pos + 2, grammar)
+                key = word, _variable(kinds, words, pos + 2, grammar)
                 pos += 3
                 if kinds[pos] != ")":
                     raise _unclosed(kinds, words, pos)
-                operands.append(grammar.leaf(name, var))
-            else:
-                operands.append(grammar.leaf(name))
+            operand = leaves.get(key)
+            if operand is None:
+                name = grammar.name(word)
+                leaf = grammar.leaf(name, key[1]) if grammar.variables else grammar.leaf(name)
+                operand = leaves[key] = leaf
         elif kind == ")":
             raise _Fault(pos, ErrorKind.UNBALANCED_PAREN, "unmatched ')'")
         else:
@@ -320,16 +308,9 @@ def _read(kinds: list, words: list, grammar: _Grammar):
             kind = kinds[pos]
             operator = binary.get(kind)
             if operator is not None:
-                threshold, prec, ctor = operator
-                if frames[-1][0] > threshold:
-                    _reduce(frames, operands, threshold)
-                frames.append((prec, ctor, _BINARY))
-                pos += 1
-                break
-            if kind == ")" and opened:
-                _reduce(frames, operands, _PAREN)
-                frames.pop()
-                opened -= 1
+                floor = operator[0]
+            elif kind == ")" and opened:
+                floor = _PAREN
             elif opened:
                 raise _unclosed(kinds, words, pos)
             elif kind != "end":
@@ -339,8 +320,18 @@ def _read(kinds: list, words: list, grammar: _Grammar):
                     f"unexpected input {words[pos]!r} after a complete formula",
                 )
             else:
-                _reduce(frames, operands, _BOTTOM)
-                return operands[0]
+                floor = _BOTTOM
+            while frames[-1][0] > floor:
+                _, ctor, arg = frames.pop()
+                operand = ctor(operand) if arg is None else ctor(arg, operand)
+            if operator is not None:
+                frames.append((operator[1], operator[2], operand))
+                pos += 1
+                break
+            if floor == _BOTTOM:
+                return operand
+            frames.pop()
+            opened -= 1
 
 
 def _format(formula, grammar: _Grammar, style: Style) -> str:

@@ -75,7 +75,6 @@ from deduce.logic import (
     prop,
 )
 from deduce.parser import (
-    _BINARY as _BINARY_FRAME,
     _BOTTOM,
     _NOT_PREC,
     _PAREN,
@@ -451,6 +450,9 @@ def reference_simulate(actions: Sequence[Action], n: int, m: int) -> int:
 # The shared parser as it was before its tokenizer became one compiled
 # pattern per grammar: tokens carry their offsets, symbols are tried with
 # ``str.startswith``, longest first, and every leaf builds its own name.
+
+#: The argument in a binary operator's frame.
+_BINARY_FRAME = object()
 
 
 def _reference_tokenize(text: str, grammar) -> list[tuple[str, str, int, int]]:

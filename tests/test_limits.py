@@ -13,6 +13,8 @@ import resource
 import subprocess
 import sys
 
+import pytest
+
 from deduce.cli import TABLE_MAX_ATOMS
 from helpers import child_env
 
@@ -56,3 +58,29 @@ def test_the_widest_table_in_json():
     assert (done.returncode, done.stderr) == (0, "")
     (line,) = done.stdout.splitlines()
     assert len(json.loads(line)["result"]["rows"]) == 1 << TABLE_MAX_ATOMS == 65_536
+
+
+# Inputs that the parser must read whole.  The longest is 130,004 bytes,
+# under Linux's 128 KiB cap on one argument.
+NEGATIONS = "¬" * 20_000 + "P"
+PARENTHESES = "(" * 20_000 + "P" + ")" * 20_000
+PREFIXES = "forall x. " * 13_000 + "P(x)"
+CONJUNCTION = " & ".join(f"A{i % 12}" for i in range(24_000))
+
+LONG_INPUTS = {
+    "negations": (["classify", NEGATIONS], 1),
+    "parentheses": (["classify", PARENTHESES], 1),
+    "quantifier-prefixes": (["quant", "negate", PREFIXES], 0),
+    "flat-conjunction": (["classify", CONJUNCTION], 1),
+}
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", LONG_INPUTS)
+def test_a_long_input(name, json_mode):
+    args, code = LONG_INPUTS[name]
+    done = run_limited("-m", "deduce.cli", *args, *(["--format", "json"] if json_mode else []))
+    assert (done.returncode, done.stderr) == (code, "")
+    if json_mode:
+        (line,) = done.stdout.splitlines()
+        assert type(json.loads(line)) is dict

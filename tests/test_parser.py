@@ -1,4 +1,5 @@
 import copy
+import pickle
 import re
 import sys
 from itertools import product
@@ -7,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from deduce.categorical import _MONADIC, format_monadic
+from deduce.categorical import _MONADIC, format_monadic, parse_monadic
 from deduce.logic import And, Iff, Implies, Not, Or, prop
 from deduce.parser import (
     _PROPOSITIONAL,
@@ -78,10 +79,24 @@ class TestParse:
     def test_operator_aliases(self, text, expected):
         assert parse(text) == expected
 
-    def test_every_leaf_is_a_node_of_its_own(self):
-        # The parse is a tree even where a name repeats.
+    def test_a_repeated_name_is_one_shared_leaf(self):
         formula = parse("P y P")
-        assert formula.left == formula.right and formula.left is not formula.right
+        assert formula.left is formula.right
+
+    def test_a_predicate_keeps_one_leaf_per_variable(self):
+        # "y" is a connective, so the second variable is "z".
+        formula = parse_monadic("P(x) & P(z) & P(x)")
+        (x, z), again = (formula.left.left, formula.left.right), formula.right
+        assert x is again and x != z and (x.var, z.var) == ("x", "z")
+
+    def test_shared_leaves_survive_pickle_and_deepcopy(self):
+        formula = parse("(P -> Q) y (Q ó ¬P) y (P <-> Q)")
+        digest = hash(formula)
+        for copied in (pickle.loads(pickle.dumps(formula)), copy.deepcopy(formula)):
+            assert copied == formula and hash(copied) == digest
+            conditional, disjunction = copied.left.left, copied.left.right
+            assert conditional.left is copied.right.left is disjunction.right.inner
+            assert conditional.right is disjunction.left is copied.right.right
 
     def test_multi_character_atoms(self):
         assert parse("Llueve ⇒ PastoMojado") == Implies(

@@ -25,13 +25,16 @@ from deduce.categorical import (
     MAnd,
     MImplies,
     MNot,
+    MonadicFormula,
     MOr,
     PredApp,
     eval_categorical,
     eval_monadic,
+    format_monadic,
     free_variables,
     get_syllogism,
     negate_quantifiers,
+    parse_monadic,
     predicates,
     valid_syllogism,
 )
@@ -39,6 +42,7 @@ from deduce.jugs import AddJug, JugProblem, PourPlan, RemoveJug, bezout, plan, s
 from deduce.logic import (
     And,
     Atom,
+    Atomic,
     Iff,
     Implies,
     Not,
@@ -390,7 +394,12 @@ def test_every_walker_refuses_a_field_that_is_no_node(walk, value):
 @pytest.mark.parametrize("var", [None, 0, True, "x"], ids=repr)
 def test_negation_binds_a_quantifier_variable_whatever_it_holds(var):
     # The rewrite keeps a quantifier on its work stack, never its variable,
-    # so no variable can read as a work item of its own.
+    # so no variable can read as a work item of its own.  A variable that
+    # is no str is refused when its quantifier is built.
+    if not isinstance(var, str):
+        with pytest.raises(TypeError):
+            ForAll(var, PredApp("P", "x"))
+        return
     formula = ForAll(var, MOr(PredApp("P", var), Exists(var, PredApp("Q", var))))
     negated = MAnd(MNot(PredApp("P", var)), ForAll(var, MNot(PredApp("Q", var))))
     assert negate_quantifiers(formula) == Exists(var, negated)
@@ -403,3 +412,89 @@ def test_duck_typed_records_are_refused():
     form = SimpleNamespace(kind="all", subject="A", predicate="B")
     with pytest.raises(TypeError, match="^not a categorical kind: 'all'$"):
         eval_categorical(form, _MODEL)
+
+
+def test_a_wrong_leaf_is_refused_where_the_node_is_built():
+    # Each was answered, or failed with the wrong error, further on.
+    with pytest.raises(TypeError, match="^atom must be an Atom, got str$"):
+        classify(Atomic("P"))
+    with pytest.raises(TypeError, match="^atom must be an Atom, got Atomic$"):
+        format_formula(Atomic(P))
+    with pytest.raises(TypeError):
+        free_variables(PredApp("P", 0))
+    with pytest.raises(TypeError):
+        predicates(MAnd(PredApp(0, "x"), PredApp("Q", "x")))
+    with pytest.raises(TypeError):
+        format_monadic(ForAll(0, PredApp("P", 0)))
+    for pred, var in [("p", "x"), ("P", "y"), ("P", "X"), ("P", "forall"), ("P", "x y")]:
+        with pytest.raises(ValueError):
+            PredApp(pred, var)
+    with pytest.raises(ValueError, match="^invalid variable 'exists'$"):
+        Exists("exists", PredApp("P", "x"))
+
+
+# A node to build is ``(constructor, fields)``, where a field that is a
+# tuple is a node to build first.  A leaf field or a quantifier's variable
+# is a right one, or one time in eight a value from ``_FIELDS``: names,
+# variables, reserved words, other strings, ints, None and nodes.  The other
+# fields are nodes of the same language.
+_FIELDS = st.one_of(
+    st.sampled_from(["P", "Q1", "x", "z", "w2", "y", "no", "forall", "exists", "X", "pX"]),
+    st.text(max_size=3),
+    st.integers(-1, 1),
+    st.none(),
+    st.sampled_from([Atom("P"), P, PredApp("P", "x")]),
+)
+
+
+def _mostly(right):
+    return st.integers(0, 7).flatmap(lambda i: _FIELDS if i == 0 else right)
+
+
+_NAMES = ["P", "Q", "R1"]
+_ATOM = _mostly(st.sampled_from(_NAMES).map(Atom))
+_PRED = _mostly(st.sampled_from(_NAMES))
+_VAR = _mostly(st.sampled_from(["x", "z", "w2"]))
+
+
+def _to_build(leaves, unary, binaries, quantifiers=()):
+    def branches(children):
+        options = [
+            st.tuples(st.just(unary), st.tuples(children)),
+            st.tuples(st.sampled_from(binaries), st.tuples(children, children)),
+        ]
+        if quantifiers:
+            options.append(
+                st.tuples(st.sampled_from(quantifiers), st.tuples(_VAR, children))
+            )
+        return st.one_of(options)
+
+    return st.recursive(leaves, branches, max_leaves=6)
+
+
+_BUILDS = st.one_of(
+    _to_build(st.tuples(st.just(Atomic), st.tuples(_ATOM)), Not, [And, Or, Implies, Iff]),
+    _to_build(
+        st.tuples(st.just(PredApp), st.tuples(_PRED, _VAR)),
+        MNot,
+        [MAnd, MOr, MImplies],
+        [ForAll, Exists],
+    ),
+)
+
+
+def _build(item):
+    ctor, fields = item
+    return ctor(*[_build(f) if type(f) is tuple else f for f in fields])
+
+
+@given(_BUILDS)
+def test_a_node_is_refused_or_reads_back_from_its_text(item):
+    try:
+        node = _build(item)
+    except (TypeError, ValueError):
+        return
+    if isinstance(node, MonadicFormula):
+        assert parse_monadic(format_monadic(node)) == node
+    else:
+        assert parse(format_formula(node)) == node
