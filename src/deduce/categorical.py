@@ -9,6 +9,8 @@ per region are enough.  A set of these models is a 256-bit int, bit ``m``
 for the model whose inhabited regions are the set bits of ``m`` (Venn's
 region method, with truth tables as bit vectors): a particular form holds
 in the models that inhabit one of its regions, a universal in the rest.
+Those sets are one table of 36 ints built at import, one per kind and per
+(subject, predicate) pair of term bits, so a verdict is three lookups:
 ``major & minor & ~conclusion`` holds the counter-models, and its lowest
 bit is the first counter-model of the canonical enumeration.  The same
 module carries a small monadic quantifier language with negation rewriting
@@ -117,9 +119,13 @@ class Syllogism(Record):
     def __init__(
         self, major: CategoricalForm, minor: CategoricalForm, conclusion: CategoricalForm
     ):
-        _setattr(self, "major", major)
-        _setattr(self, "minor", minor)
-        _setattr(self, "conclusion", conclusion)
+        # Any other object would be misread by the model table, or fail in it.
+        for field, form in (("major", major), ("minor", minor), ("conclusion", conclusion)):
+            if not isinstance(form, CategoricalForm):
+                raise TypeError(
+                    f"{field} must be a CategoricalForm, got {type(form).__name__}"
+                )
+            _setattr(self, field, form)
         if len(self.term_names()) != 3:
             raise ValueError("a syllogism must mention exactly three distinct terms")
 
@@ -269,31 +275,42 @@ _IMPORT = reduce(
 )
 
 
-def _form_models(form: CategoricalForm, names: tuple[str, ...]) -> int:
-    """The canonical models of ``form``: a particular holds where one of its
-    regions is inhabited, a universal where none is.  The regions are the
-    subject's that lie inside the predicate (no, some) or outside it (all,
-    some-not)."""
-    subject = names.index(form.subject)
-    predicate = names.index(form.predicate)
-    inside = form.kind in (FormKind.UNIVERSAL_NEGATIVE, FormKind.PARTICULAR_AFFIRMATIVE)
-    models = _union(
-        r for r in range(8) if r >> subject & 1 and bool(r >> predicate & 1) is inside
-    )
-    if form.kind in (FormKind.UNIVERSAL_AFFIRMATIVE, FormKind.UNIVERSAL_NEGATIVE):
-        return _ALL ^ models
-    return models
+def _form_table() -> dict[tuple[FormKind, int, int], int]:
+    """The canonical models of each form, keyed by its kind and the bits of
+    its subject and predicate.  A particular holds where one of its regions
+    is inhabited, a universal where none is; the regions are the subject's
+    that lie inside the predicate (no, some) or outside it (all, some-not)."""
+    table = {}
+    for subject in range(3):
+        for predicate in range(3):
+            regions = [r for r in range(8) if r >> subject & 1]
+            inside = _union(r for r in regions if r >> predicate & 1)
+            outside = _union(r for r in regions if not r >> predicate & 1)
+            for kind, models in (
+                (FormKind.UNIVERSAL_AFFIRMATIVE, _ALL ^ outside),
+                (FormKind.UNIVERSAL_NEGATIVE, _ALL ^ inside),
+                (FormKind.PARTICULAR_AFFIRMATIVE, inside),
+                (FormKind.PARTICULAR_NEGATIVE, outside),
+            ):
+                table[kind, subject, predicate] = models
+    return table
 
 
-def _counter_models(syllogism: Syllogism) -> int:
-    """The canonical counter-models of ``syllogism``: the models of both
-    premises outside the conclusion's."""
+_FORM_MODELS = _form_table()
+
+
+def _counter_models(syllogism: Syllogism) -> tuple[int, tuple[str, ...]]:
+    """The canonical counter-models of ``syllogism``, the models of both
+    premises outside the conclusion's, and the term names that number its
+    bits."""
     names = syllogism.term_names()
+    major, minor, conclusion = syllogism.major, syllogism.minor, syllogism.conclusion
+    index = names.index
     return (
-        _form_models(syllogism.major, names)
-        & _form_models(syllogism.minor, names)
-        & ~_form_models(syllogism.conclusion, names)
-    )
+        _FORM_MODELS[major.kind, index(major.subject), index(major.predicate)]
+        & _FORM_MODELS[minor.kind, index(minor.subject), index(minor.predicate)]
+        & ~_FORM_MODELS[conclusion.kind, index(conclusion.subject), index(conclusion.predicate)]
+    ), names
 
 
 def _verdicts(syllogism: Syllogism, existential_import: bool) -> tuple[Verdict, bool]:
@@ -301,14 +318,14 @@ def _verdicts(syllogism: Syllogism, existential_import: bool) -> tuple[Verdict, 
     whether it is valid with import.  One counter-model mask gives both: the
     import models are a subset of all models, so the counter-models with
     import are ``counters & _IMPORT``."""
-    counters = _counter_models(syllogism)
+    counters, names = _counter_models(syllogism)
     with_import = not counters & _IMPORT
     if existential_import:
         counters &= _IMPORT
     if not counters:
         return Verdict(valid=True), with_import
     first = (counters & -counters).bit_length() - 1
-    model = _model_of(syllogism.term_names(), first)
+    model = _model_of(names, first)
     return Verdict(valid=False, counter_model=model), with_import
 
 

@@ -300,8 +300,13 @@ def _cmd_jugs_bezout(args: argparse.Namespace) -> tuple:
 def _cmd_jugs_amounts(args: argparse.Namespace) -> tuple:
     from . import jugs
 
-    amounts = jugs.achievable_amounts(args.n, args.m, args.limit)
-    result = {"n": args.n, "m": args.m, "limit": args.limit, "amounts": amounts}
+    amounts = jugs._amounts(args.n, args.m, args.limit)
+    result = {"n": args.n, "m": args.m, "limit": args.limit}
+    # Only the chosen format is rendered, from the range: up to
+    # ``jugs.MAX_LIMIT`` amounts are never held as a list of ints.
+    if args.format == "json":
+        result["amounts"] = _Rendered("[" + ",".join(map(str, amounts)) + "]")
+        return result, None, []
     return result, None, [" ".join(map(str, amounts))] if amounts else []
 
 
@@ -320,18 +325,18 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
             f"mcd({exc.n}, {exc.m}) = {exc.gcd} no divide {exc.target}",
         ]
         return result, {"gcd": exc.gcd}, lines
-    runs: list[tuple[dict, int]] = []
+    runs: list[tuple[str, int]] = []
     grouped: list[str] = []
     for action, count in pour_plan.runs:
         word = "add" if isinstance(action, jugs.AddJug) else "remove"
         grouped.append(f"{word} {action.capacity}" + (f" ×{count}" if count > 1 else ""))
-        runs.append(({"action": word, "capacity": action.capacity}, count))
+        runs.append((f'{{"action":"{word}","capacity":{action.capacity}}}', count))
     result = {**base, "achievable": True, "length": len(pour_plan)}
     # Only JSON lists the actions, so only JSON is refused a plan past
-    # ``jugs.MAX_PLAN_LENGTH``; text prints the runs.  One shared entry per
-    # run: a long plan lists the same few objects.
+    # ``jugs.MAX_PLAN_LENGTH``; text prints the runs.  Each run's entry is
+    # rendered once, in ``sort_keys`` order, and joined as often as it runs.
     if args.format == "json":
-        result["actions"] = list(jugs._expand(runs))
+        result["actions"] = _Rendered("[" + ",".join(jugs._expand(runs)) + "]")
     return result, None, ["; ".join(grouped)]
 
 

@@ -226,13 +226,19 @@ def is_achievable(problem: JugProblem) -> bool:
     return problem.target % math.gcd(problem.n, problem.m) == 0
 
 
-def achievable_amounts(n: int, m: int, limit: int) -> list[int]:
-    """All producible amounts up to ``limit``: the multiples of gcd(n, m)."""
+def _amounts(n: int, m: int, limit: int) -> range:
+    """The producible amounts up to ``limit``, as a range: the multiples of
+    gcd(n, m)."""
     _check_range(n, "n")
     _check_range(m, "m")
     _check_range(limit, "limit", MAX_LIMIT)
     g = math.gcd(n, m)
-    return list(range(g, limit + 1, g))
+    return range(g, limit + 1, g)
+
+
+def achievable_amounts(n: int, m: int, limit: int) -> list[int]:
+    """All producible amounts up to ``limit``: the multiples of gcd(n, m)."""
+    return list(_amounts(n, m, limit))
 
 
 def plan(problem: JugProblem, strategy: Strategy = Strategy.CERTIFICATE) -> PourPlan:

@@ -1,6 +1,7 @@
 from functools import partial
 from itertools import product
 from random import Random
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -34,7 +35,7 @@ from deduce.categorical import (
     registry_syllogisms,
     valid_syllogism,
 )
-from deduce.categorical import _IMPORT
+from deduce.categorical import _FORM_MODELS, _IMPORT
 from deduce.parser import ErrorKind, ParseError
 from helpers import (
     all_models,
@@ -134,6 +135,24 @@ class TestSyllogismRegistry:
     def test_unknown_name(self):
         with pytest.raises(UnknownSyllogism):
             get_syllogism("bocardo")
+
+    @pytest.mark.parametrize("field", ["major", "minor", "conclusion"])
+    @pytest.mark.parametrize(
+        "other",
+        [
+            "all:M:B",
+            # Form-like, with the kind's code where a FormKind belongs.
+            SimpleNamespace(kind="all", subject="M", predicate="B"),
+        ],
+        ids=["code", "form-like"],
+    )
+    def test_a_field_that_is_not_a_categorical_form_is_refused(self, field, other):
+        barbara = get_syllogism("barbara")
+        forms = {"major": barbara.major, "minor": barbara.minor, "conclusion": barbara.conclusion}
+        forms[field] = other
+        message = f"{field} must be a CategoricalForm, got {type(other).__name__}"
+        with pytest.raises(TypeError, match=message):
+            Syllogism(**forms)
 
     def test_three_distinct_terms_required(self):
         with pytest.raises(ValueError):
@@ -287,6 +306,11 @@ class TestSyllogismEngine:
             return sum(1 << m for m, model in enumerate(models) if holds(model))
 
         masks = [mask(partial(eval_categorical, form)) for form in forms]
+        # The table at import holds these masks, keyed by kind and term bits.
+        assert _FORM_MODELS == {
+            (form.kind, "ABC".index(form.subject), "ABC".index(form.predicate)): form_mask
+            for form, form_mask in zip(forms, masks)
+        }
         imported = mask(lambda model: all(model.extensions.values()))
         within = {False: (1 << 256) - 1, True: imported}
         cases = 0

@@ -3,6 +3,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -572,6 +573,34 @@ class TestJugs:
         assert code == 0
         assert out == _per_action_plan_json(n, m, target, strategy)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(1, 60),
+        st.sampled_from(["certificate", "shortest"]),
+    )
+    def test_plan_json_matches_a_per_action_encoding_anywhere(self, n, m, multiple, strategy):
+        # Small targets over small vessels often end in a run of removals,
+        # under either strategy.
+        target = multiple * math.gcd(n, m)
+        argv = ["jugs", "plan", "--n", str(n), "--m", str(m), "--target", str(target)]
+        out = _per_action_plan_json(n, m, target, strategy)
+        assert run_main([*argv, "--strategy", strategy, "--format", "json"]) == (0, out, "")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 200))
+    def test_amounts_match_an_encoding_of_the_list(self, n, m, limit):
+        amounts = jugs.achievable_amounts(n, m, limit)
+        argv = ["jugs", "amounts", "--n", str(n), "--m", str(m), "--limit", str(limit)]
+        text = " ".join(map(str, amounts)) + "\n" if amounts else ""
+        assert run_main(argv) == (0, text, "")
+        result = {"n": n, "m": m, "limit": limit, "amounts": amounts}
+        envelope = {"status": "ok", "command": "jugs amounts", "result": result,
+                    "counterexample": None}
+        out = json.dumps(envelope, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+        assert run_main([*argv, "--format", "json"]) == (0, out + "\n", "")
+
     @pytest.mark.parametrize("strategy", list(jugs.Strategy))
     def test_plan_json_cases_include_two_runs_with_a_removal(self, strategy):
         # The cases above cover plans whose second run is a removal.
@@ -646,19 +675,19 @@ class TestErrorsAndDeterminism:
 
     def test_syllogism_check_decides_once(self, capsys, monkeypatch):
         # Both verdicts, with and without import, come from one counter-model
-        # mask: one set of models per form.
+        # mask.
         calls = []
-        form_models = categorical._form_models
+        counter_models = categorical._counter_models
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return form_models(*args, **kwargs)
+            return counter_models(*args, **kwargs)
 
-        monkeypatch.setattr(categorical, "_form_models", counted)
+        monkeypatch.setattr(categorical, "_counter_models", counted)
         code, out, _ = run(capsys, "syllogism", "check", "darapti")
         assert code == 1
         assert out.endswith("nota: válido con import existencial (--existential-import)\n")
-        assert len(calls) == 3
+        assert len(calls) == 1
 
 
 class TestDeepInput:

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from deduce.cli import TABLE_MAX_ATOMS
+from deduce.jugs import MAX_LIMIT, MAX_PLAN_LENGTH
 from helpers import child_env
 
 ADDRESS_SPACE = 128 << 20
@@ -58,6 +59,49 @@ def test_the_widest_table_in_json():
     assert (done.returncode, done.stderr) == (0, "")
     (line,) = done.stdout.splitlines()
     assert len(json.loads(line)["result"]["rows"]) == 1 << TABLE_MAX_ATOMS == 65_536
+
+
+AMOUNTS = ("jugs", "amounts", "--n", "1", "--m", "1", "--limit", str(MAX_LIMIT))
+
+
+def test_the_most_amounts_in_text():
+    done = run_limited("-m", "deduce.cli", *AMOUNTS)
+    assert (done.returncode, done.stderr) == (0, "")
+    (line,) = done.stdout.splitlines()
+    assert len(line.split()) == MAX_LIMIT == 1_000_000
+
+
+def test_the_most_amounts_in_json():
+    done = run_limited("-m", "deduce.cli", *AMOUNTS, "--format", "json")
+    assert (done.returncode, done.stderr) == (0, "")
+    (line,) = done.stdout.splitlines()
+    assert len(json.loads(line)["result"]["amounts"]) == MAX_LIMIT
+
+
+def plan_in_json(target: int) -> subprocess.CompletedProcess:
+    return run_limited(
+        "-m", "deduce.cli", "jugs", "plan", "--n", "1", "--m", "1",
+        "--target", str(target), "--format", "json",
+    )
+
+
+def test_a_plan_of_a_million_actions_in_json():
+    done = plan_in_json(10**6)
+    assert (done.returncode, done.stderr) == (0, "")
+    (line,) = done.stdout.splitlines()
+    assert len(json.loads(line)["result"]["actions"]) == 10**6
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a JSON plan is written as one string, some 31 bytes an action; "
+    "from about 3*10^6 actions it needs more than the ceiling, until the "
+    "listing is written in chunks (ROADMAP item 3)",
+)
+def test_the_longest_plan_in_json():
+    done = plan_in_json(MAX_PLAN_LENGTH)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count('{"action":"add","capacity":1}') == MAX_PLAN_LENGTH
 
 
 # Inputs that the parser must read whole.  The longest is 130,004 bytes,
