@@ -16,12 +16,23 @@ copy of it, shallow or deep, is the node itself.  It pickles as a flat
 postorder program and a tuple of its leaf values, which ``_rebuild`` runs
 with an explicit stack, so pickling does not recurse either; a subtree
 shared within the formula is written once and stays shared.
+
+``_is_name`` is the one rule for atom and predicate names, kept here so
+that ``logic``, ``parser`` and ``categorical`` read it without importing
+one another.
 """
 
 from __future__ import annotations
 
 #: Stores a field of a record under construction, past ``Record.__setattr__``.
 _setattr = object.__setattr__
+
+
+def _is_name(word: str) -> bool:
+    """Whether ``word`` is a name: an uppercase ASCII letter, then ASCII
+    letters or digits.  Atoms, predicates and the tokenizer's names all
+    follow this one rule.  A ``word`` that is no str raises ``TypeError``."""
+    return str.isascii(word) and word.isalnum() and word[0].isupper()
 
 
 class Record:

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, or_
+from typing import TYPE_CHECKING
 
-from ._record import Node, Record, _setattr
-from .logic import _ATOM_NAME, _MASKS
-from .parser import Style, _classify, _format, _Grammar, _parse
+from ._record import Node, Record, _is_name, _setattr
+
+if TYPE_CHECKING:
+    from .parser import _Grammar
 
 
 class UnknownPredicate(LookupError):
@@ -84,7 +86,7 @@ class CategoricalForm(Record):
         if not isinstance(kind, FormKind):
             raise TypeError(f"kind must be a FormKind, got {type(kind).__name__}")
         for name in (subject, predicate):
-            if not _ATOM_NAME.match(name):
+            if not _is_name(name):
                 raise ValueError(f"invalid predicate name {name!r}")
         _setattr(self, "kind", kind)
         _setattr(self, "subject", subject)
@@ -258,10 +260,13 @@ def canonical_models(
 
 # A model set is an int whose bit ``m`` stands for the canonical model
 # ``_model_of(names, m)``.  ``_INHABITED[r]`` holds the models that inhabit
-# region ``r``: the ``m`` with bit ``r`` set, the complement of the engine's
-# periodic column ``_MASKS[r]`` within 256 bits.
+# region ``r``: the ``m`` with bit ``r`` set, which is 2^r set bits above
+# 2^r clear ones, repeated every 2^(r+1) bits (``_ALL // (2^(2^(r+1)) - 1)``
+# has one set bit per period).
 _ALL = (1 << 256) - 1
-_INHABITED = tuple(_ALL ^ (_MASKS[r] & _ALL) for r in range(8))
+_INHABITED = tuple(
+    _ALL // ((1 << (2 << r)) - 1) * (((1 << (1 << r)) - 1) << (1 << r)) for r in range(8)
+)
 
 
 def _union(regions: Iterable[int]) -> int:
@@ -355,8 +360,7 @@ def _checked_variable(var: str) -> str:
     """``var``, if the monadic parser reads it as a variable."""
     if not isinstance(var, str):
         raise TypeError(f"variable must be a str, got {type(var).__name__}")
-    grammar = _MONADIC
-    if _classify(var, grammar) != "var" or var in grammar.kinds or var in grammar.quantifiers:
+    if not _monadic().is_variable(var):
         raise ValueError(f"invalid variable {var!r}")
     return var
 
@@ -365,7 +369,7 @@ class PredApp(MonadicFormula):
     __slots__ = ("pred", "var")
 
     def __init__(self, pred: str, var: str):
-        if not _ATOM_NAME.match(pred):
+        if not _is_name(pred):
             raise ValueError(f"invalid predicate name {pred!r}")
         _setattr(self, "pred", pred)
         _setattr(self, "var", _checked_variable(var))
@@ -581,23 +585,31 @@ def _nnf(formula: MonadicFormula, negated: bool) -> MonadicFormula:
 # extends as far right as possible.  Lowercase identifiers are variables,
 # except the quantifier keywords; "y", "o", "ó" and "no" are connectives.
 
-_MONADIC = _Grammar(
-    binary={"and": MAnd, "or": MOr, "implies": MImplies},
-    negation=MNot,
-    leaf=PredApp,
-    name=str,
-    leaf_text=lambda node: f"{node.pred}({node.var})",
-    quantifiers={"forall": ForAll, "exists": Exists},
-    styles={Style.ASCII: {"not": "~", "and": "&", "or": "|", "implies": "->"}},
-    noun="monadic formula",
-)
+
+@cache
+def _monadic() -> _Grammar:
+    """The monadic grammar, built the first time the language is used, so
+    that the syllogism half of this module loads neither ``parser`` nor
+    ``logic``."""
+    from .parser import Style, _Grammar
+
+    return _Grammar(
+        binary={"and": MAnd, "or": MOr, "implies": MImplies},
+        negation=MNot,
+        leaf=PredApp,
+        name=str,
+        leaf_text=lambda node: f"{node.pred}({node.var})",
+        quantifiers={"forall": ForAll, "exists": Exists},
+        styles={Style.ASCII: {"not": "~", "and": "&", "or": "|", "implies": "->"}},
+        noun="monadic formula",
+    )
 
 
 def parse_monadic(text: str) -> MonadicFormula:
     """Parse the monadic surface syntax; raises ``ParseError`` on a fault."""
-    return _parse(text, _MONADIC)
+    return _monadic().parse(text)
 
 
 def format_monadic(formula: MonadicFormula) -> str:
     """Render in the ASCII surface syntax with minimal parentheses."""
-    return _format(formula, _MONADIC, Style.ASCII)
+    return _monadic().format(formula)

@@ -20,12 +20,8 @@ from functools import cache
 from operator import add
 from typing import TYPE_CHECKING
 
-# ``categorical``, ``jugs``, ``rules`` and ``json`` are imported by the
-# functions that run them, so a command loads only what it uses.
-from . import logic
-from .logic import Classification, falsifying_valuation, format_truth_value
-from .parser import ParseError, Style, format_formula, parse
-
+# Every module of the package, and ``json``, is imported by the functions
+# that run it, so a command loads only what it uses.
 if TYPE_CHECKING:
     from . import categorical, rules
 
@@ -41,10 +37,11 @@ TABLE_MAX_ATOMS = 16
 #: A table's value string ("1"/"0") read as the V/F letters of its rows.
 _LETTERS = str.maketrans("10", "VF")
 
+#: Each ``logic.Classification`` value, in Spanish.
 _CLASS_SPANISH = {
-    Classification.TAUTOLOGY: "tautología",
-    Classification.CONTRADICTION: "contradicción",
-    Classification.CONTINGENT: "contingente",
+    "tautology": "tautología",
+    "contradiction": "contradicción",
+    "contingent": "contingente",
 }
 
 
@@ -73,11 +70,27 @@ def _model_text(model: categorical.FiniteModel) -> str:
 # name from the parsed command path.
 
 
+def _parsed(parse: Callable, *texts: str) -> list:
+    """Each of ``texts`` read by ``parse``.  A ``ParseError`` becomes the
+    ``ValueError`` whose message ``main`` prints: the error's kind, its span
+    and what was wrong."""
+    from .parser import ParseError
+
+    try:
+        return [parse(text) for text in texts]
+    except ParseError as exc:
+        raise ValueError(
+            f"{exc.kind.value} at {exc.span.start}..{exc.span.end}: {exc.message}"
+        ) from None
+
+
 def _refutable(result: dict, verdict: str, counter: dict[str, bool] | None) -> tuple:
     """A propositional answer: its ``verdict`` line, then the ``counter``
     valuation that refutes it, if there is one."""
     lines = [verdict]
     if counter is not None:
+        from .logic import format_truth_value
+
         values = (f"{name}={format_truth_value(value)}" for name, value in counter.items())
         lines.append("contraejemplo: " + " ".join(values))
     return result, counter, lines
@@ -93,7 +106,10 @@ def _doubled(columns: list[tuple[str, str]]) -> list[str]:
 
 
 def _cmd_table(args: argparse.Namespace) -> tuple:
-    formula = parse(args.formula)
+    from . import logic
+    from .parser import Style, format_formula, parse
+
+    (formula,) = _parsed(parse, args.formula)
     count = len(logic.atoms(formula))
     if count > TABLE_MAX_ATOMS:
         raise ValueError(
@@ -124,19 +140,24 @@ def _cmd_table(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple:
-    formula = parse(args.formula)
+    from . import logic
+    from .parser import format_formula, parse
+
+    (formula,) = _parsed(parse, args.formula)
     classification, counter = logic._decide(formula)
     result = {
         "formula": format_formula(formula),
         "classification": classification.value,
     }
-    return _refutable(result, _CLASS_SPANISH[classification], counter)
+    return _refutable(result, _CLASS_SPANISH[classification.value], counter)
 
 
 def _cmd_equiv(args: argparse.Namespace) -> tuple:
-    left = parse(args.left)
-    right = parse(args.right)
-    counter = falsifying_valuation(logic.Iff(left, right))
+    from .logic import Iff, falsifying_valuation
+    from .parser import format_formula, parse
+
+    left, right = _parsed(parse, args.left, args.right)
+    counter = falsifying_valuation(Iff(left, right))
     result = {
         "left": format_formula(left),
         "right": format_formula(right),
@@ -146,6 +167,8 @@ def _cmd_equiv(args: argparse.Namespace) -> tuple:
 
 
 def _rule_json(schema: rules.RuleSchema) -> dict:
+    from .parser import format_formula
+
     return {
         "name": schema.name,
         "metavariables": [atom.name for atom in schema.metavariables],
@@ -163,6 +186,7 @@ def _cmd_rules_list(args: argparse.Namespace) -> tuple:
 
 def _cmd_rules_show(args: argparse.Namespace) -> tuple:
     from . import rules
+    from .parser import Style, format_formula
 
     schema = rules.get_rule(args.name)
     lines = [
@@ -180,15 +204,15 @@ def _cmd_rules_verify(args: argparse.Namespace) -> tuple:
     # The registry refuses, at import, any pattern that is not a tautology.
     classification = rules.verify_rule(args.name)
     result = {"name": schema.name, "classification": classification.value}
-    return result, None, [_CLASS_SPANISH[classification]]
+    return result, None, [_CLASS_SPANISH[classification.value]]
 
 
 def _cmd_entail(args: argparse.Namespace) -> tuple:
     from . import rules
+    from .parser import format_formula, parse
 
-    premises = tuple(parse(text) for text in args.premise)
-    conclusion = parse(args.conclusion)
-    verdict = rules.entail(premises, conclusion)
+    *premises, conclusion = _parsed(parse, *args.premise, args.conclusion)
+    verdict = rules.entail(tuple(premises), conclusion)
     result = {
         "premises": [format_formula(premise) for premise in premises],
         "conclusion": format_formula(conclusion),
@@ -266,7 +290,7 @@ def _cmd_syllogism_custom(args: argparse.Namespace) -> tuple:
 def _cmd_quant_negate(args: argparse.Namespace) -> tuple:
     from . import categorical
 
-    formula = categorical.parse_monadic(args.formula)
+    (formula,) = _parsed(categorical.parse_monadic, args.formula)
     negated = categorical.negate_quantifiers(formula)
     result = {
         "formula": categorical.format_monadic(formula),
@@ -394,7 +418,8 @@ _EXISTENTIAL_IMPORT = _arg(
 
 #: Every parser under the root, in help order: (command path, help,
 #: arguments, handler).  A row without a handler is a group; its
-#: subcommands are the later rows whose path starts with its name.
+#: subcommands are the later rows whose path starts with its name.  Each
+#: row becomes a ``_Parser``, filled from the row on its first parse.
 _COMMANDS = (
     ("table", "print the truth table of a formula",
      [_arg("formula", help="propositional formula, e.g. 'P y Q'")], _cmd_table),
@@ -442,7 +467,45 @@ _COMMANDS = (
 _FORMAT = {"choices": ("text", "json"), "help": "output format (default: text)"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of one ``_COMMANDS`` row, which adds the row's subcommands
+    or arguments on its first parse: a run fills only the parsers on its
+    command's path.  argparse hands a subcommand its arguments through
+    ``parse_known_args``, so help, usage and errors still come from a
+    filled parser at every level."""
+
+    def __init__(self, row: tuple, **kwargs):
+        super().__init__(**kwargs)
+        self._row = row
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._row:
+            path, _, arguments, handler = self._row
+            self._row = ()
+            if handler is None:
+                _add_commands(self.add_subparsers(dest="subcommand", required=True), path)
+            else:
+                # The root's flag, accepted after the subcommand too;
+                # SUPPRESS keeps this parser from clobbering a value given
+                # before it.
+                self.add_argument("--format", default=argparse.SUPPRESS, **_FORMAT)
+                for names, options in arguments:
+                    self.add_argument(*names, **options)
+                self.set_defaults(handler=handler)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_commands(subparsers: argparse._SubParsersAction, group: str) -> None:
+    """Add a ``_Parser`` for each command of ``group`` ("" at the root)."""
+    for row in _COMMANDS:
+        parent, _, name = row[0].rpartition(" ")
+        if parent == group:
+            subparsers.add_parser(name, help=row[1], row=row)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The root parser and its eight commands' parsers, which are filled on
+    their first parse."""
     root = argparse.ArgumentParser(
         prog="deduce",
         description=(
@@ -451,29 +514,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     root.add_argument("--format", default="text", **_FORMAT)
-    # The same flag is accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value given before it.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", default=argparse.SUPPRESS, **_FORMAT)
-    # Group path -> the subparsers its commands are added to.
-    groups = {"": root.add_subparsers(dest="command", required=True)}
-    for path, summary, arguments, handler in _COMMANDS:
-        group, _, name = path.rpartition(" ")
-        if handler is None:
-            parser = groups[group].add_parser(name, help=summary)
-            groups[path] = parser.add_subparsers(dest="subcommand", required=True)
-            continue
-        parser = groups[group].add_parser(name, parents=[common], help=summary)
-        for names, options in arguments:
-            parser.add_argument(*names, **options)
-        parser.set_defaults(handler=handler)
+    _add_commands(root.add_subparsers(dest="command", required=True, parser_class=_Parser), "")
     return root
 
 
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` runs, built on its first call: a parse leaves no
-    state in it."""
+    state in it but the parsers it filled."""
     return build_parser()
 
 
@@ -532,12 +580,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = f"{args.command} {args.subcommand}" if "subcommand" in args else args.command
     try:
         result, counterexample, lines = args.handler(args)
-    except ParseError as exc:
-        sys.stderr.write(
-            f"error: {exc.kind.value} at {exc.span.start}..{exc.span.end}: "
-            f"{exc.message}\n"
-        )
-        return EXIT_USAGE
     except (LookupError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

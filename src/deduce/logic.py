@@ -22,7 +22,6 @@ over a formula outside the parser, the printer and the node records.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
@@ -30,14 +29,12 @@ from functools import total_ordering
 from itertools import repeat
 from operator import eq
 
-from ._record import Node, Record, _setattr
+from ._record import Node, Record, _is_name, _setattr
 
 #: Hard ceiling on distinct atoms per classification query.  A 24-atom scan
 #: is 4096 blocks, about 0.7-1 ms per program step on a 2-CPU VM: it bounds
 #: the rows, not the formula's length.  Anything larger is refused.
 MAX_ATOMS = 24
-
-_ATOM_NAME = re.compile(r"[A-Z][A-Za-z0-9]*\Z")
 
 
 class MissingAtom(LookupError):
@@ -71,7 +68,7 @@ class Atom(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        if not _ATOM_NAME.match(name):
+        if not _is_name(name):
             raise ValueError(
                 f"invalid atom name {name!r}: must start with an uppercase "
                 "letter followed by letters or digits"

@@ -32,6 +32,7 @@ from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
+from ._record import _is_name
 from .logic import And, Atom, Atomic, Formula, Iff, Implies, Not, Or
 
 
@@ -176,6 +177,24 @@ class _Grammar:
         symbols = "|".join(re.escape(symbol) for symbol, _ in self.symbols)
         return re.compile(rf"[^\W_]+|{symbols}|\S")
 
+    def parse(self, text: str):
+        """Parse ``text`` in this grammar; raises ``ParseError`` on the
+        first fault."""
+        return _parse(text, self)
+
+    def format(self, node, style: Style = Style.ASCII) -> str:
+        """Render ``node`` with minimal parentheses in ``style``."""
+        return _format(node, self, style)
+
+    def is_variable(self, word: str) -> bool:
+        """Whether the parser reads ``word`` as a variable: a lowercase
+        ASCII word that is no keyword, in a grammar with quantifiers."""
+        return (
+            _classify(word, self) == "var"
+            and word not in self.kinds
+            and word not in self.quantifiers
+        )
+
 
 def _tokenize(text: str, grammar: _Grammar) -> tuple[list[str], list[str]]:
     """The kinds and the words of the tokens of ``text``, both closed by the
@@ -195,11 +214,10 @@ def _tokenize(text: str, grammar: _Grammar) -> tuple[list[str], list[str]]:
 
 
 def _classify(word: str, grammar: _Grammar) -> str | None:
-    if word.isascii() and word.isalnum():
-        if word[0].isupper():
-            return "name"
-        if grammar.variables and word[0].islower():
-            return "var"
+    if _is_name(word):
+        return "name"
+    if grammar.variables and word.isascii() and word.isalnum() and word[0].islower():
+        return "var"
     return None
 
 

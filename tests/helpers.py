@@ -531,7 +531,7 @@ def _reference_reduce(frames: list, operands: list, floor: int) -> None:
 
 def reference_parse(text: str, grammar):
     """``text`` parsed in ``grammar`` (``parser._PROPOSITIONAL`` or
-    ``categorical._MONADIC``) by the character-at-a-time reference: the same
+    ``categorical._monadic()``) by the character-at-a-time reference: the same
     tree, or a ``ParseError`` of the same kind, span and message, as the
     library parser must give."""
     tokens = _reference_tokenize(text, grammar)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -560,7 +561,10 @@ class TestJugs:
             assert f" and {jugs.MAX_CAPACITY}, got {'9' * 40}... ({digits} digits)" in err
 
     def test_strategy_choices_are_the_strategy_values(self):
-        plan_parser = _subparser(build_parser(), "jugs", "plan")
+        # A parser is filled on its first parse.
+        parser = build_parser()
+        parser.parse_args(["jugs", "plan", "--n", "3", "--m", "11", "--target", "1"])
+        plan_parser = _subparser(parser, "jugs", "plan")
         (strategy,) = [a for a in plan_parser._actions if a.dest == "strategy"]
         assert list(strategy.choices) == [s.value for s in jugs.Strategy]
         assert strategy.default == jugs.Strategy.CERTIFICATE.value
@@ -919,9 +923,15 @@ import deduce.cli
 deduce.cli.main(sys.argv[1:])
 print(repr(sorted(set(sys.modules) - before)))
 """
-_LAZY = {"deduce.categorical", "deduce.jugs", "deduce.rules", "json"}
+# Every module of the package but ``cli``, and ``json``.
+_LAZY = {
+    f"deduce.{path.stem}" for path in Path(cli.__file__).parent.glob("*.py")
+} - {"deduce.__init__", "deduce.cli"} | {"json"}
 # Importing ``dataclasses`` would cost every command some 8 ms.
 _NEVER = {"dataclasses", "inspect"}
+_ENGINE = {"deduce._record", "deduce.logic", "deduce.parser"}
+_JUGS = {"deduce._record", "deduce.jugs"}
+_SYLLOGISMS = {"deduce._record", "deduce.categorical"}
 
 
 def _modules_loaded(*argv: str) -> set[str]:
@@ -937,30 +947,32 @@ def _modules_loaded(*argv: str) -> set[str]:
 
 
 _IMPORT_CASES = [
-    (["classify", "P -> Q"], set()),
-    (["table", "P y Q"], set()),
-    (["equiv", "P", "~~P"], set()),
-    (["jugs", "gcd", "--n", "3", "--m", "6"], {"deduce.jugs"}),
-    (["jugs", "bezout", "--n", "3", "--m", "11"], {"deduce.jugs"}),
-    (["jugs", "amounts", "--n", "3", "--m", "6", "--limit", "12"], {"deduce.jugs"}),
-    (["jugs", "plan", "--n", "3", "--m", "11", "--target", "1"], {"deduce.jugs"}),
-    (["syllogism", "check", "darapti"], {"deduce.categorical"}),
-    (["syllogism", "custom", "all:M:P", "all:S:M", "all:S:P"], {"deduce.categorical"}),
-    (["quant", "negate", "forall x. P(x)"], {"deduce.categorical"}),
-    (["rules", "list"], {"deduce.rules"}),
-    (["rules", "verify", "modus-ponens"], {"deduce.rules"}),
-    (["entail", "--premise", "P", "--conclusion", "P | Q"], {"deduce.rules"}),
-    (["--format", "json", "classify", "P"], {"json"}),
-    (["--format", "json", "jugs", "plan", "--n", "3", "--m", "11", "--target", "1"], {"deduce.jugs", "json"}),
+    ([], set()),
+    (["frobnicate"], set()),
+    (["classify", "P -> Q"], _ENGINE),
+    (["table", "P y Q"], _ENGINE),
+    (["equiv", "P", "~~P"], _ENGINE),
+    (["jugs", "gcd", "--n", "3", "--m", "6"], _JUGS),
+    (["jugs", "bezout", "--n", "3", "--m", "11"], _JUGS),
+    (["jugs", "amounts", "--n", "3", "--m", "6", "--limit", "12"], _JUGS),
+    (["jugs", "plan", "--n", "3", "--m", "11", "--target", "1"], _JUGS),
+    (["syllogism", "check", "darapti"], _SYLLOGISMS),
+    (["syllogism", "custom", "all:M:P", "all:S:M", "all:S:P"], _SYLLOGISMS),
+    (["quant", "negate", "forall x. P(x)"], _ENGINE | _SYLLOGISMS),
+    (["rules", "list"], _ENGINE | {"deduce.rules"}),
+    (["rules", "verify", "modus-ponens"], _ENGINE | {"deduce.rules"}),
+    (["entail", "--premise", "P", "--conclusion", "P | Q"], _ENGINE | {"deduce.rules"}),
+    (["--format", "json", "classify", "P"], _ENGINE | {"json"}),
+    (["--format", "json", "jugs", "plan", "--n", "3", "--m", "11", "--target", "1"], _JUGS | {"json"}),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,needed", _IMPORT_CASES, ids=[" ".join(argv) for argv, _ in _IMPORT_CASES]
+    "argv,needed", _IMPORT_CASES, ids=[" ".join(argv) or "(none)" for argv, _ in _IMPORT_CASES]
 )
 def test_a_command_imports_only_the_modules_it_runs(argv, needed):
     loaded = _modules_loaded(*argv)
-    assert {"deduce.cli", "deduce.logic", "deduce.parser"} <= loaded
+    assert "deduce.cli" in loaded
     assert loaded & _LAZY == needed
     assert not loaded & _NEVER
 
@@ -969,11 +981,13 @@ _BARE_IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 import deduce
-print(repr(sorted(set(sys.modules) - before)))
+loaded = sorted(set(sys.modules) - before)
+listed = set(deduce.__all__) <= set(dir(deduce))
+print(repr((loaded, listed, deduce.logic.__name__)))
 """
 
 
-def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_package_loads_no_submodule():
     done = subprocess.run(
         [sys.executable, "-c", _BARE_IMPORT_PROBE],
         capture_output=True,
@@ -982,9 +996,26 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
-    assert "deduce.logic" in loaded
-    assert not loaded & _NEVER
+    loaded, listed, logic_name = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert not {name for name in loaded if name.startswith("deduce.")}
+    assert not set(loaded) & _NEVER
+    # Each name is imported on its first access, a submodule too.
+    assert listed
+    assert logic_name == "deduce.logic"
+
+
+def test_the_package_names_are_those_of_their_modules():
+    import deduce
+    from deduce import parser
+
+    for name in set(deduce.__all__) - {"__version__"}:
+        # ``parser`` imports the names of ``logic`` it uses.
+        home = logic if hasattr(logic, name) else parser
+        assert getattr(deduce, name) is getattr(home, name), name
+    namespace: dict = {}
+    exec("from deduce import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(deduce.__all__)
+    assert set(deduce.__all__) <= set(dir(deduce))
 
 
 _CLOSED_STDOUT_CASES = [
@@ -1083,9 +1114,22 @@ def _argv_corpus():
     yield ["jugs", "plan", "--n", "3", "--m", "11", "--target", "1", "--strategy", "fastest"]
     yield ["--frobnicate", "classify", "P"]
     yield ["--form", "json", "jugs", "plan", "--n", "3", "--m", "11", "--t", "1"]
+    # Command words as argument values, and ``--`` before a command, inside
+    # one and after its arguments.
+    yield ["equiv", "jugs", "rules"]
+    yield ["--", "classify", "P"]
+    yield ["equiv", "--", "P", "Q"]
+    yield ["jugs", "--", "gcd", "--n", "3", "--m", "0"]
+    yield ["classify", "P", "--"]
+    # The format flag, joined to its value and abbreviated, at each level.
+    flags = [["--format", "json"], ["--format=json"], ["--fo", "json"], ["--forma=json"]]
     for path, args in _ACCEPTED.items():
-        for prefix, suffix in [([], []), (["--format", "json"], []), ([], ["--format", "json"])]:
-            yield [*prefix, *path, *args, *suffix]
+        yield [*path, *args]
+        for flag in flags:
+            yield [*flag, *path, *args]
+            yield [*path, *args, *flag]
+        yield [*path, *args, "-h"]
+        yield [*path, "--", *args]
         yield [*path, *args, "--frobnicate"]
         yield [*path, *args, "extra"]
         yield [*path, *(arg for arg in args if arg.startswith("-"))]
@@ -1106,8 +1150,21 @@ def test_the_reference_tree_has_twenty_parsers():
 
 @pytest.mark.parametrize("argv", list(_argv_corpus()), ids=" ".join)
 def test_the_parser_matches_the_spelt_out_reference(argv, monkeypatch):
+    # A fresh parser is filled by this argv alone; the cached one also by
+    # every argv parsed before it.
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parse_with(cli._parser(), argv) == _parse_with(reference_build_parser(), argv)
+    expected = _parse_with(reference_build_parser(), argv)
+    assert _parse_with(build_parser(), argv) == expected
+    assert _parse_with(cli._parser(), argv) == expected
+
+
+def test_a_parse_fills_only_the_parsers_on_its_path():
+    parser = build_parser()
+    assert len(list(_parser_paths(parser))) == 1 + 8
+    parser.parse_args(["jugs", "plan", "--n", "3", "--m", "11", "--target", "1"])
+    assert len(list(_parser_paths(parser))) == 1 + 8 + 4
+    # -h alone, against -h, --format, --n, --m, --target and --strategy.
+    assert [len(_subparser(parser, "jugs", name)._actions) for name in ("gcd", "plan")] == [1, 6]
 
 
 @pytest.mark.parametrize("command", ["check", "custom"])

@@ -2,14 +2,22 @@ import copy
 import pickle
 import re
 import sys
+from functools import partial
 from itertools import product
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from deduce.categorical import _MONADIC, format_monadic, parse_monadic
-from deduce.logic import And, Iff, Implies, Not, Or, prop
+from deduce.categorical import (
+    CategoricalForm,
+    FormKind,
+    PredApp,
+    _monadic,
+    format_monadic,
+    parse_monadic,
+)
+from deduce.logic import And, Atom, Iff, Implies, Not, Or, prop
 from deduce.parser import (
     _PROPOSITIONAL,
     _SPELLINGS,
@@ -329,7 +337,7 @@ _PIECES = (
     "_", "P_1", "Ñ", "é", " ", "\u00a0", "\u2003", "\t", "\x1c", "?", "#",
     "<", "-", "=", ".", "P(x)", "forall x. ", "exists z.",
 )
-_GRAMMARS = {"propositional": _PROPOSITIONAL, "monadic": _MONADIC}
+_GRAMMARS = {"propositional": _PROPOSITIONAL, "monadic": _monadic()}
 
 
 def _outcome(parse_in, text, grammar):
@@ -414,6 +422,33 @@ def test_the_split_tokenizer_agrees_with_the_pattern_on_every_short_text(grammar
         for text in map("".join, product(_ALPHABET, repeat=size)):
             split = _tokens_or_fault(_tokenize, text, grammar)
             assert split == _tokens_or_fault(pattern_tokenize, text, grammar), text
+
+
+# Uppercase and lowercase letters, digits, '_', non-ASCII letters, white
+# space and a symbol: the characters that make a word a name or not.
+_NAME_CHARACTERS = "AZazP09_Ñéß\n -"
+
+
+@settings(max_examples=500)
+@given(st.text(_NAME_CHARACTERS, max_size=4) | st.text(max_size=3))
+def test_atoms_predicates_and_terms_accept_exactly_the_words_read_as_names(word):
+    try:
+        read = _tokenize(word, _PROPOSITIONAL) == (["name", "end"], [word, ""])
+    except _Fault:
+        read = False
+    constructors = {
+        "Atom": Atom,
+        "PredApp": partial(PredApp, var="x"),
+        "CategoricalForm": partial(CategoricalForm, FormKind.UNIVERSAL_AFFIRMATIVE, "S"),
+    }
+    for name, make in constructors.items():
+        try:
+            make(word)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted is read, name
 
 
 @pytest.mark.parametrize(
