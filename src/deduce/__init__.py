@@ -5,8 +5,8 @@ tautology schemata and semantic entailment, the ten Aristotelian syllogisms
 checked over finite models, quantifier negation rewriting, and gcd-based
 two-vessel measuring plans.  The ``deduce`` command exposes all of it.
 
-``import deduce`` loads no submodule: each public name, and each public
-submodule, is imported on its first access (PEP 562).
+``import deduce`` loads no submodule: each public name, and the submodules
+``logic`` and ``parser``, are imported on their first access (PEP 562).
 """
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ _HOMES = {
         ("ErrorKind", "ParseError", "SourceSpan", "Style", "format_formula", "parse"), "parser"
     ),
 }
-_SUBMODULES = ("categorical", "cli", "jugs", "logic", "parser", "rules")
+_SUBMODULES = ("logic", "parser")
 
 __all__ = [*_HOMES, "__version__"]
 

@@ -17,9 +17,10 @@ postorder program and a tuple of its leaf values, which ``_rebuild`` runs
 with an explicit stack, so pickling does not recurse either; a subtree
 shared within the formula is written once and stays shared.
 
-``_is_name`` is the one rule for atom and predicate names, kept here so
-that ``logic``, ``parser`` and ``categorical`` read it without importing
-one another.
+``_is_name`` is the one rule for atom and predicate names, and
+``_is_variable`` the one rule for the form of a variable, kept here so that
+``logic``, ``parser`` and ``categorical`` read them without importing one
+another.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def _is_name(word: str) -> bool:
     letters or digits.  Atoms, predicates and the tokenizer's names all
     follow this one rule.  A ``word`` that is no str raises ``TypeError``."""
     return str.isascii(word) and word.isalnum() and word[0].isupper()
+
+
+def _is_variable(word: str) -> bool:
+    """Whether the str ``word`` has the form of a variable: a lowercase
+    ASCII letter, then ASCII letters or digits.  A grammar's keywords of
+    this form are no variables."""
+    return word.isascii() and word.isalnum() and word[0].islower()
 
 
 class Record:

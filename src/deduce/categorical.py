@@ -26,7 +26,7 @@ from functools import cache, reduce
 from operator import and_, or_
 from typing import TYPE_CHECKING
 
-from ._record import Node, Record, _is_name, _setattr
+from ._record import Node, Record, _is_name, _is_variable, _setattr
 
 if TYPE_CHECKING:
     from .parser import _Grammar
@@ -360,7 +360,7 @@ def _checked_variable(var: str) -> str:
     """``var``, if the monadic parser reads it as a variable."""
     if not isinstance(var, str):
         raise TypeError(f"variable must be a str, got {type(var).__name__}")
-    if not _monadic().is_variable(var):
+    if not _is_variable(var) or var in _keywords():
         raise ValueError(f"invalid variable {var!r}")
     return var
 
@@ -603,6 +603,14 @@ def _monadic() -> _Grammar:
         styles={Style.ASCII: {"not": "~", "and": "&", "or": "|", "implies": "->"}},
         noun="monadic formula",
     )
+
+
+@cache
+def _keywords() -> frozenset[str]:
+    """The words of the monadic grammar that no variable may be: its
+    connective words and its quantifiers, read once from the grammar."""
+    grammar = _monadic()
+    return frozenset({*grammar.kinds, *grammar.quantifiers})
 
 
 def parse_monadic(text: str) -> MonadicFormula:

@@ -70,20 +70,6 @@ def _model_text(model: categorical.FiniteModel) -> str:
 # name from the parsed command path.
 
 
-def _parsed(parse: Callable, *texts: str) -> list:
-    """Each of ``texts`` read by ``parse``.  A ``ParseError`` becomes the
-    ``ValueError`` whose message ``main`` prints: the error's kind, its span
-    and what was wrong."""
-    from .parser import ParseError
-
-    try:
-        return [parse(text) for text in texts]
-    except ParseError as exc:
-        raise ValueError(
-            f"{exc.kind.value} at {exc.span.start}..{exc.span.end}: {exc.message}"
-        ) from None
-
-
 def _refutable(result: dict, verdict: str, counter: dict[str, bool] | None) -> tuple:
     """A propositional answer: its ``verdict`` line, then the ``counter``
     valuation that refutes it, if there is one."""
@@ -109,7 +95,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple:
     from . import logic
     from .parser import Style, format_formula, parse
 
-    (formula,) = _parsed(parse, args.formula)
+    formula = parse(args.formula)
     count = len(logic.atoms(formula))
     if count > TABLE_MAX_ATOMS:
         raise ValueError(
@@ -143,7 +129,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple:
     from . import logic
     from .parser import format_formula, parse
 
-    (formula,) = _parsed(parse, args.formula)
+    formula = parse(args.formula)
     classification, counter = logic._decide(formula)
     result = {
         "formula": format_formula(formula),
@@ -156,7 +142,8 @@ def _cmd_equiv(args: argparse.Namespace) -> tuple:
     from .logic import Iff, falsifying_valuation
     from .parser import format_formula, parse
 
-    left, right = _parsed(parse, args.left, args.right)
+    left = parse(args.left)
+    right = parse(args.right)
     counter = falsifying_valuation(Iff(left, right))
     result = {
         "left": format_formula(left),
@@ -211,8 +198,9 @@ def _cmd_entail(args: argparse.Namespace) -> tuple:
     from . import rules
     from .parser import format_formula, parse
 
-    *premises, conclusion = _parsed(parse, *args.premise, args.conclusion)
-    verdict = rules.entail(tuple(premises), conclusion)
+    premises = tuple(parse(text) for text in args.premise)
+    conclusion = parse(args.conclusion)
+    verdict = rules.entail(premises, conclusion)
     result = {
         "premises": [format_formula(premise) for premise in premises],
         "conclusion": format_formula(conclusion),
@@ -290,7 +278,7 @@ def _cmd_syllogism_custom(args: argparse.Namespace) -> tuple:
 def _cmd_quant_negate(args: argparse.Namespace) -> tuple:
     from . import categorical
 
-    (formula,) = _parsed(categorical.parse_monadic, args.formula)
+    formula = categorical.parse_monadic(args.formula)
     negated = categorical.negate_quantifiers(formula)
     result = {
         "formula": categorical.format_monadic(formula),
@@ -418,8 +406,7 @@ _EXISTENTIAL_IMPORT = _arg(
 
 #: Every parser under the root, in help order: (command path, help,
 #: arguments, handler).  A row without a handler is a group; its
-#: subcommands are the later rows whose path starts with its name.  Each
-#: row becomes a ``_Parser``, filled from the row on its first parse.
+#: subcommands are the later rows whose path starts with its name.
 _COMMANDS = (
     ("table", "print the truth table of a formula",
      [_arg("formula", help="propositional formula, e.g. 'P y Q'")], _cmd_table),
@@ -467,45 +454,7 @@ _COMMANDS = (
 _FORMAT = {"choices": ("text", "json"), "help": "output format (default: text)"}
 
 
-class _Parser(argparse.ArgumentParser):
-    """The parser of one ``_COMMANDS`` row, which adds the row's subcommands
-    or arguments on its first parse: a run fills only the parsers on its
-    command's path.  argparse hands a subcommand its arguments through
-    ``parse_known_args``, so help, usage and errors still come from a
-    filled parser at every level."""
-
-    def __init__(self, row: tuple, **kwargs):
-        super().__init__(**kwargs)
-        self._row = row
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._row:
-            path, _, arguments, handler = self._row
-            self._row = ()
-            if handler is None:
-                _add_commands(self.add_subparsers(dest="subcommand", required=True), path)
-            else:
-                # The root's flag, accepted after the subcommand too;
-                # SUPPRESS keeps this parser from clobbering a value given
-                # before it.
-                self.add_argument("--format", default=argparse.SUPPRESS, **_FORMAT)
-                for names, options in arguments:
-                    self.add_argument(*names, **options)
-                self.set_defaults(handler=handler)
-        return super().parse_known_args(args, namespace)
-
-
-def _add_commands(subparsers: argparse._SubParsersAction, group: str) -> None:
-    """Add a ``_Parser`` for each command of ``group`` ("" at the root)."""
-    for row in _COMMANDS:
-        parent, _, name = row[0].rpartition(" ")
-        if parent == group:
-            subparsers.add_parser(name, help=row[1], row=row)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The root parser and its eight commands' parsers, which are filled on
-    their first parse."""
     root = argparse.ArgumentParser(
         prog="deduce",
         description=(
@@ -514,14 +463,29 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     root.add_argument("--format", default="text", **_FORMAT)
-    _add_commands(root.add_subparsers(dest="command", required=True, parser_class=_Parser), "")
+    # The same flag is accepted after the subcommand; SUPPRESS keeps the
+    # subparser from clobbering a value given before it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", default=argparse.SUPPRESS, **_FORMAT)
+    # Group path -> the subparsers its commands are added to.
+    groups = {"": root.add_subparsers(dest="command", required=True)}
+    for path, summary, arguments, handler in _COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if handler is None:
+            parser = groups[group].add_parser(name, help=summary)
+            groups[path] = parser.add_subparsers(dest="subcommand", required=True)
+            continue
+        parser = groups[group].add_parser(name, parents=[common], help=summary)
+        for names, options in arguments:
+            parser.add_argument(*names, **options)
+        parser.set_defaults(handler=handler)
     return root
 
 
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` runs, built on its first call: a parse leaves no
-    state in it but the parsers it filled."""
+    state in it."""
     return build_parser()
 
 
@@ -581,6 +545,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         result, counterexample, lines = args.handler(args)
     except (LookupError, ValueError) as exc:
+        # A ParseError is read through its attributes, so that ``main``
+        # need not load the parser.
+        span = getattr(exc, "span", None)
+        if span is not None:
+            exc = f"{exc.kind.value} at {span.start}..{span.end}: {exc.message}"
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     try:

@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
-from ._record import _is_name
+from ._record import _is_name, _is_variable
 from .logic import And, Atom, Atomic, Formula, Iff, Implies, Not, Or
 
 
@@ -182,18 +182,9 @@ class _Grammar:
         first fault."""
         return _parse(text, self)
 
-    def format(self, node, style: Style = Style.ASCII) -> str:
-        """Render ``node`` with minimal parentheses in ``style``."""
-        return _format(node, self, style)
-
-    def is_variable(self, word: str) -> bool:
-        """Whether the parser reads ``word`` as a variable: a lowercase
-        ASCII word that is no keyword, in a grammar with quantifiers."""
-        return (
-            _classify(word, self) == "var"
-            and word not in self.kinds
-            and word not in self.quantifiers
-        )
+    def format(self, node) -> str:
+        """Render ``node`` in ASCII with minimal parentheses."""
+        return _format(node, self, Style.ASCII)
 
 
 def _tokenize(text: str, grammar: _Grammar) -> tuple[list[str], list[str]]:
@@ -216,7 +207,7 @@ def _tokenize(text: str, grammar: _Grammar) -> tuple[list[str], list[str]]:
 def _classify(word: str, grammar: _Grammar) -> str | None:
     if _is_name(word):
         return "name"
-    if grammar.variables and word.isascii() and word.isalnum() and word[0].islower():
+    if grammar.variables and _is_variable(word):
         return "var"
     return None
 

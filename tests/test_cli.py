@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from deduce import categorical, cli, jugs, logic, rules
 from deduce.cli import TABLE_MAX_ATOMS, build_parser, main
 from deduce.logic import MAX_ATOMS, Atom, prop
-from deduce.parser import Style, format_formula
+from deduce.parser import ParseError, Style, format_formula, parse
 from helpers import (
     atom_names,
     child_env,
@@ -561,10 +561,7 @@ class TestJugs:
             assert f" and {jugs.MAX_CAPACITY}, got {'9' * 40}... ({digits} digits)" in err
 
     def test_strategy_choices_are_the_strategy_values(self):
-        # A parser is filled on its first parse.
-        parser = build_parser()
-        parser.parse_args(["jugs", "plan", "--n", "3", "--m", "11", "--target", "1"])
-        plan_parser = _subparser(parser, "jugs", "plan")
+        plan_parser = _subparser(build_parser(), "jugs", "plan")
         (strategy,) = [a for a in plan_parser._actions if a.dest == "strategy"]
         assert list(strategy.choices) == [s.value for s in jugs.Strategy]
         assert strategy.default == jugs.Strategy.CERTIFICATE.value
@@ -626,6 +623,25 @@ class TestErrorsAndDeterminism:
         assert out == ""
         assert "UnknownToken" in err
         assert "4..5" in err
+
+    @pytest.mark.parametrize(
+        "argv,text,read",
+        [
+            (["table", "P y ó Q"], "P y ó Q", parse),
+            (["classify", "(P"], "(P", parse),
+            (["equiv", "P", "P Q"], "P Q", parse),
+            (["entail", "--premise", "P ->", "--conclusion", "P"], "P ->", parse),
+            (["entail", "--premise", "P", "--conclusion", "P)"], "P)", parse),
+            (["quant", "negate", "forall y. P(y)"], "forall y. P(y)", categorical.parse_monadic),
+        ],
+        ids=["table", "classify", "equiv", "entail-premise", "entail-conclusion", "quant-negate"],
+    )
+    def test_every_parse_error_names_its_kind_and_span(self, argv, text, read):
+        with pytest.raises(ParseError) as caught:
+            read(text)
+        exc = caught.value
+        message = f"error: {exc.kind.value} at {exc.span.start}..{exc.span.end}: {exc.message}\n"
+        assert run_main(argv) == (2, "", message)
 
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 2
@@ -1150,21 +1166,12 @@ def test_the_reference_tree_has_twenty_parsers():
 
 @pytest.mark.parametrize("argv", list(_argv_corpus()), ids=" ".join)
 def test_the_parser_matches_the_spelt_out_reference(argv, monkeypatch):
-    # A fresh parser is filled by this argv alone; the cached one also by
-    # every argv parsed before it.
+    # A fresh parser parses this argv alone; the cached one every argv
+    # before it too, so state left by a parse would show.
     monkeypatch.setenv("COLUMNS", "80")
     expected = _parse_with(reference_build_parser(), argv)
     assert _parse_with(build_parser(), argv) == expected
     assert _parse_with(cli._parser(), argv) == expected
-
-
-def test_a_parse_fills_only_the_parsers_on_its_path():
-    parser = build_parser()
-    assert len(list(_parser_paths(parser))) == 1 + 8
-    parser.parse_args(["jugs", "plan", "--n", "3", "--m", "11", "--target", "1"])
-    assert len(list(_parser_paths(parser))) == 1 + 8 + 4
-    # -h alone, against -h, --format, --n, --m, --target and --strategy.
-    assert [len(_subparser(parser, "jugs", name)._actions) for name in ("gcd", "plan")] == [1, 6]
 
 
 @pytest.mark.parametrize("command", ["check", "custom"])
