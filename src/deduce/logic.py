@@ -408,10 +408,16 @@ def substitute(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace mapped atoms (by name) with their image formulas.
 
     Atoms absent from the mapping are left unchanged; images are inserted
-    as-is and never rewritten again.
+    as-is and never rewritten again.  An image of an atom of ``formula``
+    that is not a ``Formula`` raises ``TypeError``.
     """
     program, found = _compile(formula)
     images = [mapping.get(atom.name, Atomic(atom)) for atom in found]
+    for atom, image in zip(found, images):
+        if not isinstance(image, Formula):
+            raise TypeError(
+                f"the image of atom {atom.name!r} must be a formula, got {type(image).__name__}"
+            )
     stack: list[Formula] = []
     for op in program:
         if op >= 0:

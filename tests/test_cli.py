@@ -53,9 +53,20 @@ def run_json(capsys, *argv):
     return code, envelope, err
 
 
+# 13 atoms: the first 4,096-row block has A0 = V, the second A0 = F.
+_THIRTEEN = sorted(f"A{i}" for i in range(13))
+
+
+def _thirteen(value: str) -> str:
+    return "contingente\ncontraejemplo: " + " ".join(f"{name}={value}" for name in _THIRTEEN) + "\n"
+
+
 class TestClassify:
-    def test_tautology_exits_zero(self, capsys):
-        code, out, _ = run(capsys, "classify", "P ó ¬P")
+    # Symbols glued to their neighbours, and the biconditionals whose
+    # spellings hold the conditional's.
+    @pytest.mark.parametrize("text", ["P ó ¬P", "P<->P", "P<=>P"])
+    def test_tautology_exits_zero(self, capsys, text):
+        code, out, _ = run(capsys, "classify", text)
         assert code == 0
         assert out == "tautología\n"
 
@@ -64,10 +75,22 @@ class TestClassify:
         assert code == 1
         assert out.splitlines()[0] == "contradicción"
 
-    def test_contingent_reports_counterexample(self, capsys):
-        code, out, _ = run(capsys, "classify", "P => Q")
+    @pytest.mark.parametrize(
+        "text,printed",
+        [
+            ("P => Q", "contingente\ncontraejemplo: P=V Q=F\n"),
+            # False only at the last row: the scan reaches the second block.
+            (" | ".join(_THIRTEEN), _thirteen("F")),
+            # False throughout the first block and true in the second:
+            # classify reads on past the first false row.
+            ("!A0 & (" + " | ".join(_THIRTEEN[1:]) + ")", _thirteen("V")),
+        ],
+        ids=["two-atoms", "false-at-the-last-row", "true-in-the-second-block"],
+    )
+    def test_contingent_reports_counterexample(self, capsys, text, printed):
+        code, out, _ = run(capsys, "classify", text)
         assert code == 1
-        assert out == "contingente\ncontraejemplo: P=V Q=F\n"
+        assert out == printed
 
     def test_json_envelope(self, capsys):
         code, envelope, _ = run_json(capsys, "classify", "P ó ¬P")
@@ -347,10 +370,9 @@ class TestSyllogism:
         assert code == 0
         assert out == "válido\n"
 
-    def test_custom_invalid_mood(self, capsys):
-        code, out, _ = run(
-            capsys, "syllogism", "custom", "all:M:B", "all:A:M", "some:A:B"
-        )
+    @pytest.mark.parametrize("conclusion", ["some:A:B", "some-not:A:B"])
+    def test_custom_invalid_mood(self, capsys, conclusion):
+        code, out, _ = run(capsys, "syllogism", "custom", "all:M:B", "all:A:M", conclusion)
         assert code == 1
 
     def test_malformed_custom_form_is_a_usage_error(self, capsys):
@@ -360,8 +382,9 @@ class TestSyllogism:
 
 
 class TestQuant:
-    def test_negate_universal_conditional(self, capsys):
-        code, out, _ = run(capsys, "quant", "negate", "forall x. P(x) -> Q(x)")
+    @pytest.mark.parametrize("text", ["forall x. P(x) -> Q(x)", "forall x.P(x)->Q(x)"])
+    def test_negate_universal_conditional(self, capsys, text):
+        code, out, _ = run(capsys, "quant", "negate", text)
         assert code == 0
         assert out == "exists x. P(x) & ~Q(x)\n"
 
@@ -629,12 +652,19 @@ class TestErrorsAndDeterminism:
         [
             (["table", "P y ó Q"], "P y ó Q", parse),
             (["classify", "(P"], "(P", parse),
+            (["classify", "P y ?"], "P y ?", parse),
+            # '<' is a symbol only when '->' follows it directly.
+            (["classify", "P< ->Q"], "P< ->Q", parse),
             (["equiv", "P", "P Q"], "P Q", parse),
             (["entail", "--premise", "P ->", "--conclusion", "P"], "P ->", parse),
             (["entail", "--premise", "P", "--conclusion", "P)"], "P)", parse),
             (["quant", "negate", "forall y. P(y)"], "forall y. P(y)", categorical.parse_monadic),
+            (["quant", "negate", "forall x P(x)"], "forall x P(x)", categorical.parse_monadic),
         ],
-        ids=["table", "classify", "equiv", "entail-premise", "entail-conclusion", "quant-negate"],
+        ids=[
+            "table", "classify", "classify-unknown-character", "classify-split-arrow", "equiv",
+            "entail-premise", "entail-conclusion", "quant-negate", "quant-negate-no-dot",
+        ],
     )
     def test_every_parse_error_names_its_kind_and_span(self, argv, text, read):
         with pytest.raises(ParseError) as caught:
@@ -1067,6 +1097,37 @@ def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (code, "")
+
+
+def test_the_console_script_runs_console_main():
+    # Read as text: Python 3.10 has no ``tomllib``.
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert '\n[project.scripts]\ndeduce = "deduce.cli:console_main"\n' in pyproject
+
+
+_CONSOLE_CASES = [
+    (["--help"], 0),
+    (["classify", "P ó ¬P", "--format", "json"], 0),
+    (["syllogism", "check", "darapti"], 1),
+    (["classify", "P y ?"], 2),
+    ([], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code", _CONSOLE_CASES, ids=["help", "json-answer", "refuted", "parse-error", "no-command"]
+)
+def test_the_console_entry_point_exits_with_what_main_returns(argv, code, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    done = subprocess.run(
+        [sys.executable, "-c", "from deduce.cli import console_main; console_main()", *argv],
+        capture_output=True,
+        encoding="utf-8",
+        env=child_env(),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == run_main(argv)
+    assert done.returncode == code
 
 
 # --- The table-built parser, reused, against the spelt-out one ---------------

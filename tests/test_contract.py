@@ -209,7 +209,9 @@ FAMILIES: dict[str, list[list[str]]] = {
 }
 
 #: Runs only as written.  A plan at the length limit is hashed in text alone,
-#: which prints its runs: listing its 10^7 actions in JSON takes ~14 s.
+#: which prints its runs: its 10^7 actions listed in JSON are 300 MB of
+#: output to capture in process.  ``tests/test_limits.py`` lists them in a
+#: child process.
 TEXT_ONLY: dict[str, list[list[str]]] = {
     "jugs plan at the length limit": [
         ["jugs", "plan", "--n", "1", "--m", "1", "--target", str(jugs.MAX_PLAN_LENGTH),

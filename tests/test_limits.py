@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from deduce.cli import TABLE_MAX_ATOMS
-from deduce.jugs import MAX_LIMIT, MAX_PLAN_LENGTH
+from deduce.jugs import MAX_LIMIT, MAX_PLAN_LENGTH, MAX_TARGET
 from helpers import child_env
 
 ADDRESS_SPACE = 128 << 20
@@ -78,30 +78,56 @@ def test_the_most_amounts_in_json():
     assert len(json.loads(line)["result"]["amounts"]) == MAX_LIMIT
 
 
-def plan_in_json(target: int) -> subprocess.CompletedProcess:
-    return run_limited(
-        "-m", "deduce.cli", "jugs", "plan", "--n", "1", "--m", "1",
-        "--target", str(target), "--format", "json",
-    )
+PLAN = ("jugs", "plan", "--n", "1", "--m", "1", "--target")
 
 
 def test_a_plan_of_a_million_actions_in_json():
-    done = plan_in_json(10**6)
+    done = run_limited("-m", "deduce.cli", *PLAN, str(10**6), "--format", "json")
     assert (done.returncode, done.stderr) == (0, "")
     (line,) = done.stdout.splitlines()
     assert len(json.loads(line)["result"]["actions"]) == 10**6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a JSON plan is written as one string, some 31 bytes an action; "
-    "from about 3*10^6 actions it needs more than the ceiling, until the "
-    "listing is written in chunks (ROADMAP item 3)",
-)
 def test_the_longest_plan_in_json():
-    done = plan_in_json(MAX_PLAN_LENGTH)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.count('{"action":"add","capacity":1}') == MAX_PLAN_LENGTH
+    # The listing is 300 MB, so it is counted a chunk at a time, not held.
+    # An action holds no other, so a count over each chunk and the bytes
+    # carried from the one before counts each action once.
+    action = b'{"action":"add","capacity":1}'
+    count, carried = 0, b""
+    with subprocess.Popen(
+        [sys.executable, "-m", "deduce.cli", *PLAN, str(MAX_PLAN_LENGTH), "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+        preexec_fn=_ceilings,
+    ) as child:
+        while chunk := child.stdout.read(1 << 20):
+            text = carried + chunk
+            count += text.count(action)
+            carried = text[1 - len(action) :]
+        stderr = child.stderr.read()
+    assert (child.returncode, stderr, count) == (0, b"", MAX_PLAN_LENGTH)
+
+
+def test_the_largest_target_in_text():
+    # Text prints the plan's one run, so the plan-length limit does not bind.
+    done = run_limited("-m", "deduce.cli", *PLAN, str(MAX_TARGET))
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"add 1 ×{MAX_TARGET}\n", "")
+
+
+#: One past each bound that is refused up front rather than met.
+REFUSALS = {
+    "plan-in-json": [*PLAN, str(MAX_PLAN_LENGTH + 1), "--format", "json"],
+    "table": ["table", " & ".join(f"A{i}" for i in range(TABLE_MAX_ATOMS + 1))],
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_one_past_a_refused_bound(name):
+    done = run_limited("-m", "deduce.cli", *REFUSALS[name])
+    assert (done.returncode, done.stdout) == (2, "")
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ")
 
 
 # Inputs that the parser must read whole.  The longest is 130,004 bytes,

@@ -275,6 +275,12 @@ class TestSubstitute:
         result = substitute(And(P, Q), {"P": Q, "Q": R})
         assert result == And(Q, R)
 
+    @pytest.mark.parametrize("image", [3, "Q", Atom("Q"), None], ids=repr)
+    def test_an_image_that_is_not_a_formula_is_refused(self, image):
+        message = f"the image of atom 'P' must be a formula, got {type(image).__name__}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            substitute(And(P, Q), {"P": image})
+
     @given(formula_strategy(max_leaves=8), formula_strategy(max_leaves=4))
     @settings(max_examples=100)
     def test_substitution_lemma(self, f, image):

@@ -240,6 +240,8 @@ GOLDEN_ERRORS = [
     ('P < Q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '<'"),
     ('P . Q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '.'"),
     ('P <- Q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '<'"),
+    ('P< ->Q', ErrorKind.UNKNOWN_TOKEN, (1, 2), "unknown character '<'"),
+    ('P y ?', ErrorKind.UNKNOWN_TOKEN, (4, 5), "unknown character '?'"),
     ('P ⇐ Q', ErrorKind.UNKNOWN_TOKEN, (2, 3), "unknown character '⇐'"),
     # trailing input
     ('P Q', ErrorKind.TRAILING_INPUT, (2, 3), "unexpected input 'Q' after a complete formula"),

@@ -92,6 +92,10 @@ class TestInstantiate:
         with pytest.raises(ValueError):
             instantiate("modus-ponens", {"Z": prop("A")})
 
+    def test_rejects_an_image_that_is_not_a_formula(self):
+        with pytest.raises(TypeError, match="the image of atom 'P' must be a formula, got int"):
+            instantiate("modus-ponens", {"P": 3})
+
     def test_random_instances_stay_tautologies(self):
         rng = Random(42)
         names = ("A", "B", "C", "D")
