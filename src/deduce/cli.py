@@ -30,11 +30,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 
-#: ``deduce table`` prints one line per row; wider tables are refused up
-#: front (exit 2) rather than built.  The library ``truth_table`` keeps
-#: ``logic.MAX_ATOMS``.
-TABLE_MAX_ATOMS = 16
-
 #: A table's value string ("1"/"0") read as the V/F letters of its rows.
 _LETTERS = str.maketrans("10", "VF")
 
@@ -94,16 +89,13 @@ def _doubled(columns: list[tuple[str, str]]) -> list[str]:
 
 def _cmd_table(args: argparse.Namespace) -> tuple:
     from . import logic
+    from ._limits import TABLE_ATOMS
     from .parser import Style, format_formula, parse
 
     formula = parse(args.formula)
-    count = len(logic.atoms(formula))
-    if count > TABLE_MAX_ATOMS:
-        raise ValueError(
-            f"table of {count} atoms has {1 << count} rows; the limit is "
-            f"{TABLE_MAX_ATOMS} atoms ({1 << TABLE_MAX_ATOMS} rows)"
-        )
-    columns, values = logic._values(formula, None)
+    # A table prints a line per row, so its scan refuses more atoms than
+    # ``TABLE_MAX_ATOMS``, not ``logic.MAX_ATOMS``, before its first block.
+    columns, values = logic._values(formula, None, TABLE_ATOMS)
     names = [atom.name for atom in columns]
     result = {"formula": format_formula(formula), "atoms": names}
     # Only JSON lists the rows; text prints them.  Both are rendered from
@@ -355,37 +347,30 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
 # --- Argument parsing --------------------------------------------------------
 
 
-#: Longest argument text an error message quotes in full.
-_ECHO_LIMIT = 40
+def _integer(name: str, least: int | None = None) -> Callable[[str], int]:
+    """The argparse type of option ``--name``: an integer in its limit's
+    range, from ``least`` if given.  Both ends are refused here, before the
+    library's own check.  The limit is read on conversion, so that a usage
+    error does not load ``_limits``."""
 
+    def convert(text: str) -> int:
+        from ._limits import VALUES, refusal
 
-def _int_at_least(text: str, minimum: int) -> int:
-    # ArgumentTypeError keeps argparse from naming this function in the
-    # message, as it does for a ValueError.
-    try:
-        value = int(text)
-    except ValueError:
-        pass
-    else:
-        if value >= minimum:
-            return value
-    expected = f"an integer >= {minimum}"
-    # Python 3.11+ refuses to convert more digits than this; 0 means no limit.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if 0 < digits < len(text):
-        expected += f" of at most {digits} digits"
-    shown = repr(text)
-    if len(text) > _ECHO_LIMIT:
-        shown = f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
-    raise argparse.ArgumentTypeError(f"expected {expected}, got {shown}")
+        limit = VALUES[name]
+        low = limit.least if least is None else least
+        try:
+            value = int(text)
+        except ValueError:
+            # Not an integer, or too long to be one in range: quoted as text.
+            value = text
+        else:
+            if low <= value <= limit.most:
+                return value
+        # ArgumentTypeError keeps argparse from naming this function in the
+        # message, as it does for a ValueError.
+        raise argparse.ArgumentTypeError(refusal(name, value, limit.most, low))
 
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+    return convert
 
 
 def _arg(*names: str, **options) -> tuple:
@@ -393,9 +378,13 @@ def _arg(*names: str, **options) -> tuple:
     return names, options
 
 
-def _vessels(m: Callable[[str], int] = _positive_int) -> list[tuple]:
-    """The capacities of the two vessels; ``jugs gcd`` alone allows m = 0."""
-    return [_arg("--n", type=_positive_int, required=True), _arg("--m", type=m, required=True)]
+def _option(name: str, least: int | None = None) -> tuple:
+    """A required integer option, ``--name``, bounded by its limit."""
+    return _arg(f"--{name}", type=_integer(name, least), required=True)
+
+
+#: The capacities of the two vessels; ``jugs gcd`` alone allows m = 0.
+_VESSELS = [_option("n"), _option("m")]
 
 
 _NAME = _arg("name")
@@ -437,13 +426,13 @@ _COMMANDS = (
      [_arg("formula", help="e.g. 'forall x. P(x) -> Q(x)' or 'exists x. P(x) & ~Q(x)'")],
      _cmd_quant_negate),
     ("jugs", "two-vessel measuring in the marked-container model", [], None),
-    ("jugs gcd", "greatest common divisor", _vessels(_nonnegative_int), _cmd_jugs_gcd),
-    ("jugs bezout", "Bézout certificate a·n + b·m = gcd(n, m)", _vessels(), _cmd_jugs_bezout),
+    ("jugs gcd", "greatest common divisor", [_option("n"), _option("m", 0)], _cmd_jugs_gcd),
+    ("jugs bezout", "Bézout certificate a·n + b·m = gcd(n, m)", _VESSELS, _cmd_jugs_bezout),
     ("jugs amounts", "all producible amounts up to a limit",
-     [*_vessels(), _arg("--limit", type=_positive_int, required=True)], _cmd_jugs_amounts),
+     [*_VESSELS, _option("limit")], _cmd_jugs_amounts),
     ("jugs plan", "synthesize a pour plan for a target amount", [
-        *_vessels(),
-        _arg("--target", type=_positive_int, required=True),
+        *_VESSELS,
+        _option("target"),
         # The values of ``jugs.Strategy``, spelt out so that parsing the
         # command line does not import ``jugs``.
         _arg("--strategy", choices=("certificate", "shortest"), default="certificate",
@@ -571,6 +560,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         # too (see "Note on SIGPIPE" in the ``signal`` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if counterexample is None else EXIT_INVALID
+
+
+def __getattr__(name: str):
+    # ``TABLE_MAX_ATOMS`` is read from ``_limits`` on first access (PEP 562),
+    # so that importing ``cli`` does not load it.
+    if name != "TABLE_MAX_ATOMS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from ._limits import TABLE_ATOMS
+
+    return TABLE_ATOMS.most
 
 
 def console_main() -> None:

@@ -20,17 +20,17 @@ common factor changes nothing.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import chain, groupby, repeat
 
+from ._limits import CAPACITY, LIMIT, PLAN_LENGTH, TARGET, refusal
 from ._record import Record, _setattr
 
-MAX_CAPACITY = 10**6
-MAX_TARGET = 10**9
-MAX_PLAN_LENGTH = 10**7
-MAX_LIMIT = 10**6
+MAX_CAPACITY = CAPACITY.most
+MAX_TARGET = TARGET.most
+MAX_PLAN_LENGTH = PLAN_LENGTH.most
+MAX_LIMIT = LIMIT.most
 
 
 class ViolationKind(Enum):
@@ -72,9 +72,7 @@ class PlanTooLong(ValueError):
     refused before any action is built."""
 
     def __init__(self, length: int):
-        super().__init__(
-            f"the plan needs {length} actions; the limit is {MAX_PLAN_LENGTH}"
-        )
+        super().__init__(refusal("plan length", length, MAX_PLAN_LENGTH, knob=PLAN_LENGTH.name))
         self.length = length
 
     def __reduce__(self):
@@ -88,24 +86,7 @@ def _check_range(
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if not minimum <= value <= maximum:
-        raise ValueError(
-            f"{name} must be between {minimum} and {maximum}, got {_quoted(value)}"
-        )
-
-
-def _quoted(value: int) -> str:
-    """``value`` in full up to 40 characters, else its first 40 and its
-    digit count.  A value over Python's limit on int-to-text conversion is
-    quoted by its digit count alone, which needs no conversion."""
-    magnitude = abs(value)
-    # log10(2) < 0.30103, so this is the digit count or one less.
-    digits = int(magnitude.bit_length() * 0.30103)
-    digits += magnitude >= 10**digits
-    # Python 3.11+ refuses to convert more digits than this; 0 means no limit.
-    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits:
-        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
-    shown = str(value)
-    return shown if len(shown) <= 40 else f"{shown[:40]}... ({digits} digits)"
+        raise ValueError(refusal(name, value, maximum, minimum))
 
 
 class JugProblem(Record):

@@ -29,12 +29,13 @@ from functools import total_ordering
 from itertools import repeat
 from operator import eq
 
+from ._limits import ATOMS, Limit, refusal
 from ._record import Node, Record, _is_name, _setattr
 
 #: Hard ceiling on distinct atoms per classification query.  A 24-atom scan
 #: is 4096 blocks, about 0.7-1 ms per program step on a 2-CPU VM: it bounds
 #: the rows, not the formula's length.  Anything larger is refused.
-MAX_ATOMS = 24
+MAX_ATOMS = ATOMS.most
 
 
 class MissingAtom(LookupError):
@@ -49,15 +50,17 @@ class MissingAtom(LookupError):
 
 
 class TooManyAtoms(ValueError):
-    """A query would enumerate more atoms than ``MAX_ATOMS`` allows."""
+    """A query would enumerate more atoms than its ``limit`` allows:
+    ``MAX_ATOMS``, unless ``knob`` names the setting of another."""
 
-    def __init__(self, count: int, limit: int = MAX_ATOMS):
-        super().__init__(f"formula has {count} atoms; the limit is {limit}")
+    def __init__(self, count: int, limit: int = MAX_ATOMS, knob: str = ATOMS.name):
+        super().__init__(refusal("atom count", count, limit, knob=knob))
         self.count = count
         self.limit = limit
+        self.knob = knob
 
     def __reduce__(self):
-        return type(self), (self.count, self.limit)
+        return type(self), (self.count, self.limit, self.knob)
 
 
 @total_ordering
@@ -281,9 +284,10 @@ def evaluate(formula: Formula, valuation: Valuation) -> bool:
 
 
 def _scan(
-    formula: Formula, over: Sequence[Atom] | None = None
+    formula: Formula, over: Sequence[Atom] | None = None, limit: Limit = ATOMS
 ) -> tuple[tuple[Atom, ...], int, Iterator[int]]:
-    """Decide ``formula`` over the canonical rows of its columns, a block at a time.
+    """Decide ``formula`` over the canonical rows of its columns, a block at
+    a time, refusing more columns than ``limit`` allows.
 
     Returns the columns (``over``, or the formula's atoms alphabetically),
     the all-true vector ``full`` of one block, and a lazy iterator of each
@@ -303,8 +307,8 @@ def _scan(
     if len(position) < n:
         repeated = next(a for i, a in enumerate(columns) if position[a.name] != i)
         raise ValueError(f"over repeats atom {repeated.name!r}")
-    if n > MAX_ATOMS:
-        raise TooManyAtoms(n)
+    if n > limit.most:
+        raise TooManyAtoms(n, limit.most, limit.name)
     for atom in found:
         if atom.name not in position:
             raise MissingAtom(atom.name)
@@ -328,10 +332,13 @@ def _scan(
     return columns, full, blocks()
 
 
-def _values(formula: Formula, over: Sequence[Atom] | None) -> tuple[tuple[Atom, ...], str]:
-    """The columns of ``formula``'s table (see ``truth_table``) and its value
-    string: character ``r`` is ``"1"`` where canonical row ``r`` is true."""
-    columns, full, vectors = _scan(formula, over)
+def _values(
+    formula: Formula, over: Sequence[Atom] | None, limit: Limit = ATOMS
+) -> tuple[tuple[Atom, ...], str]:
+    """The columns of ``formula``'s table (see ``truth_table``), at most
+    ``limit`` of them, and its value string: character ``r`` is ``"1"``
+    where canonical row ``r`` is true."""
+    columns, full, vectors = _scan(formula, over, limit)
     width = full.bit_length()
     return columns, "".join(format(vector, f"0{width}b")[::-1] for vector in vectors)
 

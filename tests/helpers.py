@@ -780,28 +780,28 @@ def reference_build_parser() -> argparse.ArgumentParser:
     )
     jugs_sub = jugs_parser.add_subparsers(dest="subcommand", required=True)
     jugs_gcd = jugs_sub.add_parser("gcd", parents=[common], help="greatest common divisor")
-    jugs_gcd.add_argument("--n", type=cli._positive_int, required=True)
-    jugs_gcd.add_argument("--m", type=cli._nonnegative_int, required=True)
+    jugs_gcd.add_argument("--n", type=cli._integer("n"), required=True)
+    jugs_gcd.add_argument("--m", type=cli._integer("m", 0), required=True)
     jugs_gcd.set_defaults(handler=cli._cmd_jugs_gcd)
     jugs_bezout = jugs_sub.add_parser(
         "bezout", parents=[common], help="Bézout certificate a·n + b·m = gcd(n, m)"
     )
-    jugs_bezout.add_argument("--n", type=cli._positive_int, required=True)
-    jugs_bezout.add_argument("--m", type=cli._positive_int, required=True)
+    jugs_bezout.add_argument("--n", type=cli._integer("n"), required=True)
+    jugs_bezout.add_argument("--m", type=cli._integer("m"), required=True)
     jugs_bezout.set_defaults(handler=cli._cmd_jugs_bezout)
     jugs_amounts = jugs_sub.add_parser(
         "amounts", parents=[common], help="all producible amounts up to a limit"
     )
-    jugs_amounts.add_argument("--n", type=cli._positive_int, required=True)
-    jugs_amounts.add_argument("--m", type=cli._positive_int, required=True)
-    jugs_amounts.add_argument("--limit", type=cli._positive_int, required=True)
+    jugs_amounts.add_argument("--n", type=cli._integer("n"), required=True)
+    jugs_amounts.add_argument("--m", type=cli._integer("m"), required=True)
+    jugs_amounts.add_argument("--limit", type=cli._integer("limit"), required=True)
     jugs_amounts.set_defaults(handler=cli._cmd_jugs_amounts)
     jugs_plan = jugs_sub.add_parser(
         "plan", parents=[common], help="synthesize a pour plan for a target amount"
     )
-    jugs_plan.add_argument("--n", type=cli._positive_int, required=True)
-    jugs_plan.add_argument("--m", type=cli._positive_int, required=True)
-    jugs_plan.add_argument("--target", type=cli._positive_int, required=True)
+    jugs_plan.add_argument("--n", type=cli._integer("n"), required=True)
+    jugs_plan.add_argument("--m", type=cli._integer("m"), required=True)
+    jugs_plan.add_argument("--target", type=cli._integer("target"), required=True)
     jugs_plan.add_argument(
         "--strategy",
         # The values of ``jugs.Strategy``, spelt out so that parsing the
@@ -834,8 +834,8 @@ def run_main(argv: Sequence[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-# The message ``deduce``'s own integer type gives argparse to report.
-_INTEGER_MESSAGE = re.compile(r"expected an integer .*")
+# The refusal ``deduce``'s own integer type gives argparse to report.
+_INTEGER_MESSAGE = re.compile(r"\w+ is .*; the limit is .*")
 
 
 def contract_digest(argvs: Sequence[Sequence[str]]) -> str:

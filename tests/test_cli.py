@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 
 from deduce import categorical, cli, jugs, logic, rules
-from deduce.cli import TABLE_MAX_ATOMS, build_parser, main
-from deduce.logic import MAX_ATOMS, Atom, prop
+from deduce._limits import ATOMS, PLAN_LENGTH, TABLE_ATOMS, VALUES, refusal
+from deduce.cli import build_parser, main
+from deduce.logic import Atom, prop
 from deduce.parser import ParseError, Style, format_formula, parse
 from helpers import (
     atom_names,
@@ -153,25 +154,28 @@ class TestTable:
         def unreachable(*args, **kwargs):
             raise AssertionError("the table was scanned")
 
-        monkeypatch.setattr(logic, "_values", unreachable)
+        monkeypatch.setattr(logic, "_run", unreachable)
         monkeypatch.setattr(logic, "truth_table", unreachable)
-        wide = " ó ".join(f"A{i}" for i in range(TABLE_MAX_ATOMS + 1))
+        wide = " ó ".join(f"A{i}" for i in range(TABLE_ATOMS.most + 1))
         code, out, err = run(capsys, "table", wide)
-        assert code == 2
-        assert out == ""
-        assert TABLE_MAX_ATOMS == 16
-        assert err == (
-            "error: table of 17 atoms has 131072 rows; "
-            "the limit is 16 atoms (65536 rows)\n"
-        )
+        assert (code, out) == (2, "")
+        assert err == "error: atom count is 17; the limit is 16 (cli.TABLE_MAX_ATOMS)\n"
+
+    @pytest.mark.parametrize("output", [[], ["--format", "json"]], ids=["text", "json"])
+    def test_compiles_its_formula_once(self, capsys, monkeypatch, output):
+        calls = []
+        compile_ = logic._compile
+        monkeypatch.setattr(logic, "_compile", lambda formula: calls.append(1) or compile_(formula))
+        assert run(capsys, "table", "P y Q", *output)[0] == 0
+        assert len(calls) == 1
 
     def test_the_widest_table_prints_every_row(self, capsys):
-        names = [f"A{i}" for i in range(TABLE_MAX_ATOMS)]
+        names = [f"A{i}" for i in range(TABLE_ATOMS.most)]
         widest = " ó ".join(names)
         code, out, _ = run(capsys, "table", widest)
         lines = out.splitlines()
         assert code == 0
-        assert len(lines) == (1 << TABLE_MAX_ATOMS) + 1 == 65_537
+        assert len(lines) == (1 << TABLE_ATOMS.most) + 1 == 65_537
         # Columns are alphabetical: A0, A1, A10, ..., A15, A2, ..., A9.
         assert lines[0] == "  ".join(sorted(names)) + "  " + widest
         assert lines[1] == "  ".join(["V "] * 2 + ["V  "] * 6 + ["V "] * 8 + ["V"])
@@ -215,7 +219,7 @@ class TestTable:
         assert (code, out.encode(), err) == (0, want.encode(), "")
 
 
-_TOO_WIDE = " ó ".join(f"A{i}" for i in range(MAX_ATOMS + 1))
+_TOO_WIDE = " ó ".join(f"A{i}" for i in range(ATOMS.most + 1))
 _OVER_THE_ATOM_LIMIT = [
     ["classify", _TOO_WIDE],
     ["equiv", _TOO_WIDE, "A0"],
@@ -228,9 +232,7 @@ _OVER_THE_ATOM_LIMIT = [
 )
 def test_a_refusal_over_the_atom_limit_names_the_limit(capsys, argv):
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert MAX_ATOMS == 24
-    assert "has 25 atoms; the limit is 24" in err
+    assert (code, out, err) == (2, "", "error: atom count is 25; the limit is 24 (logic.MAX_ATOMS)\n")
 
 
 class TestEquiv:
@@ -535,53 +537,52 @@ class TestJugs:
         if output_format == "text":
             assert (code, out, err) == (0, "add 1 ×1000000000\n", "")
             return
-        assert code == 2
-        assert out == ""
-        limit = jugs.MAX_PLAN_LENGTH
-        assert err == f"error: the plan needs 1000000000 actions; the limit is {limit}\n"
-
-    def test_rejects_nonpositive_capacity(self, capsys):
-        code, _, err = run(capsys, "jugs", "gcd", "--n", "0", "--m", "6")
-        assert code == 2
-        assert err != ""
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: plan length is 1000000000; the limit is 10000000 (jugs.MAX_PLAN_LENGTH)\n"
+        )
 
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["gcd", "--n", "x", "--m", "3"], "argument --n: expected an integer >= 1, got 'x'"),
-            (["gcd", "--n", "0", "--m", "3"], "argument --n: expected an integer >= 1, got '0'"),
-            (["gcd", "--n", "3", "--m", "-1"], "argument --m: expected an integer >= 0, got '-1'"),
-            (["gcd", "--n", "3", "--m", "1.5"], "argument --m: expected an integer >= 0, got '1.5'"),
-            (
-                ["plan", "--n", "3", "--m", "5", "--target", "-2"],
-                "argument --target: expected an integer >= 1, got '-2'",
-            ),
+            (["gcd", "--n", "x", "--m", "3"], "n is 'x'; the limit is 1 to 1000000"),
+            (["gcd", "--n", "0", "--m", "3"], "n is 0; the limit is 1 to 1000000"),
+            (["gcd", "--n", "1000001", "--m", "3"], "n is 1000001; the limit is 1 to 1000000"),
+            (["gcd", "--n", "3", "--m", "-1"], "m is -1; the limit is 0 to 1000000"),
+            (["gcd", "--n", "3", "--m", "1.5"], "m is '1.5'; the limit is 0 to 1000000"),
+            (["plan", "--n", "3", "--m", "5", "--target", "-2"],
+             "target is -2; the limit is 1 to 1000000000"),
+            (["plan", "--n", "3", "--m", "5", "--target", "1000000001"],
+             "target is 1000000001; the limit is 1 to 1000000000"),
+            (["amounts", "--n", "3", "--m", "5", "--limit", "1000001"],
+             "limit is 1000001; the limit is 1 to 1000000"),
         ],
     )
-    def test_integer_argument_errors_name_the_bound_and_the_value(
+    def test_integer_argument_errors_name_the_value_the_bound_and_the_knob(
         self, capsys, argv, message
     ):
+        # Both ends of a range are refused by argparse, with its usage line.
         code, out, err = run(capsys, "jugs", *argv)
+        option = message.split()[0]
+        knob = f"--{option}, {VALUES[option].name}"
         assert (code, out) == (2, "")
         assert err.startswith("usage: deduce jugs ")
-        assert err.endswith(f"error: {message}\n")
-        assert "_int" not in err
+        assert err.endswith(f"error: argument --{option}: {message} ({knob})\n")
 
     @pytest.mark.parametrize("digits", [4300, 4301])
     def test_integer_argument_at_the_digit_limit(self, capsys, digits):
         code, out, err = run(capsys, "jugs", "gcd", "--n", "9" * digits, "--m", "6")
         assert (code, out) == (2, "")
+        assert err.startswith("usage: deduce jugs gcd ")
         assert len(err) < 300
+        # Python 3.11+ refuses to convert more digits than this to an int:
+        # such a value is quoted as text.
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if 0 < limit < digits:
-            assert err.endswith(
-                f"error: argument --n: expected an integer >= 1 of at most {limit} "
-                f"digits, got '{'9' * 40}'... ({digits} characters)\n"
-            )
-        else:
-            # Parsed; the capacity bound refuses it.
-            assert err.startswith("error: n must be between 1 and ")
-            assert f" and {jugs.MAX_CAPACITY}, got {'9' * 40}... ({digits} digits)" in err
+        shown = f"'{'9' * 40}'... ({digits} characters)"
+        if not 0 < limit < digits:
+            shown = f"{'9' * 40}... ({digits} digits)"
+        tail = f"n is {shown}; the limit is 1 to 1000000 (--n, jugs.MAX_CAPACITY)\n"
+        assert err.endswith(tail)
 
     def test_strategy_choices_are_the_strategy_values(self):
         plan_parser = _subparser(build_parser(), "jugs", "plan")
@@ -816,34 +817,29 @@ _CATEGORICAL = st.one_of(
 )
 _IMPORT_FLAG = st.sampled_from([[], ["--existential-import"]])
 
-# ``jugs`` options: (option, least value argparse accepts, largest value the
-# library accepts).  Values are drawn at and around both ends, and past
-# Python's limit on the digits ``int()`` converts.
+# The values each ``jugs`` command takes, in argv order, and the least of
+# each where it is not its limit's: ``jugs gcd`` allows m = 0.  Values are
+# drawn at and around both ends of the range, and past Python's limit on
+# the digits ``int()`` converts.
 _JUG_OPTIONS = {
-    "gcd": [("--n", 1, jugs.MAX_CAPACITY), ("--m", 0, jugs.MAX_CAPACITY)],
-    "bezout": [("--n", 1, jugs.MAX_CAPACITY), ("--m", 1, jugs.MAX_CAPACITY)],
-    "amounts": [
-        ("--n", 1, jugs.MAX_CAPACITY),
-        ("--m", 1, jugs.MAX_CAPACITY),
-        ("--limit", 1, jugs.MAX_LIMIT),
-    ],
-    "plan": [
-        ("--n", 1, jugs.MAX_CAPACITY),
-        ("--m", 1, jugs.MAX_CAPACITY),
-        ("--target", 1, jugs.MAX_TARGET),
-    ],
+    "gcd": {"n": None, "m": 0},
+    "bezout": {"n": None, "m": None},
+    "amounts": {"n": None, "m": None, "limit": None},
+    "plan": {"n": None, "m": None, "target": None},
 }
 
 
-def _bound_values(maximum: int):
-    return st.sampled_from(["0", "1", str(maximum), str(maximum + 1), "9" * 4301])
+def _range(subcommand: str, name: str) -> tuple[int, int]:
+    least = _JUG_OPTIONS[subcommand][name]
+    return VALUES[name].least if least is None else least, VALUES[name].most
 
 
 def _jugs_command(subcommand: str):
-    options = [
-        st.tuples(st.just(option), _bound_values(maximum))
-        for option, _, maximum in _JUG_OPTIONS[subcommand]
-    ]
+    options = []
+    for name in _JUG_OPTIONS[subcommand]:
+        least, most = _range(subcommand, name)
+        ends = [least - 1, least, most, most + 1, "9" * 4301]
+        options.append(st.tuples(st.just(f"--{name}"), st.sampled_from(list(map(str, ends)))))
     if subcommand == "plan":
         strategies = st.sampled_from(["certificate", "shortest"])
         options.append(st.tuples(st.just("--strategy"), strategies))
@@ -853,23 +849,21 @@ def _jugs_command(subcommand: str):
 
 
 def _value_refused(argv: list[str]) -> str | None:
-    """How refusing the first value out of range of the ``jugs`` command
-    ``argv`` names the bound, or None when every value is in range."""
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bounds = _JUG_OPTIONS[argv[1]]
-    values = [
-        (argv[argv.index(option) + 1], minimum, maximum)
-        for option, minimum, maximum in bounds
-    ]
-    # argparse converts every value before the command runs.
-    for text, minimum, _ in values:
-        if 0 < digits < len(text):
-            return f"of at most {digits} digits"
-        if int(text) < minimum:
-            return f"expected an integer >= {minimum}"
-    for text, minimum, maximum in values:
-        if int(text) > maximum:
-            return f"must be between {minimum} and {maximum}, got "
+    """The refusal of the first value of the ``jugs`` command ``argv`` that
+    is out of its range, or None when every value is in range.  argparse
+    converts the values in argv order, before the command runs."""
+    subcommand = argv[1]
+    for name in _JUG_OPTIONS[subcommand]:
+        text = argv[argv.index(f"--{name}") + 1]
+        least, most = _range(subcommand, name)
+        try:
+            value = int(text)
+        except ValueError:
+            value = text
+        else:
+            if least <= value <= most:
+                continue
+        return f"error: argument --{name}: {refusal(name, value, most, least)}\n"
     return None
 
 
@@ -885,20 +879,14 @@ def _chain(count: int):
 
 # Chains at and one past the atom limit, and one past the table's; a full
 # 16-atom table is left to its own test.
-_WIDE = st.sampled_from([MAX_ATOMS, MAX_ATOMS + 1]).flatmap(_chain)
+_WIDE = st.sampled_from([ATOMS.most, ATOMS.most + 1]).flatmap(_chain)
 _CHAIN_COMMANDS = {"classify", "equiv", "entail", "table"}
-_TABLE_ROWS = 1 << TABLE_MAX_ATOMS
-# Whether a command is ``table`` -> (its atom limit, how refusals name it).
-_ATOM_LIMITS = {
-    False: (MAX_ATOMS, f"the limit is {MAX_ATOMS}"),
-    True: (TABLE_MAX_ATOMS, f"the limit is {TABLE_MAX_ATOMS} atoms ({_TABLE_ROWS} rows)"),
-}
 
 _COMMANDS = st.one_of(
     st.tuples(st.just("classify"), _WIDE).map(list),
     st.tuples(st.just("equiv"), _WIDE, st.just("A0")).map(list),
     _WIDE.map(lambda chain: ["entail", "--conclusion", chain]),
-    _chain(TABLE_MAX_ATOMS + 1).map(lambda chain: ["table", chain]),
+    _chain(TABLE_ATOMS.most + 1).map(lambda chain: ["table", chain]),
     st.tuples(st.just("classify"), _TEXT).map(list),
     st.tuples(st.just("table"), _TEXT).map(list),
     st.tuples(st.just("equiv"), _TEXT, _TEXT).map(list),
@@ -935,20 +923,25 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(command, output):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if command[0] == "jugs":
-        # Every refusal of a jugs command is a bound, and names it; a plan
-        # whose values are all in range can still be too long to list.
+        # Every refusal of a jugs command is a limit's, and names its value
+        # and its knob: a value out of range, or, with every value in range,
+        # a plan too long to list.
         refused = _value_refused(command)
-        assert code == 2 or refused is None
-        if code == 2:
-            assert (refused or f"the limit is {jugs.MAX_PLAN_LENGTH}") in err.getvalue()
+        if refused is not None:
+            assert (code, err.getvalue()[-len(refused) :]) == (2, refused)
+        elif code == 2:
+            assert output != "text"
+            assert err.getvalue().startswith("error: plan length is ")
+            assert err.getvalue().endswith(f"({PLAN_LENGTH.name})\n")
     chain = {atom for arg in command for atom in re.findall(r"\bA\d+\b", arg)}
     if command[0] in _CHAIN_COMMANDS and chain:
         # A chain is refused exactly when it is over its limit, which the
         # refusal names.
-        limit, message = _ATOM_LIMITS[command[0] == "table"]
-        assert (code == 2) is (len(chain) > limit)
+        limit = TABLE_ATOMS if command[0] == "table" else ATOMS
+        assert (code == 2) is (len(chain) > limit.most)
         if code == 2:
-            assert message in err.getvalue()
+            message = refusal("atom count", len(chain), limit.most, knob=limit.name)
+            assert err.getvalue() == f"error: {message}\n"
     if code == 2:
         assert out.getvalue() == ""
         assert "error: " in err.getvalue()
@@ -975,8 +968,8 @@ _LAZY = {
 } - {"deduce.__init__", "deduce.cli"} | {"json"}
 # Importing ``dataclasses`` would cost every command some 8 ms.
 _NEVER = {"dataclasses", "inspect"}
-_ENGINE = {"deduce._record", "deduce.logic", "deduce.parser"}
-_JUGS = {"deduce._record", "deduce.jugs"}
+_ENGINE = {"deduce._limits", "deduce._record", "deduce.logic", "deduce.parser"}
+_JUGS = {"deduce._limits", "deduce._record", "deduce.jugs"}
 _SYLLOGISMS = {"deduce._record", "deduce.categorical"}
 
 
@@ -1067,7 +1060,7 @@ def test_the_package_names_are_those_of_their_modules():
 _CLOSED_STDOUT_CASES = [
     (["syllogism", "check", "barbara"], 0),
     (["syllogism", "check", "darapti"], 1),
-    (["table", " & ".join(f"P{i}" for i in range(TABLE_MAX_ATOMS))], 0),
+    (["table", " & ".join(f"P{i}" for i in range(TABLE_ATOMS.most))], 0),
 ]
 
 

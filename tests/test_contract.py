@@ -16,9 +16,8 @@ from itertools import islice, product
 import pytest
 from helpers import contract_digest
 
-from deduce import categorical, jugs, rules
-from deduce.cli import TABLE_MAX_ATOMS
-from deduce.logic import MAX_ATOMS
+from deduce import categorical, rules
+from deduce._limits import ATOMS, CAPACITY, LIMIT, PLAN_LENGTH, TABLE_ATOMS, TARGET, Limit
 
 _LEAVES = ["P", "Q", "R"]
 _NOT = ["¬", "!", "~", "no"]
@@ -35,7 +34,7 @@ _MALFORMED = [
 #: One atom chain at each atom limit and one past it.
 _CHAINS = {
     count: " & ".join(f"A{i}" for i in range(count))
-    for count in (TABLE_MAX_ATOMS, TABLE_MAX_ATOMS + 1, MAX_ATOMS, MAX_ATOMS + 1)
+    for count in (TABLE_ATOMS.most, TABLE_ATOMS.most + 1, ATOMS.most, ATOMS.most + 1)
 }
 _DEEP = ["¬" * 2000 + "P", "(" * 2000 + "P" + ")" * 2000]
 
@@ -72,8 +71,9 @@ _IMPORT = [[], ["--existential-import"]]
 _DIGITS = ["9" * 4300, "9" * 4301]
 
 
-def _ends(least: int, largest: int) -> list[str]:
-    return [str(least - 1), str(least), str(largest), str(largest + 1), *_DIGITS]
+def _ends(limit: Limit, least: int | None = None) -> list[str]:
+    least = limit.least if least is None else least
+    return [str(least - 1), str(least), str(limit.most), str(limit.most + 1), *_DIGITS]
 
 
 def _jugs(command: str, options: dict[str, int], ends: dict[str, list[str]]) -> list[list[str]]:
@@ -89,7 +89,7 @@ def _jugs(command: str, options: dict[str, int], ends: dict[str, list[str]]) -> 
     ]
 
 
-_CAPACITY = _ends(1, jugs.MAX_CAPACITY)
+_CAPACITY = _ends(CAPACITY)
 _SMALL = range(1, 13)
 
 FAMILIES: dict[str, list[list[str]]] = {
@@ -99,7 +99,7 @@ FAMILIES: dict[str, list[list[str]]] = {
     ],
     "table": [
         ["table", text]
-        for text in [*_SHORT, *_MALFORMED, _CHAINS[TABLE_MAX_ATOMS], _CHAINS[TABLE_MAX_ATOMS + 1]]
+        for text in [*_SHORT, *_MALFORMED, _CHAINS[TABLE_ATOMS.most], _CHAINS[TABLE_ATOMS.most + 1]]
     ],
     "equiv": [
         ["equiv", left, right]
@@ -107,8 +107,8 @@ FAMILIES: dict[str, list[list[str]]] = {
             *product(_SHORT[::2], repeat=2),
             *product(_MALFORMED[:6], _SHORT[:2]),
             *product(_SHORT[:2], _MALFORMED[:6]),
-            (_CHAINS[MAX_ATOMS], "A0"),
-            (_CHAINS[MAX_ATOMS + 1], "A0"),
+            (_CHAINS[ATOMS.most], "A0"),
+            (_CHAINS[ATOMS.most + 1], "A0"),
         ]
     ],
     "entail": [
@@ -120,8 +120,8 @@ FAMILIES: dict[str, list[list[str]]] = {
             *(((a, b), c) for a, b, c in product(_SHORT[::8], repeat=3)),
             *(((text,), "P") for text in _MALFORMED),
             *(((), text) for text in _MALFORMED),
-            ((), _CHAINS[MAX_ATOMS]),
-            ((), _CHAINS[MAX_ATOMS + 1]),
+            ((), _CHAINS[ATOMS.most]),
+            ((), _CHAINS[ATOMS.most + 1]),
         ]
     ],
     "rules": [
@@ -177,7 +177,7 @@ FAMILIES: dict[str, list[list[str]]] = {
     "jugs gcd": [
         *(["jugs", "gcd", "--n", str(n), "--m", str(m)] for n in _SMALL for m in range(13)),
         *_jugs("gcd", {"--n": 12, "--m": 18},
-               {"--n": _CAPACITY, "--m": _ends(0, jugs.MAX_CAPACITY)}),
+               {"--n": _CAPACITY, "--m": _ends(CAPACITY, 0)}),
     ],
     "jugs bezout": [
         *(["jugs", "bezout", "--n", str(n), "--m", str(m)] for n in _SMALL for m in _SMALL),
@@ -189,7 +189,7 @@ FAMILIES: dict[str, list[list[str]]] = {
             for n in _SMALL for m in _SMALL for limit in (1, 12)
         ),
         *_jugs("amounts", {"--n": 12, "--m": 18, "--limit": 30},
-               {"--n": _CAPACITY, "--m": _CAPACITY, "--limit": _ends(1, jugs.MAX_LIMIT)}),
+               {"--n": _CAPACITY, "--m": _CAPACITY, "--limit": _ends(LIMIT)}),
     ],
     "jugs plan": [
         *(
@@ -199,12 +199,12 @@ FAMILIES: dict[str, list[list[str]]] = {
             for strategy in ("certificate", "shortest")
         ),
         *_jugs("plan", {"--n": 1, "--m": 2, "--target": 1},
-               {"--n": _CAPACITY, "--m": _CAPACITY, "--target": _ends(1, jugs.MAX_TARGET)}),
-        ["jugs", "plan", "--n", str(jugs.MAX_CAPACITY), "--m", str(jugs.MAX_CAPACITY - 1),
+               {"--n": _CAPACITY, "--m": _CAPACITY, "--target": _ends(TARGET)}),
+        ["jugs", "plan", "--n", str(CAPACITY.most), "--m", str(CAPACITY.most - 1),
          "--target", "1"],
         # One action past the plan length limit: text prints its one run, and
         # JSON, which would list the actions, is refused before any is built.
-        ["jugs", "plan", "--n", "1", "--m", "1", "--target", str(jugs.MAX_PLAN_LENGTH + 1)],
+        ["jugs", "plan", "--n", "1", "--m", "1", "--target", str(PLAN_LENGTH.most + 1)],
     ],
 }
 
@@ -214,25 +214,25 @@ FAMILIES: dict[str, list[list[str]]] = {
 #: child process.
 TEXT_ONLY: dict[str, list[list[str]]] = {
     "jugs plan at the length limit": [
-        ["jugs", "plan", "--n", "1", "--m", "1", "--target", str(jugs.MAX_PLAN_LENGTH),
+        ["jugs", "plan", "--n", "1", "--m", "1", "--target", str(PLAN_LENGTH.most),
          "--strategy", strategy]
         for strategy in ("certificate", "shortest")
     ],
 }
 
 DIGESTS = {
-    "classify": "3387f2242ca3497afc3e92ec7d784005cb57b47f6101b351ff1b5c274ac6d18f",
-    "table": "249c64556ade3362a324a930bde42777f4f40bf3d4cef266791a09ec7e7aba62",
-    "equiv": "e8f95550afd45bc2e4368498e31d79ed0ea2437474bc1448bbef5d16b10cd7f8",
-    "entail": "2f3c3165dc8b0332c1586d95240be1382c20c4513227d3f061f3b9e80527e803",
+    "classify": "941fd92bfb4ca867b069a30e214f994abe04e1cd4454ec8a17ad45c89047c82f",
+    "table": "6fa6d07eaf7b20ca7f2380af58198e67ba8aaeea7f770457ad6c9e2e4b858b51",
+    "equiv": "ddc81f02b3a4d660f8276e56931e4c4de079a7191579bfea4ef418c2c77f8ec2",
+    "entail": "799a48ec796577788e2a47f34a5768889f13b7210c8bb091e3d59f34047624a0",
     "rules": "b8b76c8bae9fd6130990a13096aba917d3ba2dfd6ab41d97f28c9f8b3d0e435e",
     "syllogism list and check": "109bf74b51d2e6ea33c42ae4e25426eb75febe06a1c2232c245f9b502d08a24e",
     "syllogism custom": "399de95d78d40f409aee24c973688c250bd6a557b5bb261443931dbaed200466",
     "quant negate": "9d2a2f43175d3030764698ca7d7b0cd7b0e765d119f5609c1ef1e59b5dd7c83e",
-    "jugs gcd": "d664bfda89663275d3ef161d9736316e042bda6c8d663f132edb636404b88acb",
-    "jugs bezout": "a02c444fbd2d1555dd579a3e8786721e6a129f93dc194e35b49f3b6400accd56",
-    "jugs amounts": "03c43783becdcdcc7823347b3a6def6e82ed7fbc7cc0f6d0d5be08700d621494",
-    "jugs plan": "bc32ac434da9cf4df475225e5bfca4e5987c47406e2f9435848f10362eb2f7be",
+    "jugs gcd": "7529bd7987e5aa7840a56fccf0341dffa8a6cab47c0e6bc0aa6c087ce6048a95",
+    "jugs bezout": "d0cbcff95919e984cb00b2b9aa23206924abe4d6ab2ac127e95431143ae0aec4",
+    "jugs amounts": "8426cfdca1baf1d8a92a42673596703666167a7bf38cf43436cfbbb63ccdf97e",
+    "jugs plan": "799637a2b513f02f9abe17c32c151e60d645592551bd24ab94b7c78959313994",
     "jugs plan at the length limit": "3ebae1a504e0cfe40f2f89646f171042f54f38a77c3ceb0c1b94f3f82c64c15d",
 }
 

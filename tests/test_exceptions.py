@@ -17,8 +17,8 @@ ERRORS = [
     (ParseError(ErrorKind.UNBALANCED_PAREN, SourceSpan(2, 2), "missing ')'"),
      ("kind", "span", "message")),
     (MissingAtom("P"), ("name",)),
-    (TooManyAtoms(30), ("count", "limit")),
-    (TooManyAtoms(17, 16), ("count", "limit")),
+    (TooManyAtoms(30), ("count", "limit", "knob")),
+    (TooManyAtoms(17, 16, "cli.TABLE_MAX_ATOMS"), ("count", "limit", "knob")),
     (UnknownPredicate("M"), ("name",)),
     (UnknownSyllogism("barbarb"), ("name",)),
     (UnknownRule("modus-tollendo"), ("name",)),

@@ -6,11 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from deduce._limits import VALUES
 from deduce.jugs import (
-    MAX_CAPACITY,
-    MAX_LIMIT,
     MAX_PLAN_LENGTH,
-    MAX_TARGET,
     AddJug,
     BezoutCertificate,
     JugProblem,
@@ -401,56 +399,33 @@ class TestValidation:
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
             call(value)
 
-    @pytest.mark.parametrize("n,m,target", [(0, 5, 1), (5, 0, 1), (5, 5, 0), (-1, 2, 3)])
-    def test_problem_rejects_nonpositive_values(self, n, m, target):
-        with pytest.raises(ValueError):
-            JugProblem(n, m, target)
-
-    def test_problem_rejects_oversized_capacity(self):
-        with pytest.raises(ValueError):
-            JugProblem(10**6 + 1, 3, 1)
-
-    def test_amounts_rejects_bad_limit(self):
-        with pytest.raises(ValueError):
-            achievable_amounts(3, 6, 0)
-
     @pytest.mark.parametrize(
-        "call,name,maximum",
+        "call,name,least",
         [
-            (lambda value: gcd(value, 6), "n", MAX_CAPACITY),
-            (lambda value: JugProblem(3, value, 1), "m", MAX_CAPACITY),
-            (lambda value: JugProblem(3, 5, value), "target", MAX_TARGET),
-            (lambda value: achievable_amounts(3, 5, value), "limit", MAX_LIMIT),
+            (lambda value: gcd(value, 6), "n", None),
+            (lambda value: gcd(3, value), "m", 0),
+            (lambda value: JugProblem(value, 3, 1), "n", None),
+            (lambda value: JugProblem(3, value, 1), "m", None),
+            (lambda value: JugProblem(3, 5, value), "target", None),
+            (lambda value: achievable_amounts(3, 5, value), "limit", None),
         ],
-        ids=["capacity", "problem capacity", "target", "limit"],
+        ids=["capacity", "gcd m", "problem n", "problem m", "target", "limit"],
     )
-    def test_bound_messages_cut_long_values(self, call, name, maximum):
-        with pytest.raises(ValueError) as excinfo:
-            call(maximum + 1)
-        assert str(excinfo.value) == (
-            f"{name} must be between 1 and {maximum}, got {maximum + 1}"
-        )
-        with pytest.raises(ValueError) as excinfo:
-            call(10**4000)
-        assert str(excinfo.value) == (
-            f"{name} must be between 1 and {maximum}, got 1{'0' * 39}... (4001 digits)"
-        )
-        with pytest.raises(ValueError) as excinfo:
-            call(-(10**50))
-        assert str(excinfo.value).endswith(f"got -1{'0' * 38}... (51 digits)")
-
-    def test_bound_messages_count_digits_exactly(self):
-        # Around each power of ten and of two, where a digit count estimated
-        # from the bit length could be off by one.
-        values = [10**d + delta for d in range(10, 400) for delta in (-1, 0, 1)]
-        values += [2**k + delta for k in range(30, 1400) for delta in (-1, 0)]
-        for value in values:
+    def test_bound_messages_name_the_knob_and_cut_long_values(self, call, name, least):
+        # ``gcd`` alone takes m = 0; every other value starts where its limit does.
+        limit = VALUES[name]
+        least = limit.least if least is None else least
+        bound = f"; the limit is {least} to {limit.most} (--{name}, {limit.name})"
+        for value, shown in [
+            (limit.most + 1, str(limit.most + 1)),
+            (least - 1, str(least - 1)),
+            (10**39, f"1{'0' * 39}"),
+            (10**4000, f"1{'0' * 39}... (4001 digits)"),
+            (-(10**50), f"-1{'0' * 38}... (51 digits)"),
+        ]:
             with pytest.raises(ValueError) as excinfo:
-                JugProblem(3, 5, value)
-            shown = str(value)
-            if len(shown) > 40:
-                shown = f"{shown[:40]}... ({len(shown)} digits)"
-            assert str(excinfo.value) == f"target must be between 1 and {MAX_TARGET}, got {shown}"
+                call(value)
+            assert str(excinfo.value) == f"{name} is {shown}{bound}"
 
     @pytest.mark.parametrize(
         "call,name,value,digits",
@@ -466,13 +441,11 @@ class TestValidation:
     def test_bound_messages_past_the_int_to_text_limit(self, call, name, value, digits):
         with pytest.raises(ValueError) as excinfo:
             call(value)
-        message = str(excinfo.value)
-        assert message.startswith(f"{name} must be between ")
         # Python 3.11+ refuses to convert more digits than this to text; a
-        # value past it is quoted by its digit count alone.
+        # value past it is quoted by its bit length.
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if 0 < limit < digits:
-            sign = "a negative" if value < 0 else "an"
-            assert message.endswith(f", got {sign} integer of {digits} digits")
+            shown = f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
         else:
-            assert message.endswith(f"... ({digits} digits)")
+            shown = f"{str(value)[:40]}... ({digits} digits)"
+        assert str(excinfo.value).startswith(f"{name} is {shown}; the limit is ")

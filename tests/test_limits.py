@@ -1,23 +1,36 @@
-"""Each documented limit, at the limit, run as a child process under the
-ceilings that README states: 128 MB of address space and 5 CPU-seconds.
+"""Each limit of ``deduce._limits``, at the limit and one past it, run as a
+child process under the ceilings that README states: 128 MB of address
+space and 5 CPU-seconds.
 
-A run must exit with its own code and print no traceback; its output is
-checked for size, not content, which other tests pin.  The ceilings are
-rlimits of the child alone.  ``RLIMIT_AS`` counts address space, not
-resident memory, and the interpreter takes about 16 MB of it before
-``deduce`` is imported.
+A run at each end of a limit's range must exit with its own code and
+write nothing to stderr; what it prints is pinned by the contract digests,
+but for the longest listings, which are compared here a chunk at a time.
+A run one past an end must exit 2 before any output, with a refusal that
+names the value and the limit's knob.  The ceilings are rlimits of the
+child alone.  ``RLIMIT_AS`` counts address space, not resident memory,
+and the interpreter takes about 16 MB of it before ``deduce`` is
+imported.
 """
 
+import ast
+import importlib
 import json
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from deduce.cli import TABLE_MAX_ATOMS
-from deduce.jugs import MAX_LIMIT, MAX_PLAN_LENGTH, MAX_TARGET
+from deduce import _limits
+from deduce._limits import ATOMS, CAPACITY, LIMIT, LIMITS, PLAN_LENGTH, TABLE_ATOMS, TARGET
 from helpers import child_env
+
+
+def test_the_limits_module_imports_nothing():
+    tree = ast.parse(Path(_limits.__file__).read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
 
 ADDRESS_SPACE = 128 << 20
 CPU_SECONDS = 5
@@ -28,10 +41,11 @@ def _ceilings() -> None:
     resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS))
 
 
-def run_limited(*args: str) -> subprocess.CompletedProcess:
+def run_limited(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=child_env(),
         preexec_fn=_ceilings,
@@ -45,89 +59,103 @@ def test_the_ceiling_binds():
     assert done.stderr.endswith("MemoryError\n")
 
 
-WIDEST_TABLE = " ó ".join(f"A{i}" for i in range(TABLE_MAX_ATOMS))
-
-
-def test_the_widest_table_in_text():
-    done = run_limited("-m", "deduce.cli", "table", WIDEST_TABLE)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.count("\n") == (1 << TABLE_MAX_ATOMS) + 1 == 65_537
-
-
-def test_the_widest_table_in_json():
-    done = run_limited("-m", "deduce.cli", "table", WIDEST_TABLE, "--format", "json")
-    assert (done.returncode, done.stderr) == (0, "")
-    (line,) = done.stdout.splitlines()
-    assert len(json.loads(line)["result"]["rows"]) == 1 << TABLE_MAX_ATOMS == 65_536
-
-
-AMOUNTS = ("jugs", "amounts", "--n", "1", "--m", "1", "--limit", str(MAX_LIMIT))
-
-
-def test_the_most_amounts_in_text():
-    done = run_limited("-m", "deduce.cli", *AMOUNTS)
-    assert (done.returncode, done.stderr) == (0, "")
-    (line,) = done.stdout.splitlines()
-    assert len(line.split()) == MAX_LIMIT == 1_000_000
-
-
-def test_the_most_amounts_in_json():
-    done = run_limited("-m", "deduce.cli", *AMOUNTS, "--format", "json")
-    assert (done.returncode, done.stderr) == (0, "")
-    (line,) = done.stdout.splitlines()
-    assert len(json.loads(line)["result"]["amounts"]) == MAX_LIMIT
+def chain(count: int) -> str:
+    return " ó ".join(f"A{i}" for i in range(count))
 
 
 PLAN = ("jugs", "plan", "--n", "1", "--m", "1", "--target")
 
+#: Each limit's name -> the argv of a command whose value under that limit
+#: is ``value``.
+COMMANDS = {
+    ATOMS.name: lambda value: ["classify", chain(value)],
+    TABLE_ATOMS.name: lambda value: ["table", chain(value)],
+    CAPACITY.name: lambda value: ["jugs", "bezout", "--n", str(value), "--m", "1"],
+    TARGET.name: lambda value: ["jugs", "plan", "--n", "1000", "--m", "1000", "--target", str(value)],
+    LIMIT.name: lambda value: ["jugs", "amounts", "--n", "1", "--m", "1", "--limit", str(value)],
+    PLAN_LENGTH.name: lambda value: [*PLAN, str(value)],
+}
 
-def test_a_plan_of_a_million_actions_in_json():
-    done = run_limited("-m", "deduce.cli", *PLAN, str(10**6), "--format", "json")
-    assert (done.returncode, done.stderr) == (0, "")
-    (line,) = done.stdout.splitlines()
-    assert len(json.loads(line)["result"]["actions"]) == 10**6
+
+@pytest.mark.parametrize("limit", LIMITS, ids=lambda limit: limit.name)
+def test_each_end_of_a_limit_and_one_past_it(limit):
+    module, constant = limit.name.split(".")
+    assert getattr(importlib.import_module(f"deduce.{module}"), constant) == limit.most
+    ends = [limit.most, *([] if limit.least is None else [limit.least])]
+    for end, past in zip(ends, [1, -1]):
+        # At the limit only the exit code and stderr are read: a JSON plan
+        # there is 300 MB.  The contract digests pin what a listing holds.
+        for output in ("text", "json"):
+            argv = [*COMMANDS[limit.name](end), "--format", output]
+            done = run_limited("-m", "deduce.cli", *argv, stdout=subprocess.DEVNULL)
+            assert (done.returncode in (0, 1), done.stderr) == (True, ""), argv
+        # One past it, the value is refused up front, by a line that names
+        # it and the limit's knob.  Only JSON lists a plan's actions.
+        done = run_limited("-m", "deduce.cli", *COMMANDS[limit.name](end + past), "--format", "json")
+        assert (done.returncode, done.stdout) == (2, ""), end + past
+        *_, line = done.stderr.splitlines()
+        assert "error: " in line
+        assert f" is {end + past}; the limit is " in line
+        assert line.endswith(f"{limit.name})")
 
 
-def test_the_longest_plan_in_json():
-    # The listing is 300 MB, so it is counted a chunk at a time, not held.
-    # An action holds no other, so a count over each chunk and the bytes
-    # carried from the one before counts each action once.
-    action = b'{"action":"add","capacity":1}'
-    count, carried = 0, b""
+def read_listing(stream, item: bytes) -> tuple[bytes, int]:
+    """Reads ``stream``, JSON text whose first list holds only ``item``s, a
+    chunk at a time, so that a long list is never held whole.  Returns the
+    text with that list emptied, and how many items it held.  An item holds
+    no list, so the list ends at the first ``]``."""
+    unit = item + b","
+    head, _, body = stream.read(1 << 20).partition(b"[")
+    count = 0
+    while (end := body.find(b"]")) < 0:
+        whole = len(body) - len(body) % len(unit)
+        assert body[:whole] == unit * (whole // len(unit))
+        count += whole // len(unit)
+        chunk = stream.read(1 << 20)
+        assert chunk, "the list does not end"
+        body = body[whole:] + chunk
+    items = body[:end] + b","
+    assert items == unit * (len(items) // len(unit))
+    return head + b"[]" + body[end + 1 :] + stream.read(), count + len(items) // len(unit)
+
+
+def check_plan_in_json(length: int) -> None:
+    """Runs the JSON plan of ``length`` additions of 1 under the ceilings,
+    and checks its envelope and each action it lists."""
     with subprocess.Popen(
-        [sys.executable, "-m", "deduce.cli", *PLAN, str(MAX_PLAN_LENGTH), "--format", "json"],
+        [sys.executable, "-m", "deduce.cli", *PLAN, str(length), "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=child_env(),
         preexec_fn=_ceilings,
     ) as child:
-        while chunk := child.stdout.read(1 << 20):
-            text = carried + chunk
-            count += text.count(action)
-            carried = text[1 - len(action) :]
+        envelope, count = read_listing(child.stdout, b'{"action":"add","capacity":1}')
         stderr = child.stderr.read()
-    assert (child.returncode, stderr, count) == (0, b"", MAX_PLAN_LENGTH)
+    assert (child.returncode, stderr, count) == (0, b"", length)
+    assert json.loads(envelope) == {
+        "command": "jugs plan",
+        "counterexample": None,
+        "result": {
+            "achievable": True, "actions": [], "length": length, "m": 1, "n": 1,
+            "strategy": "certificate", "target": length,
+        },
+        "status": "ok",
+    }
+
+
+def test_a_plan_of_a_million_actions_in_json():
+    check_plan_in_json(10**6)
+
+
+def test_the_longest_plan_in_json():
+    # The listing is 300 MB.
+    check_plan_in_json(PLAN_LENGTH.most)
 
 
 def test_the_largest_target_in_text():
     # Text prints the plan's one run, so the plan-length limit does not bind.
-    done = run_limited("-m", "deduce.cli", *PLAN, str(MAX_TARGET))
-    assert (done.returncode, done.stdout, done.stderr) == (0, f"add 1 ×{MAX_TARGET}\n", "")
-
-
-#: One past each bound that is refused up front rather than met.
-REFUSALS = {
-    "plan-in-json": [*PLAN, str(MAX_PLAN_LENGTH + 1), "--format", "json"],
-    "table": ["table", " & ".join(f"A{i}" for i in range(TABLE_MAX_ATOMS + 1))],
-}
-
-
-@pytest.mark.parametrize("name", REFUSALS)
-def test_one_past_a_refused_bound(name):
-    done = run_limited("-m", "deduce.cli", *REFUSALS[name])
-    assert (done.returncode, done.stdout) == (2, "")
-    (line,) = done.stderr.splitlines()
-    assert line.startswith("error: ")
+    done = run_limited("-m", "deduce.cli", *PLAN, str(TARGET.most))
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"add 1 ×{TARGET.most}\n", "")
 
 
 # Inputs that the parser must read whole.  The longest is 130,004 bytes,

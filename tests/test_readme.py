@@ -9,11 +9,12 @@ import re
 import shlex
 import sys
 import tokenize
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-from deduce import categorical, jugs, logic, parser, rules
+from deduce import _limits, categorical, jugs, logic, parser, rules
 from helpers import run_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -101,3 +102,28 @@ def test_each_value_in_the_quick_tour_is_the_one_shown():
     assert shown
     for source, value, comment in shown:
         assert value == eval(comment, _names(value)), source
+
+
+def test_the_table_of_limits_is_the_one_in_the_package():
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| (.*) \| (.*) \| (.*) \| (.*) \|$", README.read_text(), re.M)
+    assert [row[:4] for row in rows] == [
+        (
+            limit.name,
+            limit.counts,
+            f"{limit.most}" if limit.least is None else f"{limit.least} to {limit.most}",
+            ", ".join(f"`--{name}`" for name in limit.values) or "—",
+        )
+        for limit in _limits.LIMITS
+    ]
+    # The library refuses with an exception of the limit's module, or
+    # ``ValueError`` itself; a CLI-only limit with none.
+    for (name, *_, refusal) in rows:
+        module = vars(import_module(f"deduce.{name.split('.')[0]}")) | {"ValueError": ValueError}
+        assert refusal == "—" or issubclass(module[refusal.strip("`")], ValueError)
+
+
+def test_the_refusal_shown_is_the_one_the_library_gives():
+    shown = re.search(r"for example:\n\n```text\n(.*)\n```", README.read_text())[1]
+    with pytest.raises(ValueError) as excinfo:
+        jugs.JugProblem(3, 5, jugs.MAX_TARGET + 1)
+    assert str(excinfo.value) == shown
