@@ -30,6 +30,9 @@ TARGET = Limit("jugs.MAX_TARGET", "the amount a plan makes", 1, 10**9, ("target"
 LIMIT = Limit("jugs.MAX_LIMIT", "the largest amount `amounts` lists", 1, 10**6, ("limit",))
 PLAN_LENGTH = Limit("jugs.MAX_PLAN_LENGTH", "the actions of an expanded plan", None, 10**7)
 
+#: ``jugs gcd`` alone takes m from 0, as gcd(n, 0) = n.
+GCD_LEAST_M = 0
+
 #: Every limit, in the order README lists them.
 LIMITS = (ATOMS, TABLE_ATOMS, CAPACITY, TARGET, LIMIT, PLAN_LENGTH)
 
@@ -37,12 +40,14 @@ LIMITS = (ATOMS, TABLE_ATOMS, CAPACITY, TARGET, LIMIT, PLAN_LENGTH)
 VALUES = {name: limit for limit in LIMITS for name in limit.values}
 
 
-def refusal(what: str, value: int | str, most: int, least: int | None = None, knob: str = "") -> str:
-    """The one message that refuses ``value`` of ``what`` past the bound
-    ``most`` (and ``least``, if given), and names the knob that sets it:
-    ``knob``, or else the option ``--what`` and the limit on it."""
-    bound = most if least is None else f"{least} to {most}"
-    knob = knob or f"--{what}, {VALUES[what].name}"
+def refusal(limit: Limit, what: str, value: int | str, least: int | None = None) -> str:
+    """The one message that refuses ``value`` of ``what`` past ``limit``,
+    whose range starts at ``least`` if given, else where the limit's does.
+    It names the knob: the option ``--what`` too, if ``what`` is one of the
+    limit's values."""
+    least = limit.least if least is None else least
+    bound = limit.most if least is None else f"{least} to {limit.most}"
+    knob = f"--{what}, {limit.name}" if what in limit.values else limit.name
     return f"{what} is {_quoted(value)}; the limit is {bound} ({knob})"
 
 

@@ -347,17 +347,17 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
 # --- Argument parsing --------------------------------------------------------
 
 
-def _integer(name: str, least: int | None = None) -> Callable[[str], int]:
+def _integer(name: str, least: str = "") -> Callable[[str], int]:
     """The argparse type of option ``--name``: an integer in its limit's
-    range, from ``least`` if given.  Both ends are refused here, before the
-    library's own check.  The limit is read on conversion, so that a usage
-    error does not load ``_limits``."""
+    range, from the ``_limits`` constant named ``least`` if given.  Both
+    ends are refused here, before the library's own check.  The limit is
+    read on conversion, so that a usage error does not load ``_limits``."""
 
     def convert(text: str) -> int:
-        from ._limits import VALUES, refusal
+        from . import _limits
 
-        limit = VALUES[name]
-        low = limit.least if least is None else least
+        limit = _limits.VALUES[name]
+        low = getattr(_limits, least) if least else limit.least
         try:
             value = int(text)
         except ValueError:
@@ -368,7 +368,7 @@ def _integer(name: str, least: int | None = None) -> Callable[[str], int]:
                 return value
         # ArgumentTypeError keeps argparse from naming this function in the
         # message, as it does for a ValueError.
-        raise argparse.ArgumentTypeError(refusal(name, value, limit.most, low))
+        raise argparse.ArgumentTypeError(_limits.refusal(limit, name, value, low))
 
     return convert
 
@@ -378,12 +378,13 @@ def _arg(*names: str, **options) -> tuple:
     return names, options
 
 
-def _option(name: str, least: int | None = None) -> tuple:
+def _option(name: str, least: str = "") -> tuple:
     """A required integer option, ``--name``, bounded by its limit."""
     return _arg(f"--{name}", type=_integer(name, least), required=True)
 
 
-#: The capacities of the two vessels; ``jugs gcd`` alone allows m = 0.
+#: The capacities of the two vessels; ``jugs gcd`` alone takes m from
+#: ``_limits.GCD_LEAST_M``.
 _VESSELS = [_option("n"), _option("m")]
 
 
@@ -426,7 +427,8 @@ _COMMANDS = (
      [_arg("formula", help="e.g. 'forall x. P(x) -> Q(x)' or 'exists x. P(x) & ~Q(x)'")],
      _cmd_quant_negate),
     ("jugs", "two-vessel measuring in the marked-container model", [], None),
-    ("jugs gcd", "greatest common divisor", [_option("n"), _option("m", 0)], _cmd_jugs_gcd),
+    ("jugs gcd", "greatest common divisor",
+     [_option("n"), _option("m", "GCD_LEAST_M")], _cmd_jugs_gcd),
     ("jugs bezout", "Bézout certificate a·n + b·m = gcd(n, m)", _VESSELS, _cmd_jugs_bezout),
     ("jugs amounts", "all producible amounts up to a limit",
      [*_VESSELS, _option("limit")], _cmd_jugs_amounts),

@@ -24,13 +24,13 @@ from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import chain, groupby, repeat
 
-from ._limits import CAPACITY, LIMIT, PLAN_LENGTH, TARGET, refusal
+from ._limits import CAPACITY, GCD_LEAST_M, LIMIT, PLAN_LENGTH, TARGET, VALUES, refusal
 from ._record import Record, _setattr
 
-MAX_CAPACITY = CAPACITY.most
-MAX_TARGET = TARGET.most
+MIN_CAPACITY, MAX_CAPACITY = CAPACITY.least, CAPACITY.most
+MIN_TARGET, MAX_TARGET = TARGET.least, TARGET.most
+MIN_LIMIT, MAX_LIMIT = LIMIT.least, LIMIT.most
 MAX_PLAN_LENGTH = PLAN_LENGTH.most
-MAX_LIMIT = LIMIT.most
 
 
 class ViolationKind(Enum):
@@ -72,7 +72,7 @@ class PlanTooLong(ValueError):
     refused before any action is built."""
 
     def __init__(self, length: int):
-        super().__init__(refusal("plan length", length, MAX_PLAN_LENGTH, knob=PLAN_LENGTH.name))
+        super().__init__(refusal(PLAN_LENGTH, "plan length", length))
         self.length = length
 
     def __reduce__(self):
@@ -80,13 +80,14 @@ class PlanTooLong(ValueError):
 
 
 def _check_range(
-    value: int, name: str, maximum: int = MAX_CAPACITY, minimum: int = 1
+    value: int, name: str, maximum: int = MAX_CAPACITY, minimum: int = MIN_CAPACITY
 ) -> None:
     # ``bool`` is an ``int`` subclass, but True is no vessel size.
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if not minimum <= value <= maximum:
-        raise ValueError(refusal(name, value, maximum, minimum))
+        # Only a refusal reads the table, for the limit that ``name`` is under.
+        raise ValueError(refusal(VALUES[name], name, value, minimum))
 
 
 class JugProblem(Record):
@@ -97,7 +98,7 @@ class JugProblem(Record):
     def __init__(self, n: int, m: int, target: int):
         _check_range(n, "n")
         _check_range(m, "m")
-        _check_range(target, "target", MAX_TARGET)
+        _check_range(target, "target", MAX_TARGET, MIN_TARGET)
         _setattr(self, "n", n)
         _setattr(self, "m", m)
         _setattr(self, "target", target)
@@ -186,7 +187,7 @@ class Strategy(Enum):
 def gcd(n: int, m: int) -> int:
     """Greatest common divisor; n ≥ 1, m ≥ 0."""
     _check_range(n, "n")
-    _check_range(m, "m", minimum=0)
+    _check_range(m, "m", minimum=GCD_LEAST_M)
     return math.gcd(n, m)
 
 
@@ -212,7 +213,7 @@ def _amounts(n: int, m: int, limit: int) -> range:
     gcd(n, m)."""
     _check_range(n, "n")
     _check_range(m, "m")
-    _check_range(limit, "limit", MAX_LIMIT)
+    _check_range(limit, "limit", MAX_LIMIT, MIN_LIMIT)
     g = math.gcd(n, m)
     return range(g, limit + 1, g)
 

@@ -50,17 +50,17 @@ class MissingAtom(LookupError):
 
 
 class TooManyAtoms(ValueError):
-    """A query would enumerate more atoms than its ``limit`` allows:
-    ``MAX_ATOMS``, unless ``knob`` names the setting of another."""
+    """A query would enumerate more atoms than the limit ``entry`` allows,
+    ``MAX_ATOMS`` unless another is given; ``limit`` is its bound."""
 
-    def __init__(self, count: int, limit: int = MAX_ATOMS, knob: str = ATOMS.name):
-        super().__init__(refusal("atom count", count, limit, knob=knob))
+    def __init__(self, count: int, entry: Limit = ATOMS):
+        super().__init__(refusal(entry, "atom count", count))
         self.count = count
-        self.limit = limit
-        self.knob = knob
+        self.limit = entry.most
+        self._entry = entry
 
     def __reduce__(self):
-        return type(self), (self.count, self.limit, self.knob)
+        return type(self), (self.count, self._entry)
 
 
 @total_ordering
@@ -308,7 +308,7 @@ def _scan(
         repeated = next(a for i, a in enumerate(columns) if position[a.name] != i)
         raise ValueError(f"over repeats atom {repeated.name!r}")
     if n > limit.most:
-        raise TooManyAtoms(n, limit.most, limit.name)
+        raise TooManyAtoms(n, limit)
     for atom in found:
         if atom.name not in position:
             raise MissingAtom(atom.name)

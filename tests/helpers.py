@@ -781,7 +781,7 @@ def reference_build_parser() -> argparse.ArgumentParser:
     jugs_sub = jugs_parser.add_subparsers(dest="subcommand", required=True)
     jugs_gcd = jugs_sub.add_parser("gcd", parents=[common], help="greatest common divisor")
     jugs_gcd.add_argument("--n", type=cli._integer("n"), required=True)
-    jugs_gcd.add_argument("--m", type=cli._integer("m", 0), required=True)
+    jugs_gcd.add_argument("--m", type=cli._integer("m", "GCD_LEAST_M"), required=True)
     jugs_gcd.set_defaults(handler=cli._cmd_jugs_gcd)
     jugs_bezout = jugs_sub.add_parser(
         "bezout", parents=[common], help="Bézout certificate a·n + b·m = gcd(n, m)"

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from deduce import categorical, cli, jugs, logic, rules
-from deduce._limits import ATOMS, PLAN_LENGTH, TABLE_ATOMS, VALUES, refusal
+from deduce._limits import ATOMS, GCD_LEAST_M, PLAN_LENGTH, TABLE_ATOMS, VALUES, refusal
 from deduce.cli import build_parser, main
 from deduce.logic import Atom, prop
 from deduce.parser import ParseError, Style, format_formula, parse
@@ -818,11 +818,11 @@ _CATEGORICAL = st.one_of(
 _IMPORT_FLAG = st.sampled_from([[], ["--existential-import"]])
 
 # The values each ``jugs`` command takes, in argv order, and the least of
-# each where it is not its limit's: ``jugs gcd`` allows m = 0.  Values are
+# each where it is not its limit's.  Values are
 # drawn at and around both ends of the range, and past Python's limit on
 # the digits ``int()`` converts.
 _JUG_OPTIONS = {
-    "gcd": {"n": None, "m": 0},
+    "gcd": {"n": None, "m": GCD_LEAST_M},
     "bezout": {"n": None, "m": None},
     "amounts": {"n": None, "m": None, "limit": None},
     "plan": {"n": None, "m": None, "target": None},
@@ -863,7 +863,7 @@ def _value_refused(argv: list[str]) -> str | None:
         else:
             if least <= value <= most:
                 continue
-        return f"error: argument --{name}: {refusal(name, value, most, least)}\n"
+        return f"error: argument --{name}: {refusal(VALUES[name], name, value, least)}\n"
     return None
 
 
@@ -940,8 +940,7 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(command, output):
         limit = TABLE_ATOMS if command[0] == "table" else ATOMS
         assert (code == 2) is (len(chain) > limit.most)
         if code == 2:
-            message = refusal("atom count", len(chain), limit.most, knob=limit.name)
-            assert err.getvalue() == f"error: {message}\n"
+            assert err.getvalue() == f"error: {refusal(limit, 'atom count', len(chain))}\n"
     if code == 2:
         assert out.getvalue() == ""
         assert "error: " in err.getvalue()

@@ -17,7 +17,9 @@ import pytest
 from helpers import contract_digest
 
 from deduce import categorical, rules
-from deduce._limits import ATOMS, CAPACITY, LIMIT, PLAN_LENGTH, TABLE_ATOMS, TARGET, Limit
+from deduce._limits import (
+    ATOMS, CAPACITY, GCD_LEAST_M, LIMIT, PLAN_LENGTH, TABLE_ATOMS, TARGET, Limit,
+)
 
 _LEAVES = ["P", "Q", "R"]
 _NOT = ["¬", "!", "~", "no"]
@@ -177,7 +179,7 @@ FAMILIES: dict[str, list[list[str]]] = {
     "jugs gcd": [
         *(["jugs", "gcd", "--n", str(n), "--m", str(m)] for n in _SMALL for m in range(13)),
         *_jugs("gcd", {"--n": 12, "--m": 18},
-               {"--n": _CAPACITY, "--m": _ends(CAPACITY, 0)}),
+               {"--n": _CAPACITY, "--m": _ends(CAPACITY, GCD_LEAST_M)}),
     ],
     "jugs bezout": [
         *(["jugs", "bezout", "--n", str(n), "--m", str(m)] for n in _SMALL for m in _SMALL),

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from deduce._limits import TABLE_ATOMS
 from deduce.categorical import UnknownPredicate, UnknownSyllogism
 from deduce.jugs import NotAchievable, PlanTooLong, PlanViolation, ViolationKind
 from deduce.logic import MissingAtom, TooManyAtoms
@@ -17,8 +18,8 @@ ERRORS = [
     (ParseError(ErrorKind.UNBALANCED_PAREN, SourceSpan(2, 2), "missing ')'"),
      ("kind", "span", "message")),
     (MissingAtom("P"), ("name",)),
-    (TooManyAtoms(30), ("count", "limit", "knob")),
-    (TooManyAtoms(17, 16, "cli.TABLE_MAX_ATOMS"), ("count", "limit", "knob")),
+    (TooManyAtoms(30), ("count", "limit")),
+    (TooManyAtoms(17, TABLE_ATOMS), ("count", "limit")),
     (UnknownPredicate("M"), ("name",)),
     (UnknownSyllogism("barbarb"), ("name",)),
     (UnknownRule("modus-tollendo"), ("name",)),

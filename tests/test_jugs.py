@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from deduce._limits import VALUES
+from deduce._limits import GCD_LEAST_M, VALUES
 from deduce.jugs import (
     MAX_PLAN_LENGTH,
     AddJug,
@@ -403,7 +403,7 @@ class TestValidation:
         "call,name,least",
         [
             (lambda value: gcd(value, 6), "n", None),
-            (lambda value: gcd(3, value), "m", 0),
+            (lambda value: gcd(3, value), "m", GCD_LEAST_M),
             (lambda value: JugProblem(value, 3, 1), "n", None),
             (lambda value: JugProblem(3, value, 1), "m", None),
             (lambda value: JugProblem(3, 5, value), "target", None),
@@ -412,7 +412,7 @@ class TestValidation:
         ids=["capacity", "gcd m", "problem n", "problem m", "target", "limit"],
     )
     def test_bound_messages_name_the_knob_and_cut_long_values(self, call, name, least):
-        # ``gcd`` alone takes m = 0; every other value starts where its limit does.
+        # ``gcd``'s m alone does not start where its limit does.
         limit = VALUES[name]
         least = limit.least if least is None else least
         bound = f"; the limit is {least} to {limit.most} (--{name}, {limit.name})"

@@ -4,9 +4,9 @@ space and 5 CPU-seconds.
 
 A run at each end of a limit's range must exit with its own code and
 write nothing to stderr; what it prints is pinned by the contract digests,
-but for the longest listings, which are compared here a chunk at a time.
-A run one past an end must exit 2 before any output, with a refusal that
-names the value and the limit's knob.  The ceilings are rlimits of the
+but for the longest listings, which are checked here in full.  A run one
+past an end must exit 2 before any output, with the one refusal of that
+value, which names the limit's knob.  The ceilings are rlimits of the
 child alone.  ``RLIMIT_AS`` counts address space, not resident memory,
 and the interpreter takes about 16 MB of it before ``deduce`` is
 imported.
@@ -23,7 +23,9 @@ from pathlib import Path
 import pytest
 
 from deduce import _limits
-from deduce._limits import ATOMS, CAPACITY, LIMIT, LIMITS, PLAN_LENGTH, TABLE_ATOMS, TARGET
+from deduce._limits import (
+    ATOMS, CAPACITY, LIMIT, LIMITS, PLAN_LENGTH, TABLE_ATOMS, TARGET, refusal,
+)
 from helpers import child_env
 
 
@@ -41,11 +43,10 @@ def _ceilings() -> None:
     resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS))
 
 
-def run_limited(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def run_limited(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args],
-        stdout=stdout,
-        stderr=subprocess.PIPE,
+        capture_output=True,
         text=True,
         env=child_env(),
         preexec_fn=_ceilings,
@@ -64,16 +65,18 @@ def chain(count: int) -> str:
 
 
 PLAN = ("jugs", "plan", "--n", "1", "--m", "1", "--target")
+AMOUNTS_OF_1 = ("jugs", "amounts", "--n", "1", "--m", "1")
 
-#: Each limit's name -> the argv of a command whose value under that limit
-#: is ``value``.
+#: Each limit's name -> what its refusal calls the value it bounds, the
+#: argv of a command whose value under it is ``value``, and the code that
+#: command exits with, in text, at either end of the limit's range.
 COMMANDS = {
-    ATOMS.name: lambda value: ["classify", chain(value)],
-    TABLE_ATOMS.name: lambda value: ["table", chain(value)],
-    CAPACITY.name: lambda value: ["jugs", "bezout", "--n", str(value), "--m", "1"],
-    TARGET.name: lambda value: ["jugs", "plan", "--n", "1000", "--m", "1000", "--target", str(value)],
-    LIMIT.name: lambda value: ["jugs", "amounts", "--n", "1", "--m", "1", "--limit", str(value)],
-    PLAN_LENGTH.name: lambda value: [*PLAN, str(value)],
+    ATOMS.name: ("atom count", lambda value: ["classify", chain(value)], 1),
+    TABLE_ATOMS.name: ("atom count", lambda value: ["table", chain(value)], 0),
+    CAPACITY.name: ("n", lambda value: ["jugs", "bezout", "--n", str(value), "--m", "1"], 0),
+    TARGET.name: ("target", lambda value: [*PLAN, str(value)], 0),
+    LIMIT.name: ("limit", lambda value: [*AMOUNTS_OF_1, "--limit", str(value)], 0),
+    PLAN_LENGTH.name: ("plan length", lambda value: [*PLAN, str(value)], 0),
 }
 
 
@@ -81,22 +84,61 @@ COMMANDS = {
 def test_each_end_of_a_limit_and_one_past_it(limit):
     module, constant = limit.name.split(".")
     assert getattr(importlib.import_module(f"deduce.{module}"), constant) == limit.most
+    what, command, code = COMMANDS[limit.name]
     ends = [limit.most, *([] if limit.least is None else [limit.least])]
     for end, past in zip(ends, [1, -1]):
-        # At the limit only the exit code and stderr are read: a JSON plan
-        # there is 300 MB.  The contract digests pin what a listing holds.
-        for output in ("text", "json"):
-            argv = [*COMMANDS[limit.name](end), "--format", output]
-            done = run_limited("-m", "deduce.cli", *argv, stdout=subprocess.DEVNULL)
-            assert (done.returncode in (0, 1), done.stderr) == (True, ""), argv
-        # One past it, the value is refused up front, by a line that names
-        # it and the limit's knob.  Only JSON lists a plan's actions.
-        done = run_limited("-m", "deduce.cli", *COMMANDS[limit.name](end + past), "--format", "json")
+        # At the limit: what the longest listings hold is checked below, and
+        # the rest is pinned by the contract digests.
+        done = run_limited("-m", "deduce.cli", *command(end))
+        assert (done.returncode, done.stderr) == (code, ""), end
+        # One past it, the value is refused up front, in JSON too, which
+        # alone lists a plan's actions.
+        done = run_limited("-m", "deduce.cli", *command(end + past), "--format", "json")
         assert (done.returncode, done.stdout) == (2, ""), end + past
-        *_, line = done.stderr.splitlines()
-        assert "error: " in line
-        assert f" is {end + past}; the limit is " in line
-        assert line.endswith(f"{limit.name})")
+        message = refusal(limit, what, end + past)
+        if limit.values:
+            # argparse's refusal, after its usage line.
+            assert done.stderr.startswith("usage: ")
+            assert done.stderr.endswith(f": error: argument --{what}: {message}\n")
+        else:
+            assert done.stderr == f"error: {message}\n"
+
+
+WIDEST_TABLE = COMMANDS[TABLE_ATOMS.name][1](TABLE_ATOMS.most)
+
+
+def test_the_widest_table_in_text():
+    done = run_limited("-m", "deduce.cli", *WIDEST_TABLE)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count("\n") == (1 << TABLE_ATOMS.most) + 1 == 65_537
+
+
+def test_the_widest_table_in_json():
+    done = run_limited("-m", "deduce.cli", *WIDEST_TABLE, "--format", "json")
+    assert (done.returncode, done.stderr) == (0, "")
+    (line,) = done.stdout.splitlines()
+    assert len(json.loads(line)["result"]["rows"]) == 1 << TABLE_ATOMS.most == 65_536
+
+
+AMOUNTS = COMMANDS[LIMIT.name][1](LIMIT.most)
+#: Every amount up to the limit, as both formats list them.
+ALL_AMOUNTS = range(1, LIMIT.most + 1)
+
+
+def test_the_most_amounts_in_text():
+    done = run_limited("-m", "deduce.cli", *AMOUNTS)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == " ".join(map(str, ALL_AMOUNTS)) + "\n"
+
+
+def test_the_most_amounts_in_json():
+    done = run_limited("-m", "deduce.cli", *AMOUNTS, "--format", "json")
+    assert (done.returncode, done.stderr) == (0, "")
+    # The envelope is parsed with the listing, compared as text, emptied.
+    listing = f"[{','.join(map(str, ALL_AMOUNTS))}]"
+    assert done.stdout.count(listing) == 1
+    envelope = json.loads(done.stdout.replace(listing, "[]"))
+    assert envelope["result"] == {"amounts": [], "limit": LIMIT.most, "m": 1, "n": 1}
 
 
 def read_listing(stream, item: bytes) -> tuple[bytes, int]:

@@ -120,6 +120,7 @@ def test_the_table_of_limits_is_the_one_in_the_package():
     for (name, *_, refusal) in rows:
         module = vars(import_module(f"deduce.{name.split('.')[0]}")) | {"ValueError": ValueError}
         assert refusal == "—" or issubclass(module[refusal.strip("`")], ValueError)
+    assert f"`jugs gcd` alone takes `--m {_limits.GCD_LEAST_M}`." in README.read_text()
 
 
 def test_the_refusal_shown_is_the_one_the_library_gives():
