@@ -17,7 +17,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -87,6 +87,23 @@ def _doubled(columns: list[tuple[str, str]]) -> list[str]:
     return rows
 
 
+def _rows(columns: list[tuple[str, str]], tails: Iterable[str]) -> Iterator[str]:
+    """Each canonical row's cells, joined, then its tail, rendered a block
+    of the scan at a time: the cells of a block's last ``_BLOCK_BITS``
+    columns are joined once, and each block puts its own constant columns'
+    cells before them.  No more than a block of rows is held at once."""
+    from .logic import _BLOCK_BITS
+
+    split = max(len(columns) - _BLOCK_BITS, 0)
+    suffixes = _doubled(columns[split:])
+    # ``map`` stops at its first iterable's end, so each block takes only
+    # its own rows' tails.
+    tails = iter(tails)
+    return chain.from_iterable(
+        map(add, map(prefix.__add__, suffixes), tails) for prefix in _doubled(columns[:split])
+    )
+
+
 def _cmd_table(args: argparse.Namespace) -> tuple:
     from . import logic
     from ._limits import TABLE_ATOMS
@@ -108,13 +125,12 @@ def _cmd_table(args: argparse.Namespace) -> tuple:
             (f'{head}"{name}":true', f'{head}"{name}":false') for head, name in zip(heads, names)
         ]
         ends = {"1": '},"value":true}', "0": '},"value":false}'}
-        result["rows"] = _Rendered(map(add, _doubled(fragments), map(ends.__getitem__, values)))
+        result["rows"] = _Rendered(_rows(fragments, map(ends.__getitem__, values)))
         return result, None, []
     # Every body cell is one letter, so each column is as wide as its header.
     cells = [("V".ljust(len(name)) + "  ", "F".ljust(len(name)) + "  ") for name in names]
-    lines = ["  ".join(names + [format_formula(formula, Style.SPANISH)])]
-    lines += map(add, _doubled(cells), values.translate(_LETTERS))
-    return result, None, lines
+    header = "  ".join(names + [format_formula(formula, Style.SPANISH)])
+    return result, None, chain([header], _rows(cells, values.translate(_LETTERS)))
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple:
@@ -480,9 +496,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-#: The most items of a listing that ``_emit`` joins into one write: some
-#: 127 KB of a plan's actions, 0.8 MB of a 16-atom table's rows.
+#: The most items of a listing that ``_emit`` joins into one write, and
+#: about the most characters: 4,096 amounts, 2,259 actions of a plan, or
+#: 337 rows of a 16-atom table.
 _BATCH = 1 << 12
+_BATCH_CHARS = 1 << 16
 
 
 class _Rendered:
@@ -497,7 +515,11 @@ class _Rendered:
 
 
 def _emit(
-    output_format: str, command: str, result: dict, counterexample: dict | None, lines: list[str]
+    output_format: str,
+    command: str,
+    result: dict,
+    counterexample: dict | None,
+    lines: Iterable[str],
 ) -> None:
     if output_format == "json":
         import json
@@ -524,9 +546,12 @@ def _emit(
         pieces = text.split('"\\u0000"')
         write = sys.stdout.write
         for piece, items in zip(pieces, rendered):
-            write(piece + "[" + ",".join(islice(items, _BATCH)))
+            # A listing's items are about as long as its first.
+            first = next(items, "")
+            size = min(_BATCH, _BATCH_CHARS // (len(first) or 1))
+            write(piece + "[" + first)
             # Items are JSON values, never empty, so an empty batch is the end.
-            while batch := ",".join(islice(items, _BATCH)):
+            while batch := ",".join(islice(items, size)):
                 write("," + batch)
             write("]")
         write(pieces[-1] + "\n")
@@ -575,7 +600,26 @@ def __getattr__(name: str):
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    """The ``deduce`` script: ``main`` on the process's own argv, then exit
+    with its code.  Unlike ``main``, this owns the process."""
+    for fd, name in ((1, "stdout"), (2, "stderr")):
+        try:
+            # Fails only if the descriptor is closed or cannot be written.
+            os.write(fd, b"")
+        except OSError:
+            # What the answer prints there is dropped, and its exit code
+            # stands.  A descriptor closed at start leaves its stream None.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            if getattr(sys, name) is None:
+                setattr(sys, name, open(fd, "w", encoding="utf-8", errors="replace"))
+    code = main()
+    import gc
+
+    # The process ends here, and nothing it made needs collecting: with
+    # every object in the permanent generation, the collection that
+    # finalization runs scans none of them.
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import gc
 import io
 import json
 import math
@@ -120,13 +121,18 @@ _BINARIES = (logic.Or, logic.And, logic.Implies, logic.Iff)
 
 # Names whose string order differs from their numeric order: P10 < P2.
 _NUMBERED_NAMES = ("P1", "P2", "P10", "P11")
+#: Enough names for the widest table.
+_WIDE_NAMES = (*_TABLE_NAMES, *_NUMBERED_NAMES, "Luna", "P20")
 
 
 @st.composite
-def _table_cases(draw, pool=_TABLE_NAMES, max_atoms=8):
-    """A formula over exactly 1-``max_atoms`` atoms of ``pool``, a style to
-    write it in, and a wider column order for ``truth_table(..., over=...)``."""
-    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_atoms, unique=True))
+def _table_cases(draw, pool=_TABLE_NAMES, max_atoms=8, min_atoms=1):
+    """A formula over exactly ``min_atoms``-``max_atoms`` atoms of ``pool``,
+    a style to write it in, and a wider column order for
+    ``truth_table(..., over=...)``."""
+    names = draw(
+        st.lists(st.sampled_from(pool), min_size=min_atoms, max_size=max_atoms, unique=True)
+    )
     formula = draw(formula_strategy(names, max_leaves=10))
     for name in names:
         if name not in atom_names(formula):
@@ -208,6 +214,16 @@ class TestTable:
     @given(_table_cases(_TABLE_NAMES + _NUMBERED_NAMES, max_atoms=10))
     @settings(max_examples=60, deadline=None)
     def test_output_matches_the_row_by_row_oracles(self, case):
+        self.check_against_the_row_by_row_oracles(case)
+
+    @given(_table_cases(_WIDE_NAMES, min_atoms=13, max_atoms=TABLE_ATOMS.most))
+    @settings(max_examples=3, deadline=None)
+    def test_output_over_several_blocks_matches_the_row_by_row_oracles(self, case):
+        # Two to sixteen blocks of 4,096 rows, each rendered on its own.
+        self.check_against_the_row_by_row_oracles(case)
+
+    @staticmethod
+    def check_against_the_row_by_row_oracles(case):
         # Text against the measured grid, and JSON byte for byte against
         # ``json.dumps`` of one dict per row.
         formula, style, _ = case
@@ -1091,6 +1107,53 @@ def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
     assert (done.returncode, done.stderr) == (code, "")
 
 
+def _unwritable(fd: int) -> None:
+    os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+
+
+#: How a child's descriptor is left unusable at start: closed, or open
+#: only for reading (as a launcher script can leave it).
+_SPOILERS = {"closed": os.close, "read-only": _unwritable}
+
+_SPOILT_AT_START_CASES = [
+    (["classify", "P ó ¬P"], 0),
+    (["syllogism", "check", "darapti"], 1),
+    (["classify", "P y ?"], 2),
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("spoiler", _SPOILERS)
+@pytest.mark.parametrize("fds", [(1,), (2,), (1, 2)], ids=["stdout", "stderr", "both"])
+@pytest.mark.parametrize(
+    "argv,code", _SPOILT_AT_START_CASES, ids=["tautology", "refuted", "parse-error", "help"]
+)
+def test_an_unusable_descriptor_at_start_keeps_the_exit_code(
+    argv, code, fds, spoiler, monkeypatch
+):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def spoil() -> None:
+        # In the child, after its pipes are in place.
+        for fd in fds:
+            _SPOILERS[spoiler](fd)
+
+    done = subprocess.run(
+        [sys.executable, "-m", "deduce.cli", *argv],
+        capture_output=True,
+        encoding="utf-8",
+        env=child_env(),
+        preexec_fn=spoil,
+        timeout=60,
+    )
+    # What goes to a spoilt stream is dropped; the other is what ``main``
+    # writes.
+    want, out, err = run_main(argv)
+    assert done.returncode == want == code
+    assert done.stdout == ("" if 1 in fds else out)
+    assert done.stderr == ("" if 2 in fds else err)
+
+
 def test_the_console_script_runs_console_main():
     # Read as text: Python 3.10 has no ``tomllib``.
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
@@ -1120,6 +1183,50 @@ def test_the_console_entry_point_exits_with_what_main_returns(argv, code, monkey
     )
     assert (done.returncode, done.stdout, done.stderr) == run_main(argv)
     assert done.returncode == code
+
+
+_FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count(), gc.isenabled()))
+from deduce.cli import console_main
+console_main()
+"""
+
+
+def test_the_console_entry_point_freezes_the_heap_before_exit():
+    # The probe runs at exit, after ``console_main`` has raised SystemExit.
+    done = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, "classify", "P ó ¬P"],
+        capture_output=True,
+        encoding="utf-8",
+        env=child_env(),
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    answer, probe = done.stdout.splitlines()
+    assert answer == "tautología"
+    word, count, enabled = probe.split()
+    assert (word, enabled) == ("frozen:", "True")
+    assert int(count) > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, _ in _CONSOLE_CASES] + [["table", "P y Q", "--format", "json"]],
+    ids=["help", "json-answer", "refuted", "parse-error", "no-command", "json-table"],
+)
+def test_main_leaves_the_collector_as_it_found_it(argv, enabled):
+    # Tests, library callers and the traced benchmark call ``main`` in
+    # process, so only ``console_main`` may freeze the heap.
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        run_main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # --- The table-built parser, reused, against the spelt-out one ---------------

@@ -6,10 +6,11 @@ A run at each end of a limit's range must exit with its own code and
 write nothing to stderr; what it prints is pinned by the contract digests,
 but for the longest listings, which are checked here in full.  A run one
 past an end must exit 2 before any output, with the one refusal of that
-value, which names the limit's knob.  The ceilings are rlimits of the
-child alone.  ``RLIMIT_AS`` counts address space, not resident memory,
-and the interpreter takes about 16 MB of it before ``deduce`` is
-imported.
+value, which names the limit's knob.  The longest listings must also
+peak in memory under what ``deduce --help`` peaks at, plus 2 MB.  The
+ceilings are rlimits of the child alone.  ``RLIMIT_AS`` counts address
+space, not resident memory, and the interpreter takes about 16 MB of it
+before ``deduce`` is imported.
 """
 
 import ast
@@ -192,6 +193,50 @@ def test_a_plan_of_a_million_actions_in_json():
 def test_the_longest_plan_in_json():
     # The listing is 300 MB.
     check_plan_in_json(PLAN_LENGTH.most)
+
+
+#: Runs ``deduce`` on its argv with stdout to /dev/null, as the child of
+#: this bare interpreter, and prints its exit code and peak resident
+#: memory in KB.  Linux keeps ``ru_maxrss`` across ``execve``, so a child
+#: forked from the test process itself would start at that process's peak.
+LAUNCHER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, "-m", "deduce.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+#: The most a listing at its limit may hold over ``deduce --help``.
+MEMORY_MARGIN_KB = 2 << 10
+
+LISTINGS = {
+    "plan-in-json": [*PLAN, str(PLAN_LENGTH.most), "--format", "json"],
+    "amounts-in-json": [*AMOUNTS, "--format", "json"],
+    "table-in-text": WIDEST_TABLE,
+    "table-in-json": [*WIDEST_TABLE, "--format", "json"],
+}
+
+
+def peak_memory_kb(*argv: str) -> tuple[int, int]:
+    """The exit code and peak resident memory of ``deduce`` on ``argv``,
+    under the ceilings."""
+    done = run_limited("-c", LAUNCHER, *argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    code, peak = map(int, done.stdout.split())
+    return code, peak
+
+
+@pytest.mark.parametrize("name", LISTINGS)
+def test_a_listing_at_its_limit_holds_no_more_than_a_batch(name):
+    # A listing is written a batch at a time, so its peak does not grow
+    # with its length.
+    _, baseline = peak_memory_kb("--help")
+    code, peak = peak_memory_kb(*LISTINGS[name])
+    assert code == 0
+    assert peak < baseline + MEMORY_MARGIN_KB, (peak, baseline)
 
 
 def test_the_largest_target_in_text():
