@@ -61,9 +61,9 @@ def _model_text(model: categorical.FiniteModel) -> str:
 
 # --- Command handlers --------------------------------------------------------
 #
-# A handler returns the command's answer: its result, its counterexample
-# (None unless refuted) and its text lines.  ``main`` reads the command's
-# name from the parsed command path.
+# A handler returns the command's answer: its result, in which a listing
+# may be an iterator of its items' JSON texts, its counterexample (None
+# unless refuted), its text lines and, if not "\n", what joins them.
 
 
 def _refutable(result: dict, verdict: str, counter: dict[str, bool] | None) -> tuple:
@@ -125,7 +125,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple:
             (f'{head}"{name}":true', f'{head}"{name}":false') for head, name in zip(heads, names)
         ]
         ends = {"1": '},"value":true}', "0": '},"value":false}'}
-        result["rows"] = _Rendered(_rows(fragments, map(ends.__getitem__, values)))
+        result["rows"] = _rows(fragments, map(ends.__getitem__, values))
         return result, None, []
     # Every body cell is one letter, so each column is as wide as its header.
     cells = [("V".ljust(len(name)) + "  ", "F".ljust(len(name)) + "  ") for name in names]
@@ -320,14 +320,11 @@ def _cmd_jugs_bezout(args: argparse.Namespace) -> tuple:
 def _cmd_jugs_amounts(args: argparse.Namespace) -> tuple:
     from . import jugs
 
-    amounts = jugs._amounts(args.n, args.m, args.limit)
-    result = {"n": args.n, "m": args.m, "limit": args.limit}
-    # Only the chosen format is rendered, from the range: up to
-    # ``jugs.MAX_LIMIT`` amounts are never held as a list of ints.
-    if args.format == "json":
-        result["amounts"] = _Rendered(map(str, amounts))
-        return result, None, []
-    return result, None, [" ".join(map(str, amounts))] if amounts else []
+    # One iterator is both the JSON listing and the text line's words, and
+    # only the chosen format reads it: no list of amounts is ever built.
+    amounts = map(str, jugs._amounts(args.n, args.m, args.limit))
+    result = {"n": args.n, "m": args.m, "limit": args.limit, "amounts": amounts}
+    return result, None, amounts, " "
 
 
 def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
@@ -356,7 +353,7 @@ def _cmd_jugs_plan(args: argparse.Namespace) -> tuple:
     # ``jugs.MAX_PLAN_LENGTH``; text prints the runs.  Each run's entry is
     # rendered once, in ``sort_keys`` order, and joined as often as it runs.
     if args.format == "json":
-        result["actions"] = _Rendered(jugs._expand(runs))
+        result["actions"] = jugs._expand(runs)
     return result, None, ["; ".join(grouped)]
 
 
@@ -496,22 +493,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-#: The most items of a listing that ``_emit`` joins into one write, and
-#: about the most characters: 4,096 amounts, 2,259 actions of a plan, or
-#: 337 rows of a 16-atom table.
-_BATCH = 1 << 12
+#: About the most characters that ``_write`` joins into one write.
 _BATCH_CHARS = 1 << 16
 
 
-class _Rendered:
-    """A list of an answer given as its items' JSON texts, which ``_emit``
-    writes in its place a batch at a time, so that no more than a batch of
-    a long listing is held as text."""
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: Iterable[str]):
-        self.items = iter(items)
+def _write(items: Iterable[str], sep: str) -> bool:
+    """Writes ``sep.join(items)`` a batch at a time, of 4,096 amounts, 2,259
+    plan actions or 337 rows of a 16-atom table, so that no more than a
+    batch of a long answer is held as text.  Returns whether there was an
+    item."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        return False
+    # An answer's items are about as long as its first.
+    size = _BATCH_CHARS // max(len(first), 16) or 1
+    write = sys.stdout.write
+    write(first)
+    while batch := list(islice(items, size)):
+        write(sep + sep.join(batch))
+    return True
 
 
 def _emit(
@@ -520,6 +521,7 @@ def _emit(
     result: dict,
     counterexample: dict | None,
     lines: Iterable[str],
+    sep: str = "\n",
 ) -> None:
     if output_format == "json":
         import json
@@ -530,13 +532,14 @@ def _emit(
             "result": result,
             "counterexample": counterexample,
         }
-        # ``json`` writes a NUL string in place of each rendered list, and
-        # the list's items go where it stands.  No other string of an
-        # answer holds a NUL: each is a name or a formula ``deduce`` prints.
-        rendered: list[Iterator[str]] = []
+        # ``json`` calls ``default`` only for a value it cannot encode: an
+        # iterator of a listing's items, for which it writes a NUL string,
+        # and the items go where it stands.  No other string of an answer
+        # holds a NUL: each is a name or a formula ``deduce`` prints.
+        listings: list[Iterator[str]] = []
 
-        def placeholder(value: _Rendered) -> str:
-            rendered.append(value.items)
+        def placeholder(items: Iterator[str]) -> str:
+            listings.append(items)
             return "\0"
 
         text = json.dumps(
@@ -545,19 +548,13 @@ def _emit(
         )
         pieces = text.split('"\\u0000"')
         write = sys.stdout.write
-        for piece, items in zip(pieces, rendered):
-            # A listing's items are about as long as its first.
-            first = next(items, "")
-            size = min(_BATCH, _BATCH_CHARS // (len(first) or 1))
-            write(piece + "[" + first)
-            # Items are JSON values, never empty, so an empty batch is the end.
-            while batch := ",".join(islice(items, size)):
-                write("," + batch)
+        for piece, items in zip(pieces, listings):
+            write(piece + "[")
+            _write(items, ",")
             write("]")
         write(pieces[-1] + "\n")
-    else:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+    elif _write(lines, sep):
+        sys.stdout.write("\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -569,7 +566,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # The command path the parser matched names the command.
     command = f"{args.command} {args.subcommand}" if "subcommand" in args else args.command
     try:
-        result, counterexample, lines = args.handler(args)
+        result, counterexample, *text = args.handler(args)
     except (LookupError, ValueError) as exc:
         # A ParseError is read through its attributes, so that ``main``
         # need not load the parser.
@@ -579,7 +576,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     try:
-        _emit(args.format, command, result, counterexample, lines)
+        _emit(args.format, command, result, counterexample, *text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  The answer stands; send whatever is

@@ -18,16 +18,17 @@ import pytest
 from hypothesis import given, settings
 
 from deduce import categorical, cli, jugs, logic, rules
-from deduce._limits import ATOMS, GCD_LEAST_M, PLAN_LENGTH, TABLE_ATOMS, VALUES, refusal
+from deduce._limits import (
+    ATOMS, GCD_LEAST_M, LIMIT, PLAN_LENGTH, TABLE_ATOMS, VALUES, refusal,
+)
 from deduce.cli import build_parser, main
-from deduce.logic import Atom, prop
+from deduce.logic import prop
 from deduce.parser import ParseError, Style, format_formula, parse
 from helpers import (
     atom_names,
     child_env,
     formula_strategy,
     reference_build_parser,
-    reference_table,
     reference_table_json,
     reference_table_lines,
     run_main,
@@ -126,10 +127,9 @@ _WIDE_NAMES = (*_TABLE_NAMES, *_NUMBERED_NAMES, "Luna", "P20")
 
 
 @st.composite
-def _table_cases(draw, pool=_TABLE_NAMES, max_atoms=8, min_atoms=1):
+def _table_cases(draw, pool, max_atoms, min_atoms=1):
     """A formula over exactly ``min_atoms``-``max_atoms`` atoms of ``pool``,
-    a style to write it in, and a wider column order for
-    ``truth_table(..., over=...)``."""
+    and a style to write it in."""
     names = draw(
         st.lists(st.sampled_from(pool), min_size=min_atoms, max_size=max_atoms, unique=True)
     )
@@ -137,9 +137,7 @@ def _table_cases(draw, pool=_TABLE_NAMES, max_atoms=8, min_atoms=1):
     for name in names:
         if name not in atom_names(formula):
             formula = draw(st.sampled_from(_BINARIES))(formula, prop(name))
-    extra = [name for name in pool if name not in names][:2]
-    over = draw(st.permutations(names + extra))
-    return formula, draw(st.sampled_from(list(Style))), over
+    return formula, draw(st.sampled_from(list(Style)))
 
 
 class TestTable:
@@ -187,29 +185,16 @@ class TestTable:
         assert lines[1] == "  ".join(["V "] * 2 + ["V  "] * 6 + ["V "] * 8 + ["V"])
         assert lines[-1] == "  ".join(["F "] * 2 + ["F  "] * 6 + ["F "] * 8 + ["F"])
 
-    @given(_table_cases())
-    @settings(max_examples=120, deadline=None)
-    def test_output_matches_the_grid_layout(self, case):
-        formula, style, over = case
-        text = format_formula(formula, style)
-        names = atom_names(formula)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["table", text]) == 0
-        assert out.getvalue() == "\n".join(reference_table_lines(formula)) + "\n"
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["table", text, "--format", "json"]) == 0
-        result = json.loads(out.getvalue())["result"]
-        assert result["atoms"] == names
-        rows = [(row["valuation"], row["value"]) for row in result["rows"]]
-        assert rows == reference_table(formula, names)
-        # ``over`` adds columns the formula does not use, in any order.
-        table = logic.truth_table(formula, over=[Atom(name) for name in over])
-        assert [atom.name for atom in table.atoms] == over
-        assert [(row.valuation, row.value) for row in table.rows] == reference_table(
-            formula, over
-        )
+    def test_a_first_item_longer_than_a_batch_keeps_the_rest(self):
+        # A batch is sized by its first item: the header in text, the first
+        # row in JSON.
+        header = "P  " + "¬" * 70_000 + "P"
+        assert run_main(["table", "~" * 70_000 + "P"]) == (0, f"{header}\nV  V\nF  F\n", "")
+        long_names = "A" * 40_000 + " y " + "B" * 40_000
+        code, out, err = run_main(["table", long_names, "--format", "json"])
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["result"]["rows"]
+        assert [row["value"] for row in rows] == [True, False, False, False]
 
     @given(_table_cases(_TABLE_NAMES + _NUMBERED_NAMES, max_atoms=10))
     @settings(max_examples=60, deadline=None)
@@ -226,7 +211,7 @@ class TestTable:
     def check_against_the_row_by_row_oracles(case):
         # Text against the measured grid, and JSON byte for byte against
         # ``json.dumps`` of one dict per row.
-        formula, style, _ = case
+        formula, style = case
         text = format_formula(formula, style)
         want = "\n".join(reference_table_lines(formula)) + "\n"
         assert run_main(["table", text]) == (0, want, "")
@@ -1076,12 +1061,17 @@ _CLOSED_STDOUT_CASES = [
     (["syllogism", "check", "barbara"], 0),
     (["syllogism", "check", "darapti"], 1),
     (["table", " & ".join(f"P{i}" for i in range(TABLE_ATOMS.most))], 0),
+    # Listings written a batch at a time: a text line and a JSON list.
+    (["jugs", "amounts", "--n", "1", "--m", "1", "--limit", str(LIMIT.most)], 0),
+    (["--format", "json", "jugs", "plan", "--n", "1", "--m", "1", "--target", "1000000"], 0),
 ]
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "argv,code", _CLOSED_STDOUT_CASES, ids=["barbara", "darapti", "table-16-atoms"]
+    "argv,code",
+    _CLOSED_STDOUT_CASES,
+    ids=["barbara", "darapti", "table-16-atoms", "amounts-in-text", "plan-in-json"],
 )
 def test_a_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
     # The read end is closed before the child starts, so every write to its

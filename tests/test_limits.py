@@ -214,6 +214,7 @@ MEMORY_MARGIN_KB = 2 << 10
 
 LISTINGS = {
     "plan-in-json": [*PLAN, str(PLAN_LENGTH.most), "--format", "json"],
+    "amounts-in-text": [*AMOUNTS],
     "amounts-in-json": [*AMOUNTS, "--format", "json"],
     "table-in-text": WIDEST_TABLE,
     "table-in-json": [*WIDEST_TABLE, "--format", "json"],
