@@ -3,10 +3,10 @@ refuses a value past one.
 
 An entry gives the library name bound to the limit, what it counts, the
 least and most it allows, and the values it bounds: each of those is both
-a library parameter and the CLI option ``--<name>``.  The modules that
-enforce a limit bind its constant at import and compare against that;
-they read an entry again only to word a refusal.  This module imports
-nothing, so loading it costs no more than compiling it.
+a library parameter and the CLI option ``--<name>``.  A module that
+enforces a limit binds the limit's library name from its entry, and
+checks a value against the entry, which also words the refusal.  This
+module imports nothing, so loading it costs no more than compiling it.
 """
 
 

@@ -499,12 +499,11 @@ def eval_monadic(formula: MonadicFormula, model: FiniteModel) -> bool:
             elif kind in _BINARY_NODES:
                 pending.append((node, env, 0))
                 pending.append((node.left, env, None))
-            elif kind in _QUANTIFIER_NODES:
-                # The answer over an empty universe, or so far.
+            else:
+                # A quantifier: ``_require_closed`` refused any other node.
+                # Its answer over an empty universe, or so far.
                 value = kind is ForAll
                 pending.append((node, env, 0))
-            else:
-                raise TypeError(f"not a monadic formula: {node!r}")
         elif kind is MNot:
             value = not value
         elif kind in _BINARY_NODES:
@@ -570,11 +569,10 @@ def _nnf(formula: MonadicFormula, negated: bool) -> MonadicFormula:
             pending.append((_NNF[kind][arg], None))
             pending.append((node.right, arg))
             pending.append((node.left, not arg if kind is MImplies else arg))
-        elif kind in _QUANTIFIER_NODES:
+        else:
+            # A quantifier: ``_require_closed`` refused any other node.
             pending.append((_NNF[kind][arg], node))
             pending.append((node.body, arg))
-        else:
-            raise TypeError(f"not a monadic formula: {node!r}")
     return out[0]
 
 
@@ -615,9 +613,13 @@ def _keywords() -> frozenset[str]:
 
 def parse_monadic(text: str) -> MonadicFormula:
     """Parse the monadic surface syntax; raises ``ParseError`` on a fault."""
-    return _monadic().parse(text)
+    from .parser import _parse
+
+    return _parse(text, _monadic())
 
 
 def format_monadic(formula: MonadicFormula) -> str:
     """Render in the ASCII surface syntax with minimal parentheses."""
-    return _monadic().format(formula)
+    from .parser import Style, _format
+
+    return _format(formula, _monadic(), Style.ASCII)

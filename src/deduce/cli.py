@@ -194,12 +194,16 @@ def _cmd_rules_show(args: argparse.Namespace) -> tuple:
 
 def _cmd_rules_verify(args: argparse.Namespace) -> tuple:
     from . import rules
+    from .logic import Classification, falsifying_valuation
 
     schema = rules.get_rule(args.name)
-    # The registry refuses, at import, any pattern that is not a tautology.
     classification = rules.verify_rule(args.name)
+    # A pattern that is no tautology is refuted by its first falsifying row.
+    counter = None
+    if classification is not Classification.TAUTOLOGY:
+        counter = falsifying_valuation(schema.pattern)
     result = {"name": schema.name, "classification": classification.value}
-    return result, None, [_CLASS_SPANISH[classification.value]]
+    return _refutable(result, _CLASS_SPANISH[classification.value], counter)
 
 
 def _cmd_entail(args: argparse.Namespace) -> tuple:
@@ -287,12 +291,9 @@ def _cmd_quant_negate(args: argparse.Namespace) -> tuple:
     from . import categorical
 
     formula = categorical.parse_monadic(args.formula)
-    negated = categorical.negate_quantifiers(formula)
-    result = {
-        "formula": categorical.format_monadic(formula),
-        "negation_nnf": categorical.format_monadic(negated),
-    }
-    return result, None, [categorical.format_monadic(negated)]
+    negated = categorical.format_monadic(categorical.negate_quantifiers(formula))
+    result = {"formula": categorical.format_monadic(formula), "negation_nnf": negated}
+    return result, None, [negated]
 
 
 def _cmd_jugs_gcd(args: argparse.Namespace) -> tuple:
@@ -609,6 +610,9 @@ def console_main() -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
             if getattr(sys, name) is None:
                 setattr(sys, name, open(fd, "w", encoding="utf-8", errors="replace"))
+    # An answer's text may hold characters that stdout's encoding (ASCII,
+    # cp1252) cannot represent: those are escaped, not a traceback.
+    sys.stdout.reconfigure(errors="backslashreplace")
     code = main()
     import gc
 

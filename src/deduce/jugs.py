@@ -27,9 +27,9 @@ from itertools import chain, groupby, repeat
 from ._limits import CAPACITY, GCD_LEAST_M, LIMIT, PLAN_LENGTH, TARGET, VALUES, refusal
 from ._record import Record, _setattr
 
-MIN_CAPACITY, MAX_CAPACITY = CAPACITY.least, CAPACITY.most
-MIN_TARGET, MAX_TARGET = TARGET.least, TARGET.most
-MIN_LIMIT, MAX_LIMIT = LIMIT.least, LIMIT.most
+MAX_CAPACITY = CAPACITY.most
+MAX_TARGET = TARGET.most
+MAX_LIMIT = LIMIT.most
 MAX_PLAN_LENGTH = PLAN_LENGTH.most
 
 
@@ -79,15 +79,14 @@ class PlanTooLong(ValueError):
         return type(self), (self.length,)
 
 
-def _check_range(
-    value: int, name: str, maximum: int = MAX_CAPACITY, minimum: int = MIN_CAPACITY
-) -> None:
+def _check_range(value: int, name: str, least: int | None = None) -> None:
+    # The range is that of the limit ``name`` is under, from ``least`` if given.
     # ``bool`` is an ``int`` subclass, but True is no vessel size.
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if not minimum <= value <= maximum:
-        # Only a refusal reads the table, for the limit that ``name`` is under.
-        raise ValueError(refusal(VALUES[name], name, value, minimum))
+    limit = VALUES[name]
+    if not (limit.least if least is None else least) <= value <= limit.most:
+        raise ValueError(refusal(limit, name, value, least))
 
 
 class JugProblem(Record):
@@ -98,7 +97,7 @@ class JugProblem(Record):
     def __init__(self, n: int, m: int, target: int):
         _check_range(n, "n")
         _check_range(m, "m")
-        _check_range(target, "target", MAX_TARGET, MIN_TARGET)
+        _check_range(target, "target")
         _setattr(self, "n", n)
         _setattr(self, "m", m)
         _setattr(self, "target", target)
@@ -187,7 +186,7 @@ class Strategy(Enum):
 def gcd(n: int, m: int) -> int:
     """Greatest common divisor; n ≥ 1, m ≥ 0."""
     _check_range(n, "n")
-    _check_range(m, "m", minimum=GCD_LEAST_M)
+    _check_range(m, "m", GCD_LEAST_M)
     return math.gcd(n, m)
 
 
@@ -213,7 +212,7 @@ def _amounts(n: int, m: int, limit: int) -> range:
     gcd(n, m)."""
     _check_range(n, "n")
     _check_range(m, "m")
-    _check_range(limit, "limit", MAX_LIMIT, MIN_LIMIT)
+    _check_range(limit, "limit")
     g = math.gcd(n, m)
     return range(g, limit + 1, g)
 

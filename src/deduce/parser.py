@@ -177,15 +177,6 @@ class _Grammar:
         symbols = "|".join(re.escape(symbol) for symbol, _ in self.symbols)
         return re.compile(rf"[^\W_]+|{symbols}|\S")
 
-    def parse(self, text: str):
-        """Parse ``text`` in this grammar; raises ``ParseError`` on the
-        first fault."""
-        return _parse(text, self)
-
-    def format(self, node) -> str:
-        """Render ``node`` in ASCII with minimal parentheses."""
-        return _format(node, self, Style.ASCII)
-
 
 def _tokenize(text: str, grammar: _Grammar) -> tuple[list[str], list[str]]:
     """The kinds and the words of the tokens of ``text``, both closed by the

@@ -283,6 +283,71 @@ class TestRules:
         assert out == ""
         assert "no-such-rule" in err
 
+    @pytest.mark.parametrize(
+        "source,classification,text,counter",
+        [
+            ("(P ⇒ Q) ⇒ Q", "contingent", "contingente\ncontraejemplo: P=F Q=F\n",
+             {"P": False, "Q": False}),
+            ("P y ¬P", "contradiction", "contradicción\ncontraejemplo: P=V\n", {"P": True}),
+        ],
+        ids=["contingent", "contradiction"],
+    )
+    def test_verify_refutes_a_pattern_that_is_no_tautology(
+        self, capsys, monkeypatch, source, classification, text, counter
+    ):
+        # The eight named patterns are tautologies: this one stands in for a
+        # wrong entry, which the first falsifying row refutes.
+        pattern = parse(source)
+        schema = rules.RuleSchema("modus-ponens", logic.atoms(pattern), pattern)
+        monkeypatch.setitem(rules._BY_NAME, "modus-ponens", schema)
+        assert run(capsys, "rules", "verify", "modus-ponens") == (1, text, "")
+        code, envelope, err = run_json(capsys, "rules", "verify", "modus-ponens")
+        assert (code, err) == (1, "")
+        assert envelope == {
+            "status": "invalid",
+            "command": "rules verify",
+            "result": {"name": "modus-ponens", "classification": classification},
+            "counterexample": counter,
+        }
+
+    @pytest.mark.parametrize(
+        "argv,scans",
+        [
+            (["rules", "list"], 0),
+            (["rules", "show", "modus-ponens"], 0),
+            (["rules", "verify", "modus-ponens"], 1),
+            (["entail", "--premise", "P", "--conclusion", "P | Q"], 1),
+        ],
+        ids=["list", "show", "verify", "entail"],
+    )
+    def test_a_process_scans_only_for_its_answer(self, argv, scans):
+        # Importing the registry only parses its patterns.
+        done = subprocess.run(
+            [sys.executable, "-c", _SCAN_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == f"0 {scans}"
+
+
+# Counts ``logic._scan`` calls in a fresh interpreter: those that importing
+# ``deduce.rules`` makes, then all that running the command has made.
+_SCAN_PROBE = """
+import sys
+from deduce import logic
+scans = []
+scan = logic._scan
+logic._scan = lambda *args, **kwargs: scans.append(args) or scan(*args, **kwargs)
+import deduce.rules
+imported = len(scans)
+import deduce.cli
+deduce.cli.main(sys.argv[1:])
+print(imported, len(scans))
+"""
+
 
 class TestEntail:
     def test_valid_chain(self, capsys):
@@ -1159,19 +1224,38 @@ _CONSOLE_CASES = [
 ]
 
 
+_CONSOLE_IDS = ["help", "json-answer", "refuted", "parse-error", "no-command"]
+# Under an encoding narrower than UTF-8 too, and with answers that it cannot
+# represent: cp1252 is Windows' default for a redirected stdout.
+_NARROW_CASES = [
+    *_CONSOLE_CASES, (["table", "P -> Q"], 0), (["classify", "P o no P"], 0), (["jugs", "--help"], 0),
+]
+_NARROW_IDS = [*_CONSOLE_IDS, "table", "classify", "jugs-help"]
+_NARROW = ("ascii", "cp1252")
+
+
 @pytest.mark.parametrize(
-    "argv,code", _CONSOLE_CASES, ids=["help", "json-answer", "refuted", "parse-error", "no-command"]
+    "encoding,argv,code",
+    [(None, *case) for case in _CONSOLE_CASES]
+    + [(encoding, *case) for encoding in _NARROW for case in _NARROW_CASES],
+    ids=_CONSOLE_IDS + [f"{encoding}-{name}" for encoding in _NARROW for name in _NARROW_IDS],
 )
-def test_the_console_entry_point_exits_with_what_main_returns(argv, code, monkeypatch):
+def test_the_console_entry_point_exits_with_what_main_returns(encoding, argv, code, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
+    env = child_env()
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
     done = subprocess.run(
         [sys.executable, "-c", "from deduce.cli import console_main; console_main()", *argv],
         capture_output=True,
-        encoding="utf-8",
-        env=child_env(),
+        env=env,
         timeout=60,
     )
-    assert (done.returncode, done.stdout, done.stderr) == run_main(argv)
+    # What an encoding cannot represent is escaped, on stdout by
+    # ``console_main`` and on stderr by Python's own default.
+    expected, out, err = run_main(argv)
+    escaped = [text.encode(encoding or "utf-8", "backslashreplace") for text in (out, err)]
+    assert [done.returncode, done.stdout, done.stderr] == [expected, *escaped]
     assert done.returncode == code
 
 
@@ -1204,7 +1288,7 @@ def test_the_console_entry_point_freezes_the_heap_before_exit():
 @pytest.mark.parametrize(
     "argv",
     [argv for argv, _ in _CONSOLE_CASES] + [["table", "P y Q", "--format", "json"]],
-    ids=["help", "json-answer", "refuted", "parse-error", "no-command", "json-table"],
+    ids=[*_CONSOLE_IDS, "json-table"],
 )
 def test_main_leaves_the_collector_as_it_found_it(argv, enabled):
     # Tests, library callers and the traced benchmark call ``main`` in
