@@ -24,7 +24,7 @@ class Limit:
 
 
 ATOMS = Limit("logic.MAX_ATOMS", "distinct atoms of a formula a query decides", None, 24)
-TABLE_ATOMS = Limit("cli.TABLE_MAX_ATOMS", "distinct atoms of a `deduce table` formula", None, 16)
+TABLE_ATOMS = Limit("logic.MAX_TABLE_ATOMS", "columns of a truth table", None, 16)
 CAPACITY = Limit("jugs.MAX_CAPACITY", "a vessel's capacity", 1, 10**6, ("n", "m"))
 TARGET = Limit("jugs.MAX_TARGET", "the amount a plan makes", 1, 10**9, ("target",))
 LIMIT = Limit("jugs.MAX_LIMIT", "the largest amount `amounts` lists", 1, 10**6, ("limit",))

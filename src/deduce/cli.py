@@ -106,13 +106,10 @@ def _rows(columns: list[tuple[str, str]], tails: Iterable[str]) -> Iterator[str]
 
 def _cmd_table(args: argparse.Namespace) -> tuple:
     from . import logic
-    from ._limits import TABLE_ATOMS
     from .parser import Style, format_formula, parse
 
     formula = parse(args.formula)
-    # A table prints a line per row, so its scan refuses more atoms than
-    # ``TABLE_MAX_ATOMS``, not ``logic.MAX_ATOMS``, before its first block.
-    columns, values = logic._values(formula, None, TABLE_ATOMS)
+    columns, values = logic._values(formula, None)
     names = [atom.name for atom in columns]
     result = {"formula": format_formula(formula), "atoms": names}
     # Only JSON lists the rows; text prints them.  Both are rendered from
@@ -585,16 +582,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # too (see "Note on SIGPIPE" in the ``signal`` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if counterexample is None else EXIT_INVALID
-
-
-def __getattr__(name: str):
-    # ``TABLE_MAX_ATOMS`` is read from ``_limits`` on first access (PEP 562),
-    # so that importing ``cli`` does not load it.
-    if name != "TABLE_MAX_ATOMS":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from ._limits import TABLE_ATOMS
-
-    return TABLE_ATOMS.most
 
 
 def console_main() -> None:

@@ -29,13 +29,16 @@ from functools import total_ordering
 from itertools import repeat
 from operator import eq
 
-from ._limits import ATOMS, Limit, refusal
+from ._limits import ATOMS, TABLE_ATOMS, Limit, refusal
 from ._record import Node, Record, _is_name, _setattr
 
 #: Hard ceiling on distinct atoms per classification query.  A 24-atom scan
 #: is 4096 blocks, about 0.7-1 ms per program step on a 2-CPU VM: it bounds
 #: the rows, not the formula's length.  Anything larger is refused.
 MAX_ATOMS = ATOMS.most
+#: Hard ceiling on the columns of a table, which has a row per valuation:
+#: ``truth_table`` and ``deduce table`` refuse more before the first block.
+MAX_TABLE_ATOMS = TABLE_ATOMS.most
 
 
 class MissingAtom(LookupError):
@@ -332,13 +335,11 @@ def _scan(
     return columns, full, blocks()
 
 
-def _values(
-    formula: Formula, over: Sequence[Atom] | None, limit: Limit = ATOMS
-) -> tuple[tuple[Atom, ...], str]:
+def _values(formula: Formula, over: Sequence[Atom] | None) -> tuple[tuple[Atom, ...], str]:
     """The columns of ``formula``'s table (see ``truth_table``), at most
-    ``limit`` of them, and its value string: character ``r`` is ``"1"``
-    where canonical row ``r`` is true."""
-    columns, full, vectors = _scan(formula, over, limit)
+    ``MAX_TABLE_ATOMS`` of them, and its value string: character ``r`` is
+    ``"1"`` where canonical row ``r`` is true."""
+    columns, full, vectors = _scan(formula, over, TABLE_ATOMS)
     width = full.bit_length()
     return columns, "".join(format(vector, f"0{width}b")[::-1] for vector in vectors)
 
@@ -349,7 +350,9 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     ``over`` widens the table to an explicit atom tuple (a superset of the
     formula's own atoms, in the order given); by default the formula's atoms
     in alphabetical order are used.  Raises ``ValueError`` if ``over``
-    repeats an atom and ``TypeError`` if it holds anything but atoms.
+    repeats an atom, ``TypeError`` if it holds anything but atoms, and
+    ``TooManyAtoms`` for more than ``MAX_TABLE_ATOMS`` columns, before any
+    row is decided.
     """
     columns, values = _values(formula, over)
     # Canonical order by doubling: from the all-V row, each column, last to

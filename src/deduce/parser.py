@@ -395,5 +395,8 @@ def parse(text: str) -> Formula:
 
 
 def format_formula(formula: Formula, style: Style = Style.ASCII) -> str:
-    """Render ``formula`` with minimal parentheses in the given style."""
+    """Render ``formula`` with minimal parentheses in the given style.
+    Raises ``TypeError`` when ``style`` is not a ``Style``."""
+    if not isinstance(style, Style):
+        raise TypeError(f"style must be a Style, got {type(style).__name__}")
     return _format(formula, _PROPOSITIONAL, style)

@@ -163,7 +163,7 @@ class TestTable:
         wide = " ó ".join(f"A{i}" for i in range(TABLE_ATOMS.most + 1))
         code, out, err = run(capsys, "table", wide)
         assert (code, out) == (2, "")
-        assert err == "error: atom count is 17; the limit is 16 (cli.TABLE_MAX_ATOMS)\n"
+        assert err == "error: atom count is 17; the limit is 16 (logic.MAX_TABLE_ATOMS)\n"
 
     @pytest.mark.parametrize("output", [[], ["--format", "json"]], ids=["text", "json"])
     def test_compiles_its_formula_once(self, capsys, monkeypatch, output):

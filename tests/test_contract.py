@@ -224,7 +224,7 @@ TEXT_ONLY: dict[str, list[list[str]]] = {
 
 DIGESTS = {
     "classify": "941fd92bfb4ca867b069a30e214f994abe04e1cd4454ec8a17ad45c89047c82f",
-    "table": "6fa6d07eaf7b20ca7f2380af58198e67ba8aaeea7f770457ad6c9e2e4b858b51",
+    "table": "98cee0c202096f21ffe1690a2f21d30ad51355db01aff683da88c8df5be982ca",
     "equiv": "ddc81f02b3a4d660f8276e56931e4c4de079a7191579bfea4ef418c2c77f8ec2",
     "entail": "799a48ec796577788e2a47f34a5768889f13b7210c8bb091e3d59f34047624a0",
     "rules": "b8b76c8bae9fd6130990a13096aba917d3ba2dfd6ab41d97f28c9f8b3d0e435e",

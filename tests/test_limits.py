@@ -121,6 +121,24 @@ def test_the_widest_table_in_json():
     assert len(json.loads(line)["result"]["rows"]) == 1 << TABLE_ATOMS.most == 65_536
 
 
+#: ``truth_table`` of the chain that is the program's one argument.
+TRUTH_TABLE = (
+    "import sys; from deduce.logic import truth_table; from deduce.parser import parse; "
+    "truth_table(parse(sys.argv[1]))"
+)
+
+
+def test_the_library_table_at_its_limit_and_at_the_atom_limit():
+    done = run_limited("-c", TRUTH_TABLE, chain(TABLE_ATOMS.most))
+    assert (done.returncode, done.stderr) == (0, "")
+    # Past the table limit, up to the atom limit, the table is refused
+    # before its rows are built, which would not fit under the ceilings.
+    done = run_limited("-c", TRUTH_TABLE, chain(ATOMS.most))
+    assert (done.returncode, done.stdout) == (1, "")
+    message = refusal(TABLE_ATOMS, "atom count", ATOMS.most)
+    assert done.stderr.splitlines()[-1] == f"deduce.logic.TooManyAtoms: {message}"
+
+
 AMOUNTS = COMMANDS[LIMIT.name][1](LIMIT.most)
 #: Every amount up to the limit, as both formats list them.
 ALL_AMOUNTS = range(1, LIMIT.most + 1)

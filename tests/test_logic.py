@@ -6,8 +6,11 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
+from deduce import logic
+from deduce._limits import TABLE_ATOMS, refusal
 from deduce.logic import (
     MAX_ATOMS,
+    MAX_TABLE_ATOMS,
     And,
     Atom,
     Classification,
@@ -228,6 +231,42 @@ class TestAtTheAtomLimit:
     def test_disjunction_false_only_at_the_last_row(self):
         wide = reduce(Or, [prop(name) for name in self.NAMES])
         assert falsifying_valuation(wide) == dict.fromkeys(self.NAMES, False)
+
+
+class TestAtTheTableLimit:
+    """A table has a row per valuation: ``truth_table`` answers at
+    ``MAX_TABLE_ATOMS`` columns, and refuses one more, whether the formula
+    or ``over`` brings it, before any block is scanned."""
+
+    @staticmethod
+    def cases(count):
+        names = [f"A{i}" for i in range(count)]
+        return [
+            (reduce(Or, map(prop, names)), None),
+            (reduce(Or, map(prop, names[:8])), [Atom(name) for name in names]),
+        ]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["by-formula", "by-over"])
+    def test_at_the_limit(self, case):
+        formula, over = self.cases(MAX_TABLE_ATOMS)[case]
+        table = truth_table(formula, over)
+        assert len(table.atoms) == MAX_TABLE_ATOMS == 16
+        assert len(table.rows) == 1 << MAX_TABLE_ATOMS == 65_536
+        # A disjunction is false only where each of its atoms is.
+        falses = 1 << (MAX_TABLE_ATOMS - len(atoms(formula)))
+        assert [row.value for row in table.rows].count(False) == falses
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["by-formula", "by-over"])
+    def test_one_past_it_is_refused_before_any_block(self, monkeypatch, case):
+        def unreachable(*args):
+            raise AssertionError("a block was scanned")
+
+        formula, over = self.cases(MAX_TABLE_ATOMS + 1)[case]
+        monkeypatch.setattr(logic, "_run", unreachable)
+        with pytest.raises(TooManyAtoms) as excinfo:
+            truth_table(formula, over)
+        assert (excinfo.value.count, excinfo.value.limit) == (17, 16)
+        assert str(excinfo.value) == refusal(TABLE_ATOMS, "atom count", 17)
 
 
 class TestEquivalent:

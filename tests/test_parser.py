@@ -194,6 +194,12 @@ class TestFormat:
     def test_default_style_is_ascii(self):
         assert format_formula(Iff(P, Q)) == "P <-> Q"
 
+    @pytest.mark.parametrize("style", ["ascii", None, 0])
+    def test_a_style_must_be_a_style(self, style):
+        message = f"style must be a Style, got {type(style).__name__}"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            format_formula(Iff(P, Q), style)
+
 
 class TestRoundTrip:
     @given(formula_strategy())

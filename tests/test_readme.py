@@ -116,10 +116,10 @@ def test_the_table_of_limits_is_the_one_in_the_package():
         for limit in _limits.LIMITS
     ]
     # The library refuses with an exception of the limit's module, or
-    # ``ValueError`` itself; a CLI-only limit with none.
+    # ``ValueError`` itself.
     for (name, *_, refusal) in rows:
         module = vars(import_module(f"deduce.{name.split('.')[0]}")) | {"ValueError": ValueError}
-        assert refusal == "—" or issubclass(module[refusal.strip("`")], ValueError)
+        assert issubclass(module[refusal.strip("`")], ValueError)
     assert f"`jugs gcd` alone takes `--m {_limits.GCD_LEAST_M}`." in README.read_text()
 
 
