@@ -520,16 +520,6 @@ def eval_monadic(formula: MonadicFormula, model: FiniteModel) -> bool:
     return value
 
 
-def negate_quantifiers(formula: MonadicFormula) -> MonadicFormula:
-    """Negation normal form of the NEGATION of a closed formula.
-
-    Quantifier duals, De Morgan, and implication elimination push negation
-    inward until it sits only on predicate applications.
-    """
-    _require_closed(formula)
-    return _nnf(formula, negated=True)
-
-
 # Node class -> (constructor of its normal form, of its negation's); an
 # implication's antecedent changes polarity.
 _NNF = {
@@ -541,16 +531,20 @@ _NNF = {
 }
 
 
-def _nnf(formula: MonadicFormula, negated: bool) -> MonadicFormula:
-    """Negation normal form of ``formula``, or of its negation when
-    ``negated``, by one walk that carries the polarity.
+def negate_quantifiers(formula: MonadicFormula) -> MonadicFormula:
+    """Negation normal form of the NEGATION of a closed formula.
+
+    Quantifier duals, De Morgan, and implication elimination push negation
+    inward until it sits only on predicate applications, by one walk that
+    carries each subformula's polarity.
 
     Work items are ``(formula, negated)`` to visit, ``(constructor, None)``
     to join the last two results, and ``(constructor, quantifier)`` to bind
     the last result to the quantifier's variable, whatever that holds.
     """
+    _require_closed(formula)
     out: list[MonadicFormula] = []
-    pending: list = [(formula, negated)]
+    pending: list = [(formula, True)]
     while pending:
         node, arg = pending.pop()
         if arg is None:

@@ -17,7 +17,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cache
-from itertools import chain, islice
+from itertools import chain, islice, product
 from operator import add
 from typing import TYPE_CHECKING
 
@@ -78,30 +78,11 @@ def _refutable(result: dict, verdict: str, counter: dict[str, bool] | None) -> t
     return result, counter, lines
 
 
-def _doubled(columns: list[tuple[str, str]]) -> list[str]:
-    """Each canonical row's cells, joined, from each column's (V, F) cells:
-    the doubling that ``logic.truth_table`` runs on valuations."""
-    rows = [""]
-    for true, false in reversed(columns):
-        rows = [*map(true.__add__, rows), *map(false.__add__, rows)]
-    return rows
-
-
-def _rows(columns: list[tuple[str, str]], tails: Iterable[str]) -> Iterator[str]:
-    """Each canonical row's cells, joined, then its tail, rendered a block
-    of the scan at a time: the cells of a block's last ``_BLOCK_BITS``
-    columns are joined once, and each block puts its own constant columns'
-    cells before them.  No more than a block of rows is held at once."""
-    from .logic import _BLOCK_BITS
-
-    split = max(len(columns) - _BLOCK_BITS, 0)
-    suffixes = _doubled(columns[split:])
-    # ``map`` stops at its first iterable's end, so each block takes only
-    # its own rows' tails.
-    tails = iter(tails)
-    return chain.from_iterable(
-        map(add, map(prefix.__add__, suffixes), tails) for prefix in _doubled(columns[:split])
-    )
+def _rows(cells: list[tuple[str, str]], tails: Iterable[str]) -> Iterator[str]:
+    """Each canonical row's cells, joined, then its tail, from each
+    column's (V, F) cells: ``product`` yields the rows in canonical order,
+    the first column slowest and V before F, one at a time."""
+    return map(add, map("".join, product(*cells)), tails)
 
 
 def _cmd_table(args: argparse.Namespace) -> tuple:
@@ -111,19 +92,18 @@ def _cmd_table(args: argparse.Namespace) -> tuple:
     formula = parse(args.formula)
     columns, values = logic._values(formula, None)
     names = [atom.name for atom in columns]
-    result = {"formula": format_formula(formula), "atoms": names}
-    # Only JSON lists the rows; text prints them.  Both are rendered from
-    # per-column cells and the value string, with no valuation dicts.
-    if args.format == "json":
-        # ``sort_keys`` order: columns are sorted, and "valuation" < "value".
-        # Atom names are alphanumeric, so no fragment needs escaping.
-        heads = ['{"valuation":{'] + [","] * (len(names) - 1)
-        fragments = [
-            (f'{head}"{name}":true', f'{head}"{name}":false') for head, name in zip(heads, names)
-        ]
-        ends = {"1": '},"value":true}', "0": '},"value":false}'}
-        result["rows"] = _rows(fragments, map(ends.__getitem__, values))
-        return result, None, []
+    # Both formats are rendered lazily from per-column cells and the value
+    # string, with no valuation dicts, and ``_emit`` reads only the chosen
+    # one.  JSON's cells are in ``sort_keys`` order: columns are sorted, and
+    # "valuation" < "value".  Atom names are alphanumeric, so no fragment
+    # needs escaping.
+    heads = ['{"valuation":{'] + [","] * (len(names) - 1)
+    fragments = [
+        (f'{head}"{name}":true', f'{head}"{name}":false') for head, name in zip(heads, names)
+    ]
+    ends = {"1": '},"value":true}', "0": '},"value":false}'}
+    rows = _rows(fragments, map(ends.__getitem__, values))
+    result = {"formula": format_formula(formula), "atoms": names, "rows": rows}
     # Every body cell is one letter, so each column is as wide as its header.
     cells = [("V".ljust(len(name)) + "  ", "F".ljust(len(name)) + "  ") for name in names]
     header = "  ".join(names + [format_formula(formula, Style.SPANISH)])
@@ -190,15 +170,12 @@ def _cmd_rules_show(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_rules_verify(args: argparse.Namespace) -> tuple:
-    from . import rules
-    from .logic import Classification, falsifying_valuation
+    from . import logic, rules
 
     schema = rules.get_rule(args.name)
-    classification = rules.verify_rule(args.name)
-    # A pattern that is no tautology is refuted by its first falsifying row.
-    counter = None
-    if classification is not Classification.TAUTOLOGY:
-        counter = falsifying_valuation(schema.pattern)
+    # One scan, as for ``classify``: a pattern that is no tautology is
+    # refuted by its first falsifying row.
+    classification, counter = logic._decide(schema.pattern)
     result = {"name": schema.name, "classification": classification.value}
     return _refutable(result, _CLASS_SPANISH[classification.value], counter)
 
@@ -263,9 +240,9 @@ def _check_syllogism(
     if verdict.valid:
         return result, None, ["válido"]
     model = verdict.counter_model
-    assert model is not None
     lines = ["inválido", f"contramodelo: {_model_text(model)}"]
-    if not existential_import and with_import:
+    # With import, an invalid verdict has ``with_import`` false.
+    if with_import:
         lines.append("nota: válido con import existencial (--existential-import)")
     return result, _model_json(model), lines
 

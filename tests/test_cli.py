@@ -204,8 +204,24 @@ class TestTable:
     @given(_table_cases(_WIDE_NAMES, min_atoms=13, max_atoms=TABLE_ATOMS.most))
     @settings(max_examples=3, deadline=None)
     def test_output_over_several_blocks_matches_the_row_by_row_oracles(self, case):
-        # Two to sixteen blocks of 4,096 rows, each rendered on its own.
+        # Two to sixteen blocks of 4,096 rows of the scan, rendered in one
+        # ``product`` of the columns' cells.
         self.check_against_the_row_by_row_oracles(case)
+
+    @given(_table_cases(_WIDE_NAMES, max_atoms=TABLE_ATOMS.most))
+    @settings(max_examples=8, deadline=None)
+    def test_one_handler_call_renders_both_formats(self, case):
+        # The handler reads no format: its result lists the JSON rows, and
+        # its lines are the text.
+        formula, style = case
+        args = argparse.Namespace(formula=format_formula(formula, style))
+        result, counter, lines = cli._cmd_table(args)
+        rows = json.loads(reference_table_json(formula))["result"]["rows"]
+        assert counter is None
+        assert list(result["rows"]) == [
+            json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows
+        ]
+        assert list(lines) == reference_table_lines(formula)
 
     @staticmethod
     def check_against_the_row_by_row_oracles(case):
@@ -300,9 +316,14 @@ class TestRules:
         pattern = parse(source)
         schema = rules.RuleSchema("modus-ponens", logic.atoms(pattern), pattern)
         monkeypatch.setitem(rules._BY_NAME, "modus-ponens", schema)
+        # One scan decides the pattern and finds its counterexample.
+        scans = []
+        scan = logic._scan
+        monkeypatch.setattr(logic, "_scan", lambda *args: scans.append(args) or scan(*args))
         assert run(capsys, "rules", "verify", "modus-ponens") == (1, text, "")
+        assert len(scans) == 1
         code, envelope, err = run_json(capsys, "rules", "verify", "modus-ponens")
-        assert (code, err) == (1, "")
+        assert (code, err, len(scans)) == (1, "", 2)
         assert envelope == {
             "status": "invalid",
             "command": "rules verify",
@@ -622,6 +643,11 @@ class TestJugs:
              "target is 1000000001; the limit is 1 to 1000000000"),
             (["amounts", "--n", "3", "--m", "5", "--limit", "1000001"],
              "limit is 1000001; the limit is 1 to 1000000"),
+            # A text is quoted in full up to 40 characters, and cut past them.
+            (["gcd", "--n", "x" * 40, "--m", "3"],
+             f"n is {'x' * 40!r}; the limit is 1 to 1000000"),
+            (["gcd", "--n", "x" * 41, "--m", "3"],
+             f"n is {'x' * 40!r}... (41 characters); the limit is 1 to 1000000"),
         ],
     )
     def test_integer_argument_errors_name_the_value_the_bound_and_the_knob(

@@ -420,6 +420,7 @@ class TestValidation:
             (limit.most + 1, str(limit.most + 1)),
             (least - 1, str(least - 1)),
             (10**39, f"1{'0' * 39}"),
+            (10**40, f"1{'0' * 39}... (41 digits)"),
             (10**4000, f"1{'0' * 39}... (4001 digits)"),
             (-(10**50), f"-1{'0' * 38}... (51 digits)"),
         ]:
