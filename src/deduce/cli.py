@@ -81,8 +81,12 @@ def _refutable(result: dict, verdict: str, counter: dict[str, bool] | None) -> t
 def _rows(cells: list[tuple[str, str]], tails: Iterable[str]) -> Iterator[str]:
     """Each canonical row's cells, joined, then its tail, from each
     column's (V, F) cells: ``product`` yields the rows in canonical order,
-    the first column slowest and V before F, one at a time."""
-    return map(add, map("".join, product(*cells)), tails)
+    the first column slowest and V before F, one at a time.  Each half of
+    the columns is joined once per valuation of its own (at most 256 of
+    them), so a row joins two strings, not one per column."""
+    half = len(cells) // 2
+    first, last = (list(map("".join, product(*part))) for part in (cells[:half], cells[half:]))
+    return map(add, map("".join, product(first, last)), tails)
 
 
 def _cmd_table(args: argparse.Namespace) -> tuple:

@@ -11,13 +11,14 @@ classroom V/F notation and ``parse_truth_value`` accepts V/F and 1/0.
 stack program, and each run of the program applies ``^ & |`` to big
 integers whose bit ``r`` is the value at canonical row ``r``, deciding a
 block of up to 2^12 rows in one pass (``evaluate``: one row); a table's
-valuations are built by doubling the canonical row order.  A block's
-periodic columns are slices of one table of masks built at import.  One
-search for the first false row answers ``falsifying_valuation`` and
-``equivalent`` and stops there; ``classify`` reads on past it only until it
-meets a true row.  ``atoms`` reads the same compiled form, and
-``substitute`` runs its program on nodes, so the compiler is the only walk
-over a formula outside the parser, the printer and the node records.
+valuations are built by doubling the canonical row order.  Each periodic
+column is cut to every block width once, at import, so a query only picks
+its columns from that table.  One search for the first false row answers
+``falsifying_valuation`` and ``equivalent`` and stops there; ``classify``
+reads on past it only until it meets a true row.  ``atoms`` reads the same
+compiled form, and ``substitute`` runs its program on nodes, so the
+compiler is the only walk over a formula outside the parser, the printer
+and the node records.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from collections import deque
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from functools import total_ordering
-from itertools import repeat
-from operator import eq
+from itertools import chain, repeat
+from operator import attrgetter, eq
 
 from ._limits import ATOMS, TABLE_ATOMS, Limit, refusal
 from ._record import Node, Record, _is_name, _setattr
@@ -211,6 +212,13 @@ def _mask(shift: int) -> int:
 #: The periodic columns of the widest block (Knuth's magic masks, TAOCP 7.1.3).
 #: Each period divides a narrower block's width: its column is ``mask & full``.
 _MASKS = tuple(map(_mask, range(_BLOCK_BITS)))
+#: ``_COLUMNS[bits][shift]``: the periodic column of ``shift`` cut to a block
+#: of ``2**bits`` rows, for every width up to the widest, so that a query
+#: only picks its columns.
+_COLUMNS = tuple(
+    tuple(mask & (1 << (1 << bits)) - 1 for mask in _MASKS[:bits])
+    for bits in range(_BLOCK_BITS + 1)
+)
 
 
 def _compile(formula: Formula) -> tuple[list[int], list[Atom]]:
@@ -244,9 +252,14 @@ def _compile(formula: Formula) -> tuple[list[int], list[Atom]]:
     return program, found
 
 
+#: The key that orders atoms by name, as ``Atom.__lt__`` does, with no
+#: Python-level comparison.
+_NAME = attrgetter("name")
+
+
 def atoms(formula: Formula) -> tuple[Atom, ...]:
     """All atoms occurring in ``formula``, deduplicated, alphabetical by name."""
-    return tuple(sorted(_compile(formula)[1]))
+    return tuple(sorted(_compile(formula)[1], key=_NAME))
 
 
 def _run(program: list[int], vectors: list[int], full: int) -> int:
@@ -286,6 +299,30 @@ def evaluate(formula: Formula, valuation: Valuation) -> bool:
     return _run(program, vectors, 1) == 1
 
 
+def _over(
+    over: Sequence[Atom], found: list[Atom], limit: Limit
+) -> tuple[tuple[Atom, ...], list[int]]:
+    """The columns ``over`` gives, checked against the formula's atoms
+    ``found``, and the slot of each: a column the formula lacks gets the
+    spare slot ``len(found)``, which no program reads."""
+    columns = tuple(over)
+    strays = [a for a in columns if not isinstance(a, Atom)]
+    if strays:
+        raise TypeError(f"over must hold atoms, got {strays[0]!r}")
+    position = {atom.name: i for i, atom in enumerate(columns)}
+    if len(position) < len(columns):
+        repeated = next(a for i, a in enumerate(columns) if position[a.name] != i)
+        raise ValueError(f"over repeats atom {repeated.name!r}")
+    if len(columns) > limit.most:
+        raise TooManyAtoms(len(columns), limit)
+    order = [len(found)] * len(columns)
+    for slot, atom in enumerate(found):
+        if atom.name not in position:
+            raise MissingAtom(atom.name)
+        order[position[atom.name]] = slot
+    return columns, order
+
+
 def _scan(
     formula: Formula, over: Sequence[Atom] | None = None, limit: Limit = ATOMS
 ) -> tuple[tuple[Atom, ...], int, Iterator[int]]:
@@ -301,30 +338,26 @@ def _scan(
     earlier ones are constant across it.
     """
     program, found = _compile(formula)
-    columns = tuple(over) if over is not None else tuple(sorted(found))
-    strays = [] if over is None else [a for a in columns if not isinstance(a, Atom)]
-    if strays:
-        raise TypeError(f"over must hold atoms, got {strays[0]!r}")
+    if over is None:
+        # The formula's atoms are distinct: its columns are its slots
+        # ordered by name.
+        names = [atom.name for atom in found]
+        order = sorted(range(len(found)), key=names.__getitem__)
+        columns = tuple(map(found.__getitem__, order))
+        if len(columns) > limit.most:
+            raise TooManyAtoms(len(columns), limit)
+    else:
+        columns, order = _over(over, found, limit)
     n = len(columns)
-    position = {atom.name: i for i, atom in enumerate(columns)}
-    if len(position) < n:
-        repeated = next(a for i, a in enumerate(columns) if position[a.name] != i)
-        raise ValueError(f"over repeats atom {repeated.name!r}")
-    if n > limit.most:
-        raise TooManyAtoms(n, limit)
-    for atom in found:
-        if atom.name not in position:
-            raise MissingAtom(atom.name)
     bits = min(n, _BLOCK_BITS)
     full = (1 << (1 << bits)) - 1
-    vectors = [0] * len(found)
-    constant: list[tuple[int, int]] = []
-    for slot, atom in enumerate(found):
-        shift = n - 1 - position[atom.name]
-        if shift < bits:
-            vectors[slot] = _MASKS[shift] & full
-        else:
-            constant.append((slot, shift - bits))
+    # ``order[i]`` is the slot of column ``i``, whose shift is ``n - 1 - i``:
+    # the last ``bits`` columns are periodic, the earlier ones constant.
+    # The last vector is ``_over``'s spare slot.
+    vectors = [0] * (len(found) + 1)
+    for slot, vector in zip(order[n - bits :], reversed(_COLUMNS[bits])):
+        vectors[slot] = vector
+    constant = list(zip(order[: n - bits], range(n - 1 - bits, -1, -1)))
 
     def blocks() -> Iterator[int]:
         for block in range(1 << (n - bits)):
@@ -370,10 +403,11 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     return TruthTable(columns, rows)
 
 
-def _first_false(formula: Formula) -> tuple[dict[str, bool] | None, bool, Iterator[int]]:
+def _first_false(formula: Formula) -> tuple[dict[str, bool] | None, Iterator[int]]:
     """The first valuation (canonical row order) making ``formula`` false,
-    or ``None``; whether a true row came before it or in its block; and the
-    blocks of the scan not yet read.  Column ``i`` of ``n`` is true where
+    or ``None``; and, after it, whether a true row came before it or in its
+    block, then the blocks of the scan not yet read, so that some row is
+    true exactly when one of them is.  Column ``i`` of ``n`` is true where
     bit ``n - 1 - i`` of the row number is 0."""
     columns, full, vectors = _scan(formula)
     last = len(columns) - 1
@@ -382,18 +416,18 @@ def _first_false(formula: Formula) -> tuple[dict[str, bool] | None, bool, Iterat
             false_rows = full ^ vector
             row = block * full.bit_length() + (false_rows & -false_rows).bit_length() - 1
             counter = {atom.name: not row >> (last - i) & 1 for i, atom in enumerate(columns)}
-            return counter, block > 0 or vector != 0, vectors
-    return None, True, vectors
+            return counter, chain([block > 0 or vector != 0], vectors)
+    return None, vectors
 
 
 def _decide(formula: Formula) -> tuple[Classification, dict[str, bool] | None]:
     """The classification of ``formula`` and its first falsifying valuation,
     from one scan that reads past the first false row only until it meets
     a true one."""
-    counter, seen_true, rest = _first_false(formula)
+    counter, rest = _first_false(formula)
     if counter is None:
         return Classification.TAUTOLOGY, None
-    if seen_true or any(rest):
+    if any(rest):
         return Classification.CONTINGENT, counter
     return Classification.CONTRADICTION, counter
 

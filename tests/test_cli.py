@@ -208,6 +208,15 @@ class TestTable:
         # ``product`` of the columns' cells.
         self.check_against_the_row_by_row_oracles(case)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 7])
+    def test_rows_joined_from_two_halves_of_the_columns(self, width):
+        # A row joins one string from each half of the columns: at one
+        # column the first half is empty, and an odd count splits unevenly.
+        formula = prop(_TABLE_NAMES[0])
+        for name in _TABLE_NAMES[1:width]:
+            formula = logic.Iff(formula, prop(name))
+        self.check_against_the_row_by_row_oracles((formula, Style.SPANISH))
+
     @given(_table_cases(_WIDE_NAMES, max_atoms=TABLE_ATOMS.most))
     @settings(max_examples=8, deadline=None)
     def test_one_handler_call_renders_both_formats(self, case):

@@ -62,6 +62,8 @@ def test_masks_cut_to_a_block_are_its_periodic_columns(bits):
         period = (1 << (2 << shift)) - 1
         ones = (1 << (1 << shift)) - 1
         assert logic._MASKS[shift] & full == full // period * ones
+        assert logic._COLUMNS[bits][shift] == logic._MASKS[shift] & full
+    assert len(logic._COLUMNS[bits]) == bits
 
 
 class TestAgainstRowByRow:
@@ -133,6 +135,20 @@ class TestAgainstRowByRow:
         rows = [(row.valuation, row.value) for row in table.rows]
         assert rows == reference_table(formula, names)
         assert all(list(row.valuation) == names for row in table.rows)
+
+
+@BLOCK_BITS
+@given(formula_strategy())
+@settings(max_examples=100)
+def test_own_columns_and_the_same_columns_given_scan_alike(bits, formula):
+    # The formula's own columns and an ``over`` naming them are set up apart.
+    over = tuple(Atom(name) for name in atom_names(formula))
+    with blocks_of(bits):
+        columns, full, vectors = logic._scan(formula)
+        given_columns, given_full, given_vectors = logic._scan(formula, over)
+        assert columns == given_columns == over
+        assert full == given_full == (1 << (1 << min(len(over), bits))) - 1
+        assert list(vectors) == list(given_vectors)
 
 
 def clause_false_at(row: int, names: list[str]):

@@ -177,6 +177,29 @@ class TestTruthTable:
         with pytest.raises(TypeError, match=re.escape(f"over must hold atoms, got {entry!r}")):
             truth_table(P, over=[Atom("P"), entry])
 
+    # ``over`` is checked for a non-atom, then a repeat, then too many
+    # columns, then an atom of the formula it leaves out; each case breaks
+    # two of these, and the first is the one refused.
+    @pytest.mark.parametrize(
+        "over,error,message",
+        [
+            (["P", "P", 7], TypeError, "over must hold atoms, got 7"),
+            (["P", "Q", *(f"A{i}" for i in range(14)), "P"], ValueError, "over repeats atom 'P'"),
+            (
+                ["P", *(f"A{i}" for i in range(16))],
+                TooManyAtoms,
+                refusal(TABLE_ATOMS, "atom count", 17),
+            ),
+        ],
+        ids=["non-atom-and-repeat", "repeat-and-too-many", "too-many-and-missing"],
+    )
+    def test_of_two_faults_in_the_columns_the_first_is_refused(self, over, error, message):
+        columns = [Atom(entry) if isinstance(entry, str) else entry for entry in over]
+        with pytest.raises(error) as excinfo:
+            truth_table(And(P, Q), over=columns)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
     def test_too_many_atoms(self):
         wide = prop("A1")
         for i in range(2, MAX_ATOMS + 2):
