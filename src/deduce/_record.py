@@ -1,13 +1,19 @@
 """The one immutable record idiom of the package.
 
 A record class names its fields in ``__slots__`` and writes its own
-``__init__``, which stores each field with ``_setattr``.  ``Record`` gives
-it the rest: ``__match_args__`` (the public slots, inherited ones first),
-field-wise ``==`` and ``hash`` between records of one class, the
-``Name(field=value, ...)`` repr, ``copy`` and ``pickle`` support, and an
-``AttributeError`` on any later assignment.  ``==`` and ``repr`` walk
-fields that hold records with an explicit stack, so a formula's nesting
-depth is bounded only by memory.
+``__init__``.  ``Record`` gives it the rest: ``__match_args__`` (the
+public slots, inherited ones first), field-wise ``==`` and ``hash``
+between records of one class, the ``Name(field=value, ...)`` repr,
+``copy`` and ``pickle`` support, and an ``AttributeError`` on any later
+assignment.  ``==`` and ``repr`` walk fields that hold records with an
+explicit stack, so a formula's nesting depth is bounded only by memory.
+
+``__init__`` stores each field past that refusal, through the ``__set__``
+of the field's slot descriptor, bound once at module level after the class
+(``_set_left = _Binary.left.__set__``).  The generic attribute store would
+do the same through a slot wrapper that builds an argument tuple and looks
+the slot up by name again on every call, and a parse builds a record per
+node.
 
 ``Node`` is the base of formula trees: it computes its hash on the first
 ``hash()``, bottom-up with an explicit stack, and keeps it in its ``_hash``
@@ -24,9 +30,6 @@ another.
 """
 
 from __future__ import annotations
-
-#: Stores a field of a record under construction, past ``Record.__setattr__``.
-_setattr = object.__setattr__
 
 
 def _is_name(word: str) -> bool:
@@ -166,8 +169,11 @@ class Node(Record):
                 pending += unhashed
             else:
                 pending.pop()
-                _setattr(node, "_hash", hash((type(node), *values)))
+                _set_hash(node, hash((type(node), *values)))
         return self._hash
+
+
+_set_hash = Node._hash.__set__
 
 
 def _rebuild(program: tuple, leaves: tuple) -> Node:

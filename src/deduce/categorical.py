@@ -26,7 +26,7 @@ from functools import cache, reduce
 from operator import and_, or_
 from typing import TYPE_CHECKING
 
-from ._record import Node, Record, _is_name, _is_variable, _setattr
+from ._record import Node, Record, _is_name, _is_variable
 
 if TYPE_CHECKING:
     from .parser import _Grammar
@@ -88,9 +88,9 @@ class CategoricalForm(Record):
         for name in (subject, predicate):
             if not _is_name(name):
                 raise ValueError(f"invalid predicate name {name!r}")
-        _setattr(self, "kind", kind)
-        _setattr(self, "subject", subject)
-        _setattr(self, "predicate", predicate)
+        _set_kind(self, kind)
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
 
     @property
     def code(self) -> str:
@@ -100,6 +100,11 @@ class CategoricalForm(Record):
     def describe(self) -> str:
         """Classical Spanish reading, e.g. ``todo S es P``."""
         return _SPANISH_TEMPLATES[self.kind].format(s=self.subject, p=self.predicate)
+
+
+_set_kind = CategoricalForm.kind.__set__
+_set_subject = CategoricalForm.subject.__set__
+_set_predicate = CategoricalForm.predicate.__set__
 
 
 def parse_categorical(code: str) -> CategoricalForm:
@@ -122,12 +127,16 @@ class Syllogism(Record):
         self, major: CategoricalForm, minor: CategoricalForm, conclusion: CategoricalForm
     ):
         # Any other object would be misread by the model table, or fail in it.
-        for field, form in (("major", major), ("minor", minor), ("conclusion", conclusion)):
+        for field, form, store in (
+            ("major", major, _set_major),
+            ("minor", minor, _set_minor),
+            ("conclusion", conclusion, _set_conclusion),
+        ):
             if not isinstance(form, CategoricalForm):
                 raise TypeError(
                     f"{field} must be a CategoricalForm, got {type(form).__name__}"
                 )
-            _setattr(self, field, form)
+            store(self, form)
         if len(self.term_names()) != 3:
             raise ValueError("a syllogism must mention exactly three distinct terms")
 
@@ -137,6 +146,11 @@ class Syllogism(Record):
             names.add(form.subject)
             names.add(form.predicate)
         return tuple(sorted(names))
+
+
+_set_major = Syllogism.major.__set__
+_set_minor = Syllogism.minor.__set__
+_set_conclusion = Syllogism.conclusion.__set__
 
 
 class FiniteModel(Record):
@@ -154,14 +168,18 @@ class FiniteModel(Record):
                 raise ValueError(
                     f"extension of {name!r} reaches outside the universe"
                 )
-        _setattr(self, "universe_size", universe_size)
-        _setattr(self, "extensions", frozen)
+        _set_universe_size(self, universe_size)
+        _set_extensions(self, frozen)
 
     def extension(self, name: str) -> frozenset[int]:
         try:
             return self.extensions[name]
         except KeyError:
             raise UnknownPredicate(name) from None
+
+
+_set_universe_size = FiniteModel.universe_size.__set__
+_set_extensions = FiniteModel.extensions.__set__
 
 
 class Verdict(Record):
@@ -171,11 +189,14 @@ class Verdict(Record):
     __slots__ = ("valid", "counter_model")
 
     def __init__(self, valid: bool, counter_model: FiniteModel | None = None):
-        _setattr(self, "valid", valid)
-        _setattr(self, "counter_model", counter_model)
+        _set_valid(self, valid)
+        _set_counter_model(self, counter_model)
 
     def __bool__(self) -> bool:
         return self.valid
+
+
+_set_valid, _set_counter_model = Verdict.valid.__set__, Verdict.counter_model.__set__
 
 
 def eval_categorical(form: CategoricalForm, model: FiniteModel) -> bool:
@@ -371,23 +392,32 @@ class PredApp(MonadicFormula):
     def __init__(self, pred: str, var: str):
         if not _is_name(pred):
             raise ValueError(f"invalid predicate name {pred!r}")
-        _setattr(self, "pred", pred)
-        _setattr(self, "var", _checked_variable(var))
+        _set_pred(self, pred)
+        _set_app_var(self, _checked_variable(var))
+
+
+_set_pred, _set_app_var = PredApp.pred.__set__, PredApp.var.__set__
 
 
 class MNot(MonadicFormula):
     __slots__ = ("inner",)
 
     def __init__(self, inner: MonadicFormula):
-        _setattr(self, "inner", inner)
+        _set_inner(self, inner)
+
+
+_set_inner = MNot.inner.__set__
 
 
 class _MBinary(MonadicFormula):
     __slots__ = ("left", "right")
 
     def __init__(self, left: MonadicFormula, right: MonadicFormula):
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+_set_left, _set_right = _MBinary.left.__set__, _MBinary.right.__set__
 
 
 class MAnd(_MBinary):
@@ -406,8 +436,11 @@ class _Quantifier(MonadicFormula):
     __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: MonadicFormula):
-        _setattr(self, "var", _checked_variable(var))
-        _setattr(self, "body", body)
+        _set_var(self, _checked_variable(var))
+        _set_body(self, body)
+
+
+_set_var, _set_body = _Quantifier.var.__set__, _Quantifier.body.__set__
 
 
 class ForAll(_Quantifier):

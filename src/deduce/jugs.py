@@ -25,7 +25,7 @@ from enum import Enum
 from itertools import chain, groupby, repeat
 
 from ._limits import CAPACITY, GCD_LEAST_M, LIMIT, PLAN_LENGTH, TARGET, VALUES, refusal
-from ._record import Record, _setattr
+from ._record import Record
 
 MAX_CAPACITY = CAPACITY.most
 MAX_TARGET = TARGET.most
@@ -98,9 +98,14 @@ class JugProblem(Record):
         _check_range(n, "n")
         _check_range(m, "m")
         _check_range(target, "target")
-        _setattr(self, "n", n)
-        _setattr(self, "m", m)
-        _setattr(self, "target", target)
+        _set_n(self, n)
+        _set_m(self, m)
+        _set_target(self, target)
+
+
+_set_n = JugProblem.n.__set__
+_set_m = JugProblem.m.__set__
+_set_target = JugProblem.target.__set__
 
 
 class BezoutCertificate(Record):
@@ -109,23 +114,34 @@ class BezoutCertificate(Record):
     __slots__ = ("g", "a", "b")
 
     def __init__(self, g: int, a: int, b: int):
-        _setattr(self, "g", g)
-        _setattr(self, "a", a)
-        _setattr(self, "b", b)
+        _set_g(self, g)
+        _set_a(self, a)
+        _set_b(self, b)
+
+
+_set_g = BezoutCertificate.g.__set__
+_set_a = BezoutCertificate.a.__set__
+_set_b = BezoutCertificate.b.__set__
 
 
 class AddJug(Record):
     __slots__ = ("capacity",)
 
     def __init__(self, capacity: int):
-        _setattr(self, "capacity", capacity)
+        _set_add_capacity(self, capacity)
+
+
+_set_add_capacity = AddJug.capacity.__set__
 
 
 class RemoveJug(Record):
     __slots__ = ("capacity",)
 
     def __init__(self, capacity: int):
-        _setattr(self, "capacity", capacity)
+        _set_remove_capacity(self, capacity)
+
+
+_set_remove_capacity = RemoveJug.capacity.__set__
 
 
 Action = AddJug | RemoveJug
@@ -143,13 +159,13 @@ class PourPlan(Record):
 
     def __init__(self, actions: Iterable[Action]) -> None:
         runs = tuple((action, sum(1 for _ in run)) for action, run in groupby(actions))
-        _setattr(self, "runs", runs)
+        _set_runs(self, runs)
 
     @classmethod
     def _of_runs(cls, *runs: tuple[Action, int]) -> PourPlan:
         # The caller gives no two equal neighbours; empty runs are dropped.
         pour_plan = cls.__new__(cls)
-        _setattr(pour_plan, "runs", tuple(run for run in runs if run[1]))
+        _set_runs(pour_plan, tuple(run for run in runs if run[1]))
         return pour_plan
 
     def __reduce__(self) -> tuple:
@@ -164,6 +180,9 @@ class PourPlan(Record):
 
     def __len__(self) -> int:
         return sum(count for _, count in self.runs)
+
+
+_set_runs = PourPlan.runs.__set__
 
 
 def _expand(runs: Sequence[tuple[object, int]]) -> Iterator:

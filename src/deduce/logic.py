@@ -28,10 +28,10 @@ from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from functools import total_ordering
 from itertools import chain, repeat
-from operator import attrgetter, eq
+from operator import attrgetter, eq, setitem
 
 from ._limits import ATOMS, TABLE_ATOMS, Limit, refusal
-from ._record import Node, Record, _is_name, _setattr
+from ._record import Node, Record, _is_name
 
 #: Hard ceiling on distinct atoms per classification query.  A 24-atom scan
 #: is 4096 blocks, about 0.7-1 ms per program step on a 2-CPU VM: it bounds
@@ -80,10 +80,13 @@ class Atom(Record):
                 f"invalid atom name {name!r}: must start with an uppercase "
                 "letter followed by letters or digits"
             )
-        _setattr(self, "name", name)
+        _set_name(self, name)
 
     def __lt__(self, other: Atom) -> bool:
         return self.name < other.name if type(other) is Atom else NotImplemented
+
+
+_set_name = Atom.name.__set__
 
 
 class Formula(Node):
@@ -117,22 +120,31 @@ class Atomic(Formula):
     def __init__(self, atom: Atom):
         if not isinstance(atom, Atom):
             raise TypeError(f"atom must be an Atom, got {type(atom).__name__}")
-        _setattr(self, "atom", atom)
+        _set_atom(self, atom)
+
+
+_set_atom = Atomic.atom.__set__
 
 
 class Not(Formula):
     __slots__ = ("inner",)
 
     def __init__(self, inner: Formula):
-        _setattr(self, "inner", inner)
+        _set_inner(self, inner)
+
+
+_set_inner = Not.inner.__set__
 
 
 class _Binary(Formula):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
 class Or(_Binary):
@@ -172,8 +184,11 @@ class TableRow(Record):
     __slots__ = ("valuation", "value")
 
     def __init__(self, valuation: dict[str, bool], value: bool):
-        _setattr(self, "valuation", valuation)
-        _setattr(self, "value", value)
+        _set_valuation(self, valuation)
+        _set_value(self, value)
+
+
+_set_valuation, _set_value = TableRow.valuation.__set__, TableRow.value.__set__
 
 
 class TruthTable(Record):
@@ -182,8 +197,11 @@ class TruthTable(Record):
     __slots__ = ("atoms", "rows")
 
     def __init__(self, atoms: tuple[Atom, ...], rows: tuple[TableRow, ...]):
-        _setattr(self, "atoms", atoms)
-        _setattr(self, "rows", rows)
+        _set_atoms(self, atoms)
+        _set_rows(self, rows)
+
+
+_set_atoms, _set_rows = TruthTable.atoms.__set__, TruthTable.rows.__set__
 
 
 # A compiled program is a list of ints: an entry ``i >= 0`` pushes the
@@ -390,16 +408,18 @@ def truth_table(formula: Formula, over: Sequence[Atom] | None = None) -> TruthTa
     columns, values = _values(formula, over)
     # Canonical order by doubling: from the all-V row, each column, last to
     # first, appends copies of the rows so far with itself set F in each.
+    # ``setitem`` is a plain C function, and ``dict.__setitem__`` a slot
+    # wrapper at about twice its cost a call.
     valuations = [dict.fromkeys([atom.name for atom in columns], True)]
     for atom in reversed(columns):
         copies = list(map(dict.copy, valuations))
-        deque(map(dict.__setitem__, copies, repeat(atom.name), repeat(False)), 0)
+        deque(map(setitem, copies, repeat(atom.name), repeat(False)), 0)
         valuations += copies
-    # The rows are filled field by field in C loops: a slot descriptor's
-    # ``__set__`` writes past ``Record.__setattr__``, as ``_setattr`` does.
+    # The rows are filled field by field in C loops, through the slot
+    # setters that ``TableRow.__init__`` calls.
     rows = tuple(map(TableRow.__new__, repeat(TableRow, len(values))))
-    deque(map(TableRow.valuation.__set__, rows, valuations), 0)
-    deque(map(TableRow.value.__set__, rows, map(eq, values, repeat("1"))), 0)
+    deque(map(_set_valuation, rows, valuations), 0)
+    deque(map(_set_value, rows, map(eq, values, repeat("1"))), 0)
     return TruthTable(columns, rows)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import reduce
 from collections.abc import Mapping, Sequence
 
-from ._record import Record, _setattr
+from ._record import Record
 from .logic import (
     And,
     Atom,
@@ -43,9 +43,14 @@ class RuleSchema(Record):
     __slots__ = ("name", "metavariables", "pattern")
 
     def __init__(self, name: str, metavariables: tuple[Atom, ...], pattern: Formula):
-        _setattr(self, "name", name)
-        _setattr(self, "metavariables", metavariables)
-        _setattr(self, "pattern", pattern)
+        _set_name(self, name)
+        _set_metavariables(self, metavariables)
+        _set_pattern(self, pattern)
+
+
+_set_name = RuleSchema.name.__set__
+_set_metavariables = RuleSchema.metavariables.__set__
+_set_pattern = RuleSchema.pattern.__set__
 
 
 class Entailment(Record):
@@ -55,8 +60,11 @@ class Entailment(Record):
     __slots__ = ("premises", "conclusion")
 
     def __init__(self, premises: tuple[Formula, ...], conclusion: Formula):
-        _setattr(self, "premises", premises)
-        _setattr(self, "conclusion", conclusion)
+        _set_premises(self, premises)
+        _set_conclusion(self, conclusion)
+
+
+_set_premises, _set_conclusion = Entailment.premises.__set__, Entailment.conclusion.__set__
 
 
 class Verdict(Record):
@@ -66,11 +74,14 @@ class Verdict(Record):
     __slots__ = ("valid", "countervaluation")
 
     def __init__(self, valid: bool, countervaluation: dict[str, bool] | None = None):
-        _setattr(self, "valid", valid)
-        _setattr(self, "countervaluation", countervaluation)
+        _set_valid(self, valid)
+        _set_countervaluation(self, countervaluation)
 
     def __bool__(self) -> bool:
         return self.valid
+
+
+_set_valid, _set_countervaluation = Verdict.valid.__set__, Verdict.countervaluation.__set__
 
 
 # Names are ASCII, lowercase, hyphenated; accents are stripped so they work

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 
 from deduce import logic
 from deduce.logic import (
+    MAX_TABLE_ATOMS,
     And,
     Atom,
     Classification,
@@ -249,9 +250,10 @@ class TestTableRows:
             assert list(row.valuation.items()) == list(expected.valuation.items())
             assert row.value is expected.value
 
-    @pytest.mark.parametrize("width", [1, 2, 7, 12])
+    # Up to the library's limit: 65,536 rows doubled from one.
+    @pytest.mark.parametrize("width", [1, 2, 7, 12, MAX_TABLE_ATOMS])
     def test_every_row_owns_its_valuation(self, width):
-        formula = reduce(And, [prop(name) for name in COLUMNS[:width]])
+        formula = reduce(And, [prop(f"P{i}") for i in range(width)])
         rows = truth_table(formula).rows
         want = reference_truth_table(formula).rows
         assert len({id(row.valuation) for row in rows}) == len(rows)
