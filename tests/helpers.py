@@ -5,7 +5,8 @@ propositional answers come from one call per canonical row of
 ``reference_evaluate`` (the recursive walk that ``evaluate`` replaced),
 monadic ones from the recursive ``reference_eval_monadic``, table rows
 from the row-at-a-time ``reference_truth_table``, parses from
-the character-at-a-time ``reference_parse``, token lists from the token
+the character-at-a-time ``reference_parse``, printed text from the
+recursive ``reference_format``, token lists from the token
 pattern read by ``findall`` in ``pattern_tokenize``, the text of a
 truth table from a grid whose columns are measured cell by cell, its JSON
 from ``json.dumps`` of one dict per row, record reprs
@@ -623,6 +624,73 @@ def pattern_tokenize(text: str, grammar) -> tuple[list[str], list[str]]:
             raise _Fault(index, ErrorKind.UNKNOWN_TOKEN, f"unknown {noun} {word!r}")
         kinds.append(kind)
     return [*kinds, "end"], [*words, ""]
+
+
+# --- Printer reference: one recursive call per node ---------------------------
+#
+# The precedence ladder written out again, not read from the grammar: an
+# operand is parenthesised when its connective binds more loosely than its
+# parent's, or as loosely and on the side its parent does not associate to.
+# A quantifier binds loosest of all, so it is parenthesised under any
+# connective, and nothing is parenthesised at the top or in a quantifier's
+# body.  Recursive, so for small trees only.
+
+#: Binary node class -> (connective, binding strength, associates right).
+_REFERENCE_BINARY = {
+    And: ("and", 3, False),
+    Or: ("or", 2, False),
+    Implies: ("implies", 1, True),
+    Iff: ("iff", 0, True),
+    MAnd: ("and", 3, False),
+    MOr: ("or", 2, False),
+    MImplies: ("implies", 1, True),
+}
+_REFERENCE_SPELLING = {
+    Style.ASCII: {"not": "!", "and": "&", "or": "|", "implies": "->", "iff": "<->"},
+    Style.UNICODE: {"not": "¬", "and": "∧", "or": "∨", "implies": "⇒", "iff": "⇔"},
+    Style.SPANISH: {"not": "¬", "and": "y", "or": "ó", "implies": "⇒", "iff": "⇔"},
+    "monadic": {"not": "~", "and": "&", "or": "|", "implies": "->"},
+}
+
+
+def _reference_strength(node) -> int:
+    if isinstance(node, (Not, MNot)):
+        return 4
+    if type(node) in _REFERENCE_BINARY:
+        return _REFERENCE_BINARY[type(node)][1]
+    if isinstance(node, (ForAll, Exists)):
+        return -1
+    return 5
+
+
+def reference_format(formula, style: Style = Style.ASCII) -> str:
+    """``format_formula(formula, style)``, or ``format_monadic(formula)`` for
+    a monadic formula, by recursion over the tree."""
+    spelled = _REFERENCE_SPELLING["monadic" if isinstance(formula, MonadicFormula) else style]
+
+    def operand(node, parent: int, loose_on_tie: bool) -> str:
+        text = show(node)
+        strength = _reference_strength(node)
+        if strength < parent or (strength == parent and loose_on_tie):
+            return f"({text})"
+        return text
+
+    def show(node) -> str:
+        if isinstance(node, Atomic):
+            return node.atom.name
+        if isinstance(node, PredApp):
+            return f"{node.pred}({node.var})"
+        if isinstance(node, (Not, MNot)):
+            return spelled["not"] + operand(node.inner, 4, False)
+        if isinstance(node, (ForAll, Exists)):
+            word = "forall" if isinstance(node, ForAll) else "exists"
+            return f"{word} {node.var}. {show(node.body)}"
+        connective, strength, right = _REFERENCE_BINARY[type(node)]
+        left_text = operand(node.left, strength, right)
+        right_text = operand(node.right, strength, not right)
+        return f"{left_text} {spelled[connective]} {right_text}"
+
+    return show(formula)
 
 
 # --- Record reference: frozen dataclasses of the same names and fields -------

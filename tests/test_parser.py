@@ -30,7 +30,13 @@ from deduce.parser import (
     format_formula,
     parse,
 )
-from helpers import formula_strategy, pattern_tokenize, random_monadic, reference_parse
+from helpers import (
+    formula_strategy,
+    pattern_tokenize,
+    random_monadic,
+    reference_format,
+    reference_parse,
+)
 
 P, Q, R, S = prop("P"), prop("Q"), prop("R"), prop("S")
 
@@ -230,6 +236,37 @@ class TestRoundTrip:
             assert format_formula(parse(once), style) == once
 
 
+def _parenthesis_pairs(text):
+    opened = []
+    for index, ch in enumerate(text):
+        if ch == "(":
+            opened.append(index)
+        elif ch == ")":
+            yield opened.pop(), index
+
+
+class TestMinimalParentheses:
+    @given(formula_strategy())
+    @settings(max_examples=300)
+    def test_format_formula_agrees_with_the_recursive_printer(self, formula):
+        for style in Style:
+            assert format_formula(formula, style) == reference_format(formula, style)
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_format_monadic_agrees_with_the_recursive_printer(self, rng):
+        formula = random_monadic(rng, max_depth=5)
+        assert format_monadic(formula) == reference_format(formula)
+
+    @given(formula_strategy())
+    @settings(max_examples=200)
+    def test_no_pair_of_parentheses_can_be_dropped(self, formula):
+        text = format_formula(formula)
+        for opening, closing in _parenthesis_pairs(text):
+            dropped = text[:opening] + text[opening + 1 : closing] + text[closing + 1 :]
+            assert parse(dropped) != formula, dropped
+
+
 # (input, kind, span, message) as the parser reported them before its
 # recursive descent was replaced by the shared precedence parser: at least
 # one input for every place the parser raises.
@@ -307,6 +344,20 @@ DEEP = {
     "conditionals": (
         " -> ".join(["P"] * DEPTH),
         tuple(op.join(["P"] * DEPTH) for op in (" -> ", " ⇒ ", " ⇒ ")),
+    ),
+    # Each operand on the side its connective does not associate to, so
+    # every level but the innermost prints in parentheses.
+    "left-nested conditionals": (
+        "(" * (DEPTH - 2) + "P -> P" + ") -> P" * (DEPTH - 2),
+        tuple(
+            "(" * (DEPTH - 2) + f"P {op} P" + f") {op} P" * (DEPTH - 2) for op in ("->", "⇒", "⇒")
+        ),
+    ),
+    "right-nested conjunctions": (
+        "P & (" * (DEPTH - 2) + "P & P" + ")" * (DEPTH - 2),
+        tuple(
+            f"P {op} (" * (DEPTH - 2) + f"P {op} P" + ")" * (DEPTH - 2) for op in ("&", "∧", "y")
+        ),
     ),
 }
 
