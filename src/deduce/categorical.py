@@ -60,6 +60,11 @@ class FormKind(Enum):
     PARTICULAR_AFFIRMATIVE = "some"
     PARTICULAR_NEGATIVE = "some-not"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ``==``; ``Enum.__hash__`` is a Python function on 3.10-3.13,
+    # and a verdict hashes a kind three times.
+    __hash__ = object.__hash__
+
 
 _SPANISH_TEMPLATES = {
     FormKind.UNIVERSAL_AFFIRMATIVE: "todo {s} es {p}",
@@ -141,10 +146,12 @@ class Syllogism(Record):
             raise ValueError("a syllogism must mention exactly three distinct terms")
 
     def term_names(self) -> tuple[str, ...]:
-        names = set()
-        for form in (self.major, self.minor, self.conclusion):
-            names.add(form.subject)
-            names.add(form.predicate)
+        major, minor, conclusion = self.major, self.minor, self.conclusion
+        names = {
+            major.subject, major.predicate,
+            minor.subject, minor.predicate,
+            conclusion.subject, conclusion.predicate,
+        }
         return tuple(sorted(names))
 
 
@@ -251,12 +258,21 @@ def get_syllogism(name: str) -> Syllogism:
 def _model_of(names: tuple[str, ...], mask: int) -> FiniteModel:
     """The canonical model whose inhabited regions are the set bits of
     ``mask``: one element per region, in ascending region order."""
-    regions = [r for r in range(8) if mask >> r & 1]
-    extensions = {
-        name: frozenset(i for i, r in enumerate(regions) if r >> bit & 1)
-        for bit, name in enumerate(names)
-    }
-    return FiniteModel(len(regions), extensions)
+    # The members of ``names[0]``, ``names[1]`` and ``names[2]``.
+    first: list[int] = []
+    second: list[int] = []
+    third: list[int] = []
+    size = 0
+    for region in range(8):
+        if mask >> region & 1:
+            if region & 1:
+                first.append(size)
+            if region & 2:
+                second.append(size)
+            if region & 4:
+                third.append(size)
+            size += 1
+    return FiniteModel(size, dict(zip(names, (first, second, third))))
 
 
 def canonical_models(
@@ -349,10 +365,9 @@ def _verdicts(syllogism: Syllogism, existential_import: bool) -> tuple[Verdict, 
     if existential_import:
         counters &= _IMPORT
     if not counters:
-        return Verdict(valid=True), with_import
+        return Verdict(True), with_import
     first = (counters & -counters).bit_length() - 1
-    model = _model_of(names, first)
-    return Verdict(valid=False, counter_model=model), with_import
+    return Verdict(False, _model_of(names, first)), with_import
 
 
 def valid_syllogism(syllogism: Syllogism, existential_import: bool = False) -> Verdict:
@@ -362,8 +377,11 @@ def valid_syllogism(syllogism: Syllogism, existential_import: bool = False) -> V
     conclusion's; the lowest is the first counter-model of the canonical
     enumeration, so output is deterministic.  ``existential_import``
     restricts the models to those where all three terms denote non-empty
-    sets.
+    sets.  Raises ``TypeError`` when ``syllogism`` is not a ``Syllogism``.
     """
+    # Any other object would fail deep in the model table, or be misread.
+    if not isinstance(syllogism, Syllogism):
+        raise TypeError(f"syllogism must be a Syllogism, got {type(syllogism).__name__}")
     return _verdicts(syllogism, existential_import)[0]
 
 

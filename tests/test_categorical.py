@@ -1,3 +1,5 @@
+import os
+import sys
 from functools import partial
 from itertools import product
 from random import Random
@@ -35,6 +37,7 @@ from deduce.categorical import (
     registry_syllogisms,
     valid_syllogism,
 )
+from deduce import categorical
 from deduce.categorical import _FORM_MODELS, _IMPORT
 from deduce.parser import ErrorKind, ParseError
 from helpers import (
@@ -115,6 +118,18 @@ class TestFiniteModel:
         with pytest.raises(ValueError):
             FiniteModel(-1, {})
 
+    @pytest.mark.parametrize("member", [True, 1.0, 0, 1.5, -1, 2, "0", None])
+    def test_a_member_is_in_the_universe_as_range_membership_says(self, member):
+        if member in range(2):
+            assert FiniteModel(2, {"A": {member}}).extension("A") == {member}
+        else:
+            with pytest.raises(ValueError, match="reaches outside the universe"):
+                FiniteModel(2, {"A": {member}})
+
+    def test_a_huge_universe_is_not_iterated(self):
+        # A check that walked the range would not end.
+        assert FiniteModel(10**30, {"A": {5}}).extension("A") == {5}
+
 
 class TestSyllogismRegistry:
     def test_exactly_ten_moods(self):
@@ -175,7 +190,46 @@ VALID_WITHOUT_IMPORT = [
 ]
 
 
+def python_frame_directories(action):
+    """The directory of every Python frame entered while ``action()`` runs;
+    ``action`` itself is called without a Python frame of this module."""
+    directories = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            directories.add(os.path.dirname(frame.f_code.co_filename))
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return directories
+
+
+PACKAGE = os.path.dirname(categorical.__file__)
+
+
 class TestValidSyllogism:
+    # In particular FormKind hashes in C, not through enum.py.
+    @pytest.mark.parametrize("name", ["barbara", "darapti"])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_a_verdict_runs_only_the_package_own_code(self, name, flag):
+        action = partial(valid_syllogism, get_syllogism(name), flag)
+        assert python_frame_directories(action) == {PACKAGE}
+
+    def test_describe_runs_only_the_package_own_code(self):
+        action = CategoricalForm(SOME_NOT, "S", "P").describe
+        assert python_frame_directories(action) == {PACKAGE}
+
+    @pytest.mark.parametrize(
+        "other", ["barbara", CategoricalForm(ALL, "A", "B")], ids=["str", "form"]
+    )
+    def test_a_syllogism_that_is_not_a_syllogism_is_refused(self, other):
+        message = f"syllogism must be a Syllogism, got {type(other).__name__}"
+        with pytest.raises(TypeError, match=message):
+            valid_syllogism(other)
+
     @pytest.mark.parametrize("name", VALID_WITHOUT_IMPORT)
     def test_eight_hold_without_import(self, name):
         assert valid_syllogism(get_syllogism(name)).valid
