@@ -258,21 +258,31 @@ def get_syllogism(name: str) -> Syllogism:
 def _model_of(names: tuple[str, ...], mask: int) -> FiniteModel:
     """The canonical model whose inhabited regions are the set bits of
     ``mask``: one element per region, in ascending region order."""
-    # The members of ``names[0]``, ``names[1]`` and ``names[2]``.
+    # The members of ``names[0]``, ``names[1]`` and ``names[2]``, read off
+    # each set bit of ``mask`` in turn; bit r of 0b10101010 is set when
+    # region r lies in ``names[0]``, and so on.
     first: list[int] = []
     second: list[int] = []
     third: list[int] = []
     size = 0
-    for region in range(8):
-        if mask >> region & 1:
-            if region & 1:
-                first.append(size)
-            if region & 2:
-                second.append(size)
-            if region & 4:
-                third.append(size)
-            size += 1
-    return FiniteModel(size, dict(zip(names, (first, second, third))))
+    while mask:
+        low = mask & -mask
+        if low & 0b10101010:
+            first.append(size)
+        if low & 0b11001100:
+            second.append(size)
+        if low & 0b11110000:
+            third.append(size)
+        size += 1
+        mask ^= low
+    # The members are 0 .. size - 1, so the constructor's range check and
+    # second freeze are skipped.
+    model = FiniteModel.__new__(FiniteModel)
+    _set_universe_size(model, size)
+    _set_extensions(
+        model, dict(zip(names, (frozenset(first), frozenset(second), frozenset(third))))
+    )
+    return model
 
 
 def canonical_models(

@@ -163,9 +163,9 @@ class PourPlan(Record):
 
     @classmethod
     def _of_runs(cls, *runs: tuple[Action, int]) -> PourPlan:
-        # The caller gives no two equal neighbours; empty runs are dropped.
+        # The caller gives maximal runs: no empty run, no two equal neighbours.
         pour_plan = cls.__new__(cls)
-        _set_runs(pour_plan, tuple(run for run in runs if run[1]))
+        _set_runs(pour_plan, runs)
         return pour_plan
 
     def __reduce__(self) -> tuple:
@@ -251,52 +251,67 @@ def plan(problem: JugProblem, strategy: Strategy = Strategy.CERTIFICATE) -> Pour
     minimum lies at the floor or ceiling of one of the two roots; ties go
     to fewer removals, then to the smaller x.  Either plan is emitted as
     its additions (of n, then of m) followed by its removals, as at most two
-    runs, so a plan of any target is made in constant time and space.
+    runs, so a plan of any target is made in constant time and space.  The
+    certificate is read off as ``bezout`` computes it, without its record
+    or its range checks, which ``JugProblem`` has already made.
 
-    Raises ``TypeError`` when ``strategy`` is not a ``Strategy`` and
-    ``NotAchievable`` when gcd(n, m) does not divide the target.
+    Raises ``TypeError`` when ``problem`` is not a ``JugProblem`` or
+    ``strategy`` not a ``Strategy``, and ``NotAchievable`` when gcd(n, m)
+    does not divide the target.
     """
     # Any other value would read as the certificate strategy.
     if not isinstance(strategy, Strategy):
         raise TypeError(f"strategy must be a Strategy, got {type(strategy).__name__}")
+    if not isinstance(problem, JugProblem):
+        raise TypeError(f"problem must be a JugProblem, got {type(problem).__name__}")
     n, m, target = problem.n, problem.m, problem.target
-    cert = bezout(n, m)
-    if target % cert.g:
-        raise NotAchievable(n, m, target, cert.g)
-    k = target // cert.g
-    x0, y0 = k * cert.a, k * cert.b
-    step_x, step_y = m // cert.g, n // cert.g
+    g = math.gcd(n, m)
+    if target % g:
+        raise NotAchievable(n, m, target, g)
+    k = target // g
+    step_x, step_y = m // g, n // g
+    a = pow(step_y, -1, step_x)
     if strategy is Strategy.SHORTEST:
-        roots = (-x0 // step_x, -(x0 // step_x), y0 // step_y, -(-y0 // step_y))
-        # Order by length, then by the number of removals, then by x.
-        x, y = min(
-            ((x0 + t * step_x, y0 - t * step_y) for t in roots),
-            key=lambda xy: (abs(xy[0]) + abs(xy[1]), -min(*xy, 0), xy[0]),
-        )
+        x0, y0 = k * a, k * ((g - a * n) // m)
+        best = None
+        for t in (-x0 // step_x, -(x0 // step_x), y0 // step_y, -(-y0 // step_y)):
+            tx, ty = x0 + t * step_x, y0 - t * step_y
+            # Order by length, then by the number of removals, then by x.
+            key = (abs(tx) + abs(ty), -min(tx, ty, 0), tx)
+            if best is None or key < best:
+                best, x, y = key, tx, ty
     else:
-        x = x0 % step_x
+        x = k * a % step_x
         y = (target - x * n) // m
     # All additions come first, so the total peaks at their sum and never
     # goes negative: before each removal it is the target plus that removal
-    # and the ones still to come.  At most one of x, y is negative (the
-    # target is positive), so the plan has at most two runs, and they differ:
-    # with n = m the period m/g is 1, so both strategies take x = 0.
-    return PourPlan._of_runs(
-        (AddJug(n), max(x, 0)),
-        (AddJug(m), max(y, 0)),
-        (RemoveJug(n), max(-x, 0)),
-        (RemoveJug(m), max(-y, 0)),
-    )
+    # and the ones still to come.  At most one of x, y is negative and at
+    # most one is zero (the target is positive), so the plan has one or two
+    # runs, and they differ: with n = m the period m/g is 1, so both
+    # strategies take x = 0.  Only the actions of those runs are made.
+    if x < 0:
+        return PourPlan._of_runs((AddJug(m), y), (RemoveJug(n), -x))
+    if y < 0:
+        return PourPlan._of_runs((AddJug(n), x), (RemoveJug(m), -y))
+    if not x:
+        return PourPlan._of_runs((AddJug(m), y))
+    if not y:
+        return PourPlan._of_runs((AddJug(n), x))
+    return PourPlan._of_runs((AddJug(n), x), (AddJug(m), y))
 
 
 def simulate(pour_plan: PourPlan, n: int, m: int) -> int:
     """Replay a plan, returning the final amount in the container.
 
-    Raises ``PlanViolation`` at the first action that uses a foreign
-    capacity or would drive the total negative.
+    Raises ``TypeError`` when ``pour_plan`` is not a ``PourPlan``, and
+    ``PlanViolation`` at the first action that uses a foreign capacity or
+    would drive the total negative.
     """
     _check_range(n, "n")
     _check_range(m, "m")
+    # Any other object would fail on its first missing attribute, or be misread.
+    if not isinstance(pour_plan, PourPlan):
+        raise TypeError(f"pour_plan must be a PourPlan, got {type(pour_plan).__name__}")
     total = 0
     index = 0
     for action, count in pour_plan.runs:

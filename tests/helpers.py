@@ -13,8 +13,11 @@ from ``json.dumps`` of one dict per row, record reprs
 and equality from frozen dataclass twins, entailment is scanned
 premise-by-premise without building the implication formula, syllogism validity is decided by evaluating the three forms on
 each canonical model or by naive enumeration of every model up to a
-universe size, jug reachability is a plain breadth-first closure over
-running totals, plans are replayed one action at a time, and the
+universe size, canonical models are built through the public
+``FiniteModel`` constructor, jug reachability is a plain breadth-first
+closure over running totals, plans are synthesized from ``bezout``'s
+certificate and replayed one action at a time, ``entered_code`` records
+the Python frames a call enters, and the
 command-line parser is the argparse tree spelt out one call per parser and
 option.  ``contract_digest`` hashes what ``deduce`` prints for a list of argvs,
 so that a committed digest pins the output contract.
@@ -30,6 +33,7 @@ import itertools
 import json
 import os
 import re
+import sys
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import make_dataclass
@@ -59,7 +63,17 @@ from deduce.categorical import (
     eval_categorical,
 )
 from deduce._record import Record
-from deduce.jugs import Action, AddJug, PlanViolation, RemoveJug, ViolationKind
+from deduce.jugs import (
+    Action,
+    AddJug,
+    JugProblem,
+    NotAchievable,
+    PlanViolation,
+    RemoveJug,
+    Strategy,
+    ViolationKind,
+    bezout,
+)
 from deduce.logic import (
     And,
     Atomic,
@@ -344,6 +358,38 @@ def all_models(names: tuple[str, ...], max_size: int) -> list[FiniteModel]:
     return models
 
 
+def reference_model(names: tuple[str, str, str], mask: int) -> FiniteModel:
+    """The canonical model of ``mask`` through the public constructor: one
+    element per set bit r of ``mask``, ascending, which lies in ``names[i]``
+    when bit i of r is set."""
+    regions = [region for region in range(8) if mask >> region & 1]
+    return FiniteModel(
+        len(regions),
+        {
+            name: {element for element, region in enumerate(regions) if region >> bit & 1}
+            for bit, name in enumerate(names)
+        },
+    )
+
+
+def entered_code(action) -> set:
+    """The code object of every Python frame entered while ``action()``
+    runs; pass a ``partial``, so that the call itself enters no frame of
+    the test."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
 # --- Syllogism oracle: naive enumeration -------------------------------------
 
 
@@ -424,6 +470,40 @@ def bfs_min_plan_length(n: int, m: int, target: int, ceiling: int) -> int | None
                 distances[neighbor] = distances[total] + 1
                 queue.append(neighbor)
     return None
+
+
+# --- Plan reference: the Bézout certificate, read as a record ----------------
+
+
+def reference_plan(problem: JugProblem, strategy: Strategy) -> tuple[tuple[Action, int], ...]:
+    """The runs of ``jugs.plan(problem, strategy)``: ``bezout``'s certificate,
+    the shortest of the four candidate points by ``min`` over the key
+    (length, removals, x), then the four runs of additions and removals
+    with the empty ones dropped.  Raises ``NotAchievable`` as ``plan``
+    does."""
+    n, m, target = problem.n, problem.m, problem.target
+    cert = bezout(n, m)
+    if target % cert.g:
+        raise NotAchievable(n, m, target, cert.g)
+    k = target // cert.g
+    x0, y0 = k * cert.a, k * cert.b
+    step_x, step_y = m // cert.g, n // cert.g
+    if strategy is Strategy.SHORTEST:
+        roots = (-x0 // step_x, -(x0 // step_x), y0 // step_y, -(-y0 // step_y))
+        x, y = min(
+            ((x0 + t * step_x, y0 - t * step_y) for t in roots),
+            key=lambda xy: (abs(xy[0]) + abs(xy[1]), -min(*xy, 0), xy[0]),
+        )
+    else:
+        x = x0 % step_x
+        y = (target - x * n) // m
+    runs = (
+        (AddJug(n), max(x, 0)),
+        (AddJug(m), max(y, 0)),
+        (RemoveJug(n), max(-x, 0)),
+        (RemoveJug(m), max(-y, 0)),
+    )
+    return tuple(run for run in runs if run[1])
 
 
 # --- Plan replay reference: one action at a time ------------------------------

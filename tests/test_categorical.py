@@ -1,5 +1,6 @@
+import copy
 import os
-import sys
+import pickle
 from functools import partial
 from itertools import product
 from random import Random
@@ -38,15 +39,17 @@ from deduce.categorical import (
     valid_syllogism,
 )
 from deduce import categorical
-from deduce.categorical import _FORM_MODELS, _IMPORT
+from deduce.categorical import _FORM_MODELS, _IMPORT, _model_of
 from deduce.parser import ErrorKind, ParseError
 from helpers import (
     all_models,
+    entered_code,
     is_nnf,
     naive_valid_syllogism,
     random_monadic,
     random_mood,
     reference_eval_monadic,
+    reference_model,
     reference_valid_syllogism,
 )
 
@@ -131,6 +134,40 @@ class TestFiniteModel:
         assert FiniteModel(10**30, {"A": {5}}).extension("A") == {5}
 
 
+def hash_or_refusal(value):
+    try:
+        return hash(value)
+    except TypeError as refusal:
+        return str(refusal)
+
+
+class TestModelOf:
+    # Key order differs from sorted order in the second triple.
+    @pytest.mark.parametrize("names", [("A", "B", "M"), ("Zeta", "P1", "Q")])
+    def test_every_mask_equals_the_public_constructor_model(self, names):
+        for mask in range(256):
+            built, expected = _model_of(names, mask), reference_model(names, mask)
+            assert built == expected
+            assert hash_or_refusal(built) == hash_or_refusal(expected)
+            assert repr(built) == repr(expected)
+            assert list(built.extensions) == list(expected.extensions) == list(names)
+            assert all(type(ext) is frozenset for ext in built.extensions.values())
+            assert pickle.dumps(built) == pickle.dumps(expected)
+            for twin in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+                assert twin == expected
+                assert repr(twin) == repr(expected)
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_canonical_models_are_the_public_constructor_models(self, flag):
+        names = ("Zeta", "P1", "Q")
+        expected = [
+            model
+            for model in map(partial(reference_model, names), range(256))
+            if not flag or all(model.extensions.values())
+        ]
+        assert list(canonical_models(names, flag)) == expected
+
+
 class TestSyllogismRegistry:
     def test_exactly_ten_moods(self):
         assert len(registry_syllogisms()) == 10
@@ -191,20 +228,8 @@ VALID_WITHOUT_IMPORT = [
 
 
 def python_frame_directories(action):
-    """The directory of every Python frame entered while ``action()`` runs;
-    ``action`` itself is called without a Python frame of this module."""
-    directories = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            directories.add(os.path.dirname(frame.f_code.co_filename))
-
-    sys.setprofile(profile)
-    try:
-        action()
-    finally:
-        sys.setprofile(None)
-    return directories
+    """The directory of every Python frame entered while ``action()`` runs."""
+    return {os.path.dirname(code.co_filename) for code in entered_code(action)}
 
 
 PACKAGE = os.path.dirname(categorical.__file__)
@@ -217,6 +242,20 @@ class TestValidSyllogism:
     def test_a_verdict_runs_only_the_package_own_code(self, name, flag):
         action = partial(valid_syllogism, get_syllogism(name), flag)
         assert python_frame_directories(action) == {PACKAGE}
+
+    @pytest.mark.parametrize(
+        "forms,flag",
+        [
+            ("all:M:B all:M:A some:A:B", False),  # darapti
+            ("all:B:M all:A:M all:A:B", True),  # undistributed middle
+        ],
+    )
+    def test_a_counter_model_skips_the_public_constructor(self, forms, flag):
+        # Its members are region indices, inside the universe by construction.
+        syllogism = Syllogism(*map(parse_categorical, forms.split()))
+        action = partial(valid_syllogism, syllogism, flag)
+        assert not action().valid
+        assert FiniteModel.__init__.__code__ not in entered_code(action)
 
     def test_describe_runs_only_the_package_own_code(self):
         action = CategoricalForm(SOME_NOT, "S", "P").describe

@@ -1,6 +1,9 @@
 import itertools
+import math
 import sys
 import tracemalloc
+from functools import partial
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -8,7 +11,9 @@ from hypothesis import given, settings
 
 from deduce._limits import GCD_LEAST_M, VALUES
 from deduce.jugs import (
+    MAX_CAPACITY,
     MAX_PLAN_LENGTH,
+    MAX_TARGET,
     AddJug,
     BezoutCertificate,
     JugProblem,
@@ -29,7 +34,9 @@ from deduce.jugs import (
 from helpers import (
     bfs_min_plan_length,
     bfs_reachable,
+    entered_code,
     oracle_ceiling,
+    reference_plan,
     reference_simulate,
 )
 
@@ -120,7 +127,89 @@ class TestAchievability:
                     )
 
 
+@st.composite
+def _jug_problems(draw):
+    """A problem from one regime of capacities: n = m, m | n, n | m, a common
+    factor above 1, or any up to ``MAX_CAPACITY``, with a target that is a
+    multiple of the gcd, one that is not (when the gcd is above 1), or any
+    up to ``MAX_TARGET``; or small capacities and a small target."""
+    capacity = st.integers(1, MAX_CAPACITY)
+    regime = draw(st.sampled_from(["n = m", "m | n", "n | m", "gcd > 1", "small", "any"]))
+    if regime == "n = m":
+        n = m = draw(capacity)
+    elif regime in ("m | n", "n | m"):
+        small = draw(capacity)
+        large = small * draw(st.integers(1, MAX_CAPACITY // small))
+        n, m = (large, small) if regime == "m | n" else (small, large)
+    elif regime == "gcd > 1":
+        factor = draw(st.integers(2, 1000))
+        n, m = (factor * draw(st.integers(1, MAX_CAPACITY // factor)) for _ in "nm")
+    elif regime == "small":
+        # Where ties in length, decided by the removals, occur.
+        n, m = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+        return JugProblem(n, m, draw(st.integers(1, 300)))
+    else:
+        n, m = draw(capacity), draw(capacity)
+    g = math.gcd(n, m)
+    targets = [
+        st.integers(1, MAX_TARGET // g).map(lambda k: k * g),
+        st.integers(1, MAX_TARGET),
+        st.just(MAX_TARGET),
+    ]
+    if g > 1:
+        targets.append(
+            st.tuples(st.integers(0, MAX_TARGET // g - 1), st.integers(1, g - 1)).map(
+                lambda kr: kr[0] * g + kr[1]
+            )
+        )
+    return JugProblem(n, m, draw(st.one_of(targets)))
+
+
 class TestPlan:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @given(problem=_jug_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_bezout_reference(self, strategy, problem):
+        try:
+            expected = reference_plan(problem, strategy)
+        except NotAchievable as refusal:
+            with pytest.raises(NotAchievable) as excinfo:
+                plan(problem, strategy)
+            got = excinfo.value
+            assert type(got) is NotAchievable
+            fields = ("n", "m", "target", "gcd", "args")
+            assert [getattr(got, f) for f in fields] == [getattr(refusal, f) for f in fields]
+        else:
+            runs = plan(problem, strategy).runs
+            assert [(type(a), a.capacity, count) for a, count in runs] == [
+                (type(a), a.capacity, count) for a, count in expected
+            ]
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_matches_the_bezout_reference_on_every_small_problem(self, strategy):
+        # Among them are ties in length that only the removals decide, as
+        # 4 = 2 + 2 = 6 − 2.
+        for n, m, target in itertools.product(range(1, 13), range(1, 13), range(1, 61)):
+            problem = JugProblem(n, m, target)
+            if is_achievable(problem):
+                assert plan(problem, strategy).runs == reference_plan(problem, strategy)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("problem", [JugProblem(3, 5, 4), JugProblem(97, 89, 1234)])
+    def test_a_plan_reads_the_certificate_without_bezout(self, strategy, problem):
+        # No certificate record, no ``min`` key and no run filter either.
+        entered = {code.co_name for code in entered_code(partial(plan, problem, strategy))}
+        assert entered.isdisjoint({"bezout", "<lambda>", "<genexpr>"})
+
+    @pytest.mark.parametrize(
+        "problem", [(3, 5, 4), SimpleNamespace(n=3, m=5, target=4)], ids=["tuple", "namespace"]
+    )
+    def test_refuses_a_problem_that_is_not_a_problem(self, problem):
+        message = f"^problem must be a JugProblem, got {type(problem).__name__}$"
+        for strategy in Strategy:
+            with pytest.raises(TypeError, match=message):
+                plan(problem, strategy)
+
     def test_certificate_for_the_worked_coprime_case(self):
         pour_plan = plan(JugProblem(3, 11, 1), Strategy.CERTIFICATE)
         assert pour_plan.actions == (
@@ -338,6 +427,14 @@ class TestSimulate:
         with pytest.raises(PlanViolation) as excinfo:
             simulate(pour_plan, 3, 6)
         assert excinfo.value.index == 2
+
+    @pytest.mark.parametrize(
+        "pour_plan", [[AddJug(3)], (AddJug(3),)], ids=["list", "tuple"]
+    )
+    def test_refuses_a_plan_that_is_not_a_plan(self, pour_plan):
+        message = f"^pour_plan must be a PourPlan, got {type(pour_plan).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            simulate(pour_plan, 3, 5)
 
     def test_empty_plan_yields_zero(self):
         assert simulate(PourPlan(()), 3, 6) == 0
